@@ -353,23 +353,29 @@ def _run_verify(cfg: RunConfig) -> int:
         "per_n": {},
     }
     worst = {"phase": 0.0, "energy": 0.0, "magnetization": 0.0, "identity": 0.0}
+    # (lambda, gamma, n) of each worst discrepancy; the first point on ties.
+    worst_at = {}
     for n in p["n_sites"]:
         w = {"phase": 0.0, "energy": 0.0, "magnetization": 0.0, "identity": 0.0}
         for lam, gamma in points:
             xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
             analytic = ground_phase(xp)
             discrete = discrete_loop_phase(xp, "ground", loop)
-            w["phase"] = max(w["phase"], circular_distance(discrete.wrapped, analytic.wrapped))
-            w["energy"] = max(w["energy"], abs(ground_energy(xp) - ed_ground_energy(xp)))
-            w["magnetization"] = max(
-                w["magnetization"], abs(magnetization_analytic(xp) - magnetization_ed(xp))
-            )
             lhs, rhs = phase_magnetization_identity(xp)
-            w["identity"] = max(w["identity"], abs(lhs - rhs))
+            found = {
+                "phase": circular_distance(discrete.wrapped, analytic.wrapped),
+                "energy": abs(ground_energy(xp) - ed_ground_energy(xp)),
+                "magnetization": abs(magnetization_analytic(xp) - magnetization_ed(xp)),
+                "identity": abs(lhs - rhs),
+            }
+            for key, value in found.items():
+                w[key] = max(w[key], value)
+                if key not in worst_at or value > worst[key]:
+                    worst[key] = max(worst[key], value)
+                    worst_at[key] = {"lambda": lam, "gamma": gamma, "n": n}
         summary["per_n"][str(n)] = w
-        for key in worst:
-            worst[key] = max(worst[key], w[key])
     summary["max_discrepancy"] = worst
+    summary["max_discrepancy_at"] = worst_at
     tol = {
         "phase": VERIFY_PHASE_TOL,
         "energy": VERIFY_ENERGY_TOL,

@@ -6,7 +6,7 @@ state overlaps.  That product is gauge invariant once the endpoint state is
 identified with the start state, so no phase smoothing of eigenvectors is
 ever needed.
 
-Two structural facts are exploited throughout:
+Three structural facts are exploited throughout:
 
 * The chain Hamiltonian commutes with the spin-flip parity prod_l sigma^z_l
   for every rotation angle, so it is block diagonal in the parity basis.
@@ -15,9 +15,17 @@ Two structural facts are exploited throughout:
   where an odd-parity level dips below it, so oracle comparisons are made
   sector-resolved.  ``lowest_states`` still reports the plain global
   spectrum.
-* H(phi) decomposes exactly as M0 + cos(2 phi) Mc + sin(2 phi) Ms, so loop
-  sweeps reuse three precomputed matrices instead of reassembling Kronecker
-  products at every grid angle.
+* H(phi) decomposes exactly as M0 + cos(2 phi) Mc + sin(2 phi) Ms.  The
+  three matrices are assembled bond by bond from index arithmetic on the two
+  bits each bond acts on (the bit representation of exact diagonalization:
+  Lin, PRB 42, 6561 (1990); Sandvik, AIP Conf. Proc. 1297, 135 (2010)), so
+  no 2^N x 2^N Kronecker product is ever formed.  Site 0 is the most
+  significant bit of a basis index, and bit value 0 is sigma^z = +1.
+* The loop is a rotation: H(phi) = U(phi) H(0) U(phi)^dagger with the
+  diagonal U(phi) = exp(i phi S^z / 2), S^z = sum_l sigma^z_l.  So every
+  state on the loop is U(phi - phi0) psi0 for one eigenvector psi0 of
+  H(phi0): a loop costs one eigensolve, and its energies and gaps are
+  constant.
 
 Dense matrices are capped at N = 10 sites by default; the environment
 variable XYBERRY_MAX_N overrides the cap.
@@ -54,8 +62,6 @@ __all__ = [
     "LoopDiscretization",
     "LoopTrace",
     "max_sites",
-    "site_operator",
-    "bond_operator",
     "xy_dense_hamiltonian",
     "hamiltonian_phi_parts",
     "build_hamiltonian",
@@ -76,7 +82,6 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 DEFAULT_MAX_SITES = 10
 
@@ -88,6 +93,10 @@ PANCHARATNAM_SIGN = +1
 # Eigenvalue distance below which two tracked levels are treated as one
 # degenerate cluster (flagged, then tracked by subspace projection).
 DEGENERACY_TOL = 1e-8
+
+# Levels computed at the start of a loop: enough to hold the tracked level's
+# degenerate cluster and the nearest level above it.
+LOOP_LEVELS = 6
 
 
 def _lowest_eigh(mat: np.ndarray, count: int):
@@ -133,28 +142,6 @@ def _check_sites(n_sites: int):
         )
 
 
-def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Kronecker placement of a single-site operator at ``site``."""
-    out = np.array([[1.0 + 0.0j]])
-    for l in range(n_sites):
-        out = np.kron(out, op if l == site else _ID2)
-    return out
-
-
-def bond_operator(op_a: np.ndarray, op_b: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """op_a at ``site`` times op_b at the (periodic) next site."""
-    nxt = (site + 1) % n_sites
-    out = np.array([[1.0 + 0.0j]])
-    for l in range(n_sites):
-        if l == site:
-            out = np.kron(out, op_a)
-        elif l == nxt:
-            out = np.kron(out, op_b)
-        else:
-            out = np.kron(out, _ID2)
-    return out
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """A 2^N x 2^N Hermitian matrix with its site count."""
@@ -181,24 +168,35 @@ def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
     """Matrices (M0, Mc, Ms) with H(phi) = M0 + cos(2 phi) Mc + sin(2 phi) Ms.
 
     Per-site rotation by phi maps the bond couplings onto themselves with
-    doubled angle, which is also why H(phi) is pi-periodic.  For N = 2 the
+    doubled angle, which is also why H(phi) is pi-periodic.  Each bond
+    (l, l + 1) acts on two bits of the basis index:
+
+    * -(XX + YY)/2 flips an antiparallel pair with weight -1 (into M0);
+    * -gamma (XX - YY)/2 flips a parallel pair with weight -gamma (into Mc);
+    * gamma (XY + YX)/2 flips a parallel pair with weight i gamma (-1)^b,
+      b the input bit of site l (into Ms).
+
+    The field -lam sigma^z_l sits on the diagonal of M0.  For N = 2 the
     periodic bond sum visits the single pair twice and the doubled bond is
     kept as written.
     """
     _check_sites(n_sites)
     d = 2**n_sites
+    states = np.arange(d)
     m0 = np.zeros((d, d), dtype=complex)
     mc = np.zeros((d, d), dtype=complex)
     ms = np.zeros((d, d), dtype=complex)
+    m0[states, states] = -lam * total_sz_diagonal(n_sites)
     for l in range(n_sites):
-        xx = bond_operator(PAULI_X, PAULI_X, l, n_sites)
-        yy = bond_operator(PAULI_Y, PAULI_Y, l, n_sites)
-        xy = bond_operator(PAULI_X, PAULI_Y, l, n_sites)
-        yx = bond_operator(PAULI_Y, PAULI_X, l, n_sites)
-        m0 -= 0.5 * (xx + yy)
-        mc -= 0.5 * gamma * (xx - yy)
-        ms += 0.5 * gamma * (xy + yx)
-        m0 -= lam * site_operator(PAULI_Z, l, n_sites)
+        shift_a = n_sites - 1 - l
+        shift_b = n_sites - 1 - (l + 1) % n_sites
+        bit_a = (states >> shift_a) & 1
+        anti = bit_a != (states >> shift_b) & 1
+        par = ~anti
+        flipped = states ^ ((1 << shift_a) | (1 << shift_b))
+        m0[flipped[anti], states[anti]] -= 1.0
+        mc[flipped[par], states[par]] -= gamma
+        ms[flipped[par], states[par]] += 1j * gamma * (1 - 2 * bit_a[par])
     return m0, mc, ms
 
 
@@ -385,12 +383,16 @@ class LoopDiscretization:
 
 @dataclass
 class LoopTrace:
-    """Tracked eigenvectors along a closed loop (block coordinates)."""
+    """Tracked eigenvectors along a closed loop (block coordinates).
+
+    ``vectors`` holds one row per loop point; ``energies`` and ``gaps`` are
+    constant along the loop, which is an isospectral family.
+    """
 
     params: XYParams
     level: str
     phis: np.ndarray
-    vectors: list = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
     energies: np.ndarray
     gaps: np.ndarray
     degenerate: bool
@@ -402,15 +404,15 @@ def pancharatnam_phase(vectors) -> float:
     Each factor is normalized to unit modulus before accumulating, so long
     loops cannot underflow; only the argument matters.
     """
-    prod = 1.0 + 0.0j
-    m = len(vectors)
-    for j in range(m):
-        ov = np.vdot(vectors[j], vectors[(j + 1) % m])
-        a = abs(ov)
-        if a == 0.0:
-            raise DiscretizationError(f"orthogonal consecutive states at segment {j}")
-        prod *= ov / a
-    return PANCHARATNAM_SIGN * float(np.angle(prod))
+    states = np.asarray(vectors)
+    overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
+    sizes = np.abs(overlaps)
+    orthogonal = np.flatnonzero(sizes == 0.0)
+    if orthogonal.size:
+        raise DiscretizationError(
+            f"orthogonal consecutive states at segment {orthogonal[0]}"
+        )
+    return PANCHARATNAM_SIGN * float(np.angle(np.prod(overlaps / sizes)))
 
 
 def loop_states(
@@ -419,84 +421,83 @@ def loop_states(
     loop: LoopDiscretization,
     windings: int = 1,
     gap_tol: float = 1e-9,
-    track_window: int = 6,
 ) -> LoopTrace:
-    """Track one level of H(phi) around ``windings`` closed circuits.
+    """Transport one level of H(phi) around ``windings`` closed circuits.
 
     level='ground' follows the lowest even-parity state, level='excited'
     the lowest odd-parity state (the minimum-gap single excitation).  Since
-    parity commutes with H(phi), tracking runs inside one parity block;
-    cross-parity crossings cannot confuse it.  At each step the tracked
-    state is the maximal-overlap member of the block's lowest
-    ``track_window`` levels; exact degeneracies are flagged and resolved by
-    projecting the previous vector onto the degenerate subspace.
+    parity commutes with H(phi), the level lives in one parity block.  One
+    eigensolve of that block at phi0 = params.phi gives the level's vector
+    psi0; the vector at phi_j is U(phi_j - phi0) psi0.  An exactly
+    degenerate level is flagged and transported by projecting each vector
+    onto the rotated degenerate subspace: in cluster coordinates D the
+    coefficients step as a_{j+1} ~ (D^dagger U(-delta) D) a_j.
     """
     if level not in ("ground", "excited"):
         raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
     if windings < 1:
         raise ValueError(f"windings must be >= 1, got {windings}")
     parity = +1 if level == "ground" else -1
-    (b0, bc, bs), _ = _sector_block(params.n_sites, params.lam, params.gamma, parity)
-    dim = b0.shape[0]
-    window = min(track_window, dim)
+    (b0, bc, bs), idx = _sector_block(params.n_sites, params.lam, params.gamma, parity)
+    phi0 = params.phi
+    h = b0 + math.cos(2.0 * phi0) * bc + math.sin(2.0 * phi0) * bs
+    vals, vecs = _lowest_eigh(h, min(LOOP_LEVELS, h.shape[0]))
+
+    # Gap from the tracked level's degenerate cluster to the nearest level
+    # outside it; below tolerance the adiabatic level is ill-defined.
+    cluster = vals - vals[0] < DEGENERACY_TOL
+    rest = vals[~cluster]
+    gap = float(rest[0] - vals[0]) if rest.size else math.inf
+    if gap < gap_tol:
+        raise TrackingError(
+            f"spectral gap {gap:.3e} below tolerance {gap_tol:.1e} at phi={phi0:.6f}"
+        )
 
     m = loop.steps * windings
-    phis = params.phi + np.pi * windings * np.arange(m) / m
-    vectors = []
-    energies = np.empty(m)
-    gaps = np.empty(m)
-    degenerate = False
-    prev = None
-    for j, phi in enumerate(phis):
-        h = b0 + math.cos(2.0 * phi) * bc + math.sin(2.0 * phi) * bs
-        vals, vecs = _lowest_eigh(h, window)
-        if prev is None:
-            k = 0
-            vec = vecs[:, 0]
-        else:
-            overlaps = vecs.conj().T @ prev
-            k = int(np.argmax(np.abs(overlaps)))
-            cluster = np.nonzero(np.abs(vals - vals[k]) < DEGENERACY_TOL)[0]
-            if cluster.size > 1:
-                if not degenerate:
-                    warnings.warn(
-                        f"tracked level degenerate at phi={phi:.6f} "
-                        f"(splitting < {DEGENERACY_TOL:.0e}); loop phase is "
-                        "a best-effort subspace projection",
-                        DegenerateLevelWarning,
-                        stacklevel=2,
-                    )
-                degenerate = True
-                sub = vecs[:, cluster]
-                proj = sub @ (sub.conj().T @ prev)
-                norm = np.linalg.norm(proj)
-                if norm == 0.0:
-                    raise DiscretizationError(
-                        f"lost the tracked subspace at phi={phi:.6f}"
-                    )
-                vec = proj / norm
-            else:
-                vec = vecs[:, k]
-            if abs(np.vdot(prev, vec)) < 0.5:
+    offsets = np.pi * windings * np.arange(m) / m
+    sz = total_sz_diagonal(params.n_sites)[idx]
+    rotations = np.exp(0.5j * np.outer(offsets, sz))  # row j: U(phi_j - phi0)
+    step = rotations[1]  # U(delta)
+    degenerate = bool(np.count_nonzero(cluster) > 1)
+    if not degenerate:
+        psi0 = vecs[:, 0]
+        overlap = abs(np.vdot(psi0, step * psi0))
+        if overlap < 0.5:
+            raise DiscretizationError(
+                f"overlap {overlap:.3e} below 0.5 between consecutive loop states "
+                f"(step {offsets[1]:.6f}); refine the loop grid"
+            )
+        vectors = rotations * psi0
+    else:
+        warnings.warn(
+            f"tracked level degenerate at phi={phi0:.6f} "
+            f"(splitting < {DEGENERACY_TOL:.0e}); loop phase is "
+            "a best-effort subspace projection",
+            DegenerateLevelWarning,
+            stacklevel=2,
+        )
+        basis = vecs[:, cluster]
+        kick = basis.conj().T @ (step.conj()[:, None] * basis)
+        coeffs = np.zeros((m, basis.shape[1]), dtype=complex)
+        coeffs[0, 0] = 1.0
+        for j in range(1, m):
+            a = kick @ coeffs[j - 1]
+            # |a| is the overlap of the previous vector with the projected one.
+            norm = np.linalg.norm(a)
+            if norm == 0.0:
+                raise DiscretizationError(
+                    f"lost the tracked subspace at phi={phi0 + offsets[j]:.6f}"
+                )
+            if norm < 0.5:
                 raise DiscretizationError(
                     f"overlap below 0.5 between steps {j - 1} and {j} "
-                    f"(phi={phi:.6f}); refine the loop grid"
+                    f"(phi={phi0 + offsets[j]:.6f}); refine the loop grid"
                 )
-        # Gap from the tracked level's degenerate cluster to the rest of the
-        # window; below tolerance the adiabatic level is ill-defined.
-        cluster = np.abs(vals - vals[k]) < DEGENERACY_TOL
-        rest = vals[~cluster]
-        gap = float(np.min(np.abs(rest - vals[k]))) if rest.size else math.inf
-        if gap < gap_tol:
-            raise TrackingError(
-                f"spectral gap {gap:.3e} below tolerance {gap_tol:.1e} at "
-                f"phi={phi:.6f} (step {j})"
-            )
-        energies[j] = vals[k]
-        gaps[j] = gap
-        vectors.append(vec)
-        prev = vec
-    return LoopTrace(params, level, phis, vectors, energies, gaps, degenerate)
+            coeffs[j] = a / norm
+        vectors = rotations * (coeffs @ basis.T)
+    energies = np.full(m, vals[0])
+    gaps = np.full(m, gap)
+    return LoopTrace(params, level, phi0 + offsets, vectors, energies, gaps, degenerate)
 
 
 def discrete_loop_phase(

@@ -241,6 +241,11 @@ class TestVerifyCommand:
         assert payload["max_discrepancy"]["identity"] < 1e-10
         assert len(payload["points"]) == 2
         assert set(payload["per_n"]) == {"4", "6"}
+        # each worst discrepancy names the point and N where it occurred
+        for key, worst in payload["max_discrepancy"].items():
+            at = payload["max_discrepancy_at"][key]
+            assert [at["lambda"], at["gamma"]] in payload["points"]
+            assert payload["per_n"][str(at["n"])][key] == worst
 
     def test_seed_changes_points(self, capsys):
         assert main(["verify", "--n", "4", "--steps", "600", "--draws", "1", "--seed", "1"]) == 0

@@ -27,7 +27,9 @@ from xyberry import (
     spin_half_loop_phase,
     spin_half_phase,
 )
+from xyberry.cli import draw_noncritical_points
 from xyberry.oracle import (
+    hamiltonian_phi_parts,
     parity_diagonal,
     total_sz_diagonal,
     write_loop_trace_csv,
@@ -38,6 +40,57 @@ from xyberry.phases import BlochLoopSpec
 
 def params(lam, gamma, n, phi=0.0):
     return XYParams(lam=lam, gamma=gamma, n_sites=n, phi=phi)
+
+
+# Test-only references, independent of the oracle's bitwise assembly and of
+# its one-eigensolve loop transport.
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _placed(ops, n):
+    """Kronecker product over sites 0..n-1 (site 0 leftmost) of ops[site] or 1."""
+    out = np.ones((1, 1), dtype=complex)
+    for site in range(n):
+        out = np.kron(out, ops.get(site, np.eye(2)))
+    return out
+
+
+def kronecker_parts(n, lam, gamma):
+    """(M0, Mc, Ms) summed term by term from 2^N x 2^N Kronecker products."""
+    d = 2**n
+    m0, mc, ms = (np.zeros((d, d), dtype=complex) for _ in range(3))
+    for l in range(n):
+        nxt = (l + 1) % n
+        xx = _placed({l: _X, nxt: _X}, n)
+        yy = _placed({l: _Y, nxt: _Y}, n)
+        xy = _placed({l: _X, nxt: _Y}, n)
+        yx = _placed({l: _Y, nxt: _X}, n)
+        m0 -= 0.5 * (xx + yy) + lam * _placed({l: _Z}, n)
+        mc -= 0.5 * gamma * (xx - yy)
+        ms += 0.5 * gamma * (xy + yx)
+    return m0, mc, ms
+
+
+def rediagonalized_loop_phase(p, level, steps):
+    """Loop phase from an eigensolve at every step and argmax-overlap tracking."""
+    n = p.n_sites
+    popcount = np.array([bin(i).count("1") for i in range(2**n)])
+    parity = 0 if level == "ground" else 1
+    block = np.ix_(popcount % 2 == parity, popcount % 2 == parity)
+    m0, mc, ms = (m[block] for m in kronecker_parts(n, p.lam, p.gamma))
+    vectors = []
+    for phi in p.phi + np.pi * np.arange(steps) / steps:
+        vals, vecs = eigh(m0 + np.cos(2 * phi) * mc + np.sin(2 * phi) * ms)
+        assert vals[1] - vals[0] > 1e-6, "reference needs a non-degenerate level"
+        k = 0 if not vectors else int(np.argmax(np.abs(vecs[:, :4].conj().T @ vectors[-1])))
+        vectors.append(vecs[:, k])
+    prod = 1.0 + 0.0j
+    for a, b in zip(vectors, vectors[1:] + vectors[:1]):
+        ov = np.vdot(a, b)
+        prod *= ov / abs(ov)
+    return float(np.angle(prod))
 
 
 class TestAssembly:
@@ -98,6 +151,16 @@ class TestAssembly:
         a = np.linalg.eigvalsh(xy_dense_hamiltonian(6, 0.7, 0.6))
         b = np.linalg.eigvalsh(xy_dense_hamiltonian(6, -0.7, 0.6))
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+class TestAssemblyReference:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_bitwise_matches_kronecker(self, n):
+        for lam, gamma in ((0.3, 0.7), (-1.2, 0.4), (1.0, 1.3)):
+            got = hamiltonian_phi_parts(n, lam, gamma)
+            want = kronecker_parts(n, lam, gamma)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-14
 
 
 class TestLowestStates:
@@ -343,6 +406,18 @@ class TestChainLoop:
         final = float(lines[-1].split(",")[3])
         r = discrete_loop_phase(params(0.5, 0.5, 4), "ground", LoopDiscretization(16))
         assert circular_distance(final, r.wrapped) < 1e-9
+
+
+class TestTransportReference:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_matches_rediagonalizing_tracker(self, n):
+        rng = np.random.default_rng(20 + n)
+        for lam, gamma in draw_noncritical_points(rng, 3):
+            p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
+            for level in ("ground", "excited"):
+                got = discrete_loop_phase(p, level, LoopDiscretization(200)).wrapped
+                want = rediagonalized_loop_phase(p, level, 200)
+                assert circular_distance(got, want) <= 1e-10, (p, level)
 
 
 class TestEnergiesAlongLoop:
