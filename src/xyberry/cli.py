@@ -32,6 +32,7 @@ from .model import (
     XYParams,
     classify_criticality,
     ground_energy,
+    mode_gap_blocks,
 )
 from .observables import magnetization_analytic, phase_magnetization_identity
 from .oracle import (
@@ -41,6 +42,7 @@ from .oracle import (
     magnetization_ed,
 )
 from .phases import (
+    _fmt,
     circular_distance,
     ground_phase,
     phase_surface,
@@ -51,7 +53,6 @@ from .scaling import (
     DEFAULT_FIT_WINDOW,
     SweepSpec,
     continuum_min_gap,
-    finite_min_gap,
     fit_exponent,
     gap_sweep,
     step_detect,
@@ -69,6 +70,10 @@ VERIFY_PHASE_TOL = 1e-3
 VERIFY_ENERGY_TOL = 1e-8
 VERIFY_MAGNETIZATION_TOL = 1e-8
 VERIFY_IDENTITY_TOL = 1e-10
+
+# Largest point count one min:max:step range may ask for; checked before the
+# grid is allocated.
+MAX_RANGE_POINTS = 1_000_000
 
 
 class UsageError(XYBerryError):
@@ -95,7 +100,7 @@ def parse_range(text: str) -> np.ndarray:
 
     Inclusive of min, exclusive of max beyond floating tolerance: the point
     count is floor((max - min)/step + 1e-9), which makes grids reproducible
-    regardless of rounding in max - min.
+    regardless of rounding in max - min.  At most MAX_RANGE_POINTS points.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -104,13 +109,30 @@ def parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"non-numeric range component in {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"range components must be finite, got {text!r}")
     if step <= 0:
         raise UsageError(f"range step must be positive, got {step}")
     if hi < lo:
         raise UsageError(f"range must have max >= min, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step
+    if span > MAX_RANGE_POINTS:
+        raise UsageError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    count = int(math.floor(span + 1e-9))
     count = max(count, 1)
     return lo + step * np.arange(count)
+
+
+def _parse_number(text: str, kind, flag: str):
+    """Convert one flag value with ``kind`` (int or float); it must be finite."""
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise UsageError(f"--{flag} must be {expected}, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"--{flag} must be finite, got {text!r}")
+    return value
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -230,7 +252,9 @@ def parse_config(argv=None) -> RunConfig:
         params["lam_values"] = parse_range(raw["lambda"])
         params["gamma_values"] = parse_range(raw["gamma"])
         params["tol"] = (
-            DEFAULT_CRITICAL_TOL if raw["critical_tol"] is None else float(raw["critical_tol"])
+            DEFAULT_CRITICAL_TOL
+            if raw["critical_tol"] is None
+            else _parse_number(raw["critical_tol"], float, "critical-tol")
         )
         if params["tol"] <= 0:
             raise UsageError("critical tolerance must be positive")
@@ -242,13 +266,15 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"{command} needs --out")
     elif command == "verify":
         params["n_sites"] = _parse_sites(raw["n"] or "4,6")
-        params["steps"] = int(raw["steps"] or 2000)
-        params["draws"] = int(raw["draws"] or 10)
+        params["steps"] = _parse_number(raw["steps"] or "2000", int, "steps")
+        params["draws"] = _parse_number(raw["draws"] or "10", int, "draws")
         if params["steps"] < 8:
             raise UsageError("steps must be >= 8")
         if params["draws"] < 1:
             raise UsageError("draws must be >= 1")
-        seed = int(raw["seed"] or 0)
+        seed = _parse_number(raw["seed"] or "0", int, "seed")
+        if seed < 0:
+            raise UsageError("seed must be >= 0")
     elif command == "scaling-fit":
         if raw["approach"] is None:
             raise UsageError("scaling-fit needs an approach: ising or xx")
@@ -261,9 +287,9 @@ def parse_config(argv=None) -> RunConfig:
             params["window"] = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise UsageError(f"non-numeric window {window!r}") from exc
-        if not 0 < params["window"][0] < params["window"][1]:
-            raise UsageError("window must satisfy 0 < LO < HI")
-        params["samples"] = int(raw["samples"] or 24)
+        if not 0 < params["window"][0] < params["window"][1] < math.inf:
+            raise UsageError("window must satisfy 0 < LO < HI < inf")
+        params["samples"] = _parse_number(raw["samples"] or "24", int, "samples")
         if params["samples"] < 8:
             raise UsageError("samples must be >= 8")
         params["n_sites"] = None if raw["n"] is None else _parse_sites(raw["n"])[0]
@@ -280,29 +306,51 @@ def parse_config(argv=None) -> RunConfig:
         if raw["input"] is None:
             raise UsageError("lattice-map needs --input JSON")
         params["input"] = raw["input"]
-        params["threshold"] = float(raw["threshold"] or 0.1)
+        params["threshold"] = _parse_number(raw["threshold"] or "0.1", float, "threshold")
         if params["threshold"] <= 0:
             raise UsageError("threshold must be positive")
     return RunConfig(command=command, parameters=params, output_path=out, seed=seed)
 
 
-def _atomic_write(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _atomic_write(path: str, write) -> None:
+    """Create ``path`` atomically: ``write(tmp)`` fills a fresh temporary file.
+
+    The temporary file has a unique name in the target directory, so
+    concurrent runs never share it, and it is removed if anything fails, so
+    a failed run leaves neither a partial artifact nor a stray file.
+    """
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    os.close(fd)
+    try:
+        # mkstemp creates the file owner-only; give the artifact the usual mode.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else format(x, ".12g")
+def _text_writer(text: str):
+    """A writer for ``_atomic_write`` that stores ``text`` (UTF-8, LF)."""
+
+    def write(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+    return write
 
 
 def _run_phase_surface(cfg: RunConfig) -> int:
     p = cfg.parameters
     rows = phase_surface(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
-    tmp = f"{cfg.output_path}.tmp"
-    write_phase_surface_csv(rows, tmp)
-    os.replace(tmp, cfg.output_path)
+    _atomic_write(cfg.output_path, lambda tmp: write_phase_surface_csv(rows, tmp))
     flagged = sum(1 for r in rows if r[5] == "critical")
     print(f"wrote {cfg.output_path}: {len(rows)} rows ({flagged} flagged critical)")
     return 0
@@ -310,21 +358,22 @@ def _run_phase_surface(cfg: RunConfig) -> int:
 
 def _run_gap_map(cfg: RunConfig) -> int:
     p = cfg.parameters
+    lams, gammas = p["lam_values"], p["gamma_values"]
+    lam, gamma = np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
+    if p["n_sites"] is None:
+        gaps = [continuum_min_gap(l, g) for l, g in zip(lam, gamma)]
+    else:
+        gaps = np.empty(lam.size)
+        for rows, _, gap in mode_gap_blocks(lam, gamma, p["n_sites"]):
+            gaps[rows] = gap.min(axis=-1)
     lines = ["lambda,gamma,min_gap,tag,distance,status"]
     flagged = 0
-    for lam in p["lam_values"]:
-        for gamma in p["gamma_values"]:
-            c = classify_criticality(lam, gamma, p["tol"])
-            if p["n_sites"] is None:
-                gap = continuum_min_gap(lam, gamma)
-            else:
-                gap = finite_min_gap(p["n_sites"], lam, gamma)
-            status = "ok" if c.tag.value == "NonCritical" else "critical"
-            flagged += status == "critical"
-            lines.append(
-                f"{_fmt(lam)},{_fmt(gamma)},{_fmt(gap)},{c.tag.value},{_fmt(c.distance)},{status}"
-            )
-    _atomic_write(cfg.output_path, "\n".join(lines) + "\n")
+    for l, g, gap in zip(lam, gamma, gaps):
+        c = classify_criticality(l, g, p["tol"])
+        status = "ok" if c.tag.value == "NonCritical" else "critical"
+        flagged += status == "critical"
+        lines.append(f"{_fmt(l)},{_fmt(g)},{_fmt(gap)},{c.tag.value},{_fmt(c.distance)},{status}")
+    _atomic_write(cfg.output_path, _text_writer("\n".join(lines) + "\n"))
     print(f"wrote {cfg.output_path}: {len(lines) - 1} rows ({flagged} flagged critical)")
     return 0
 
@@ -338,6 +387,11 @@ def draw_noncritical_points(rng, draws: int, margin: float = 0.05):
         if classify_criticality(lam, gamma).distance > margin:
             points.append((float(lam), float(gamma)))
     return points
+
+
+def _worse(value: float, current: float) -> bool:
+    """Whether ``value`` replaces ``current`` as a worst discrepancy; NaN is worst."""
+    return value > current or (math.isnan(value) and not math.isnan(current))
 
 
 def _run_verify(cfg: RunConfig) -> int:
@@ -369,9 +423,10 @@ def _run_verify(cfg: RunConfig) -> int:
                 "identity": abs(lhs - rhs),
             }
             for key, value in found.items():
-                w[key] = max(w[key], value)
-                if key not in worst_at or value > worst[key]:
-                    worst[key] = max(worst[key], value)
+                if _worse(value, w[key]):
+                    w[key] = value
+                if key not in worst_at or _worse(value, worst[key]):
+                    worst[key] = value
                     worst_at[key] = {"lambda": lam, "gamma": gamma, "n": n}
         summary["per_n"][str(n)] = w
     summary["max_discrepancy"] = worst
@@ -387,7 +442,7 @@ def _run_verify(cfg: RunConfig) -> int:
     summary["pass"] = ok
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
+        _atomic_write(cfg.output_path, _text_writer(text))
     print(text, end="")
     return 0 if ok else 1
 
@@ -416,7 +471,7 @@ def _run_scaling_fit(cfg: RunConfig) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
+        _atomic_write(cfg.output_path, _text_writer(text))
     print(text, end="")
     return 0
 
@@ -427,9 +482,7 @@ def _run_step_trace(cfg: RunConfig) -> int:
     for gamma in p["gammas"]:
         trace = [relative_phase_thermo(lam, gamma).value for lam in p["lam_values"]]
         rows.append((gamma, step_detect(p["lam_values"], trace)))
-    tmp = f"{cfg.output_path}.tmp"
-    write_step_trace_csv(rows, tmp)
-    os.replace(tmp, cfg.output_path)
+    _atomic_write(cfg.output_path, lambda tmp: write_step_trace_csv(rows, tmp))
     print(f"wrote {cfg.output_path}: {len(rows)} rows")
     return 0
 
@@ -457,7 +510,7 @@ def _run_lattice_map(cfg: RunConfig) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
+        _atomic_write(cfg.output_path, _text_writer(text))
     print(text, end="")
     return 0
 
@@ -492,7 +545,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _error_json("usage", str(exc))
         return 2
-    except (XYBerryError, ValueError, ArithmeticError) as exc:
+    except (XYBerryError, ValueError, ArithmeticError, OSError) as exc:
         _error_json(type(exc).__name__, str(exc))
         return 1
 

@@ -38,6 +38,7 @@ __all__ = [
     "mode_momenta",
     "mode_angles",
     "mode_angle_arrays",
+    "mode_gap_blocks",
     "argmin_gap",
     "min_gap_mode",
     "ground_energy",
@@ -52,6 +53,11 @@ GROUND_ENERGY_PREFACTOR = 2.0
 
 # Default tolerance for critical-manifold membership; CLI-overridable.
 DEFAULT_CRITICAL_TOL = 1e-9
+
+# Elements (grid points x momenta) per block of mode_gap_blocks: 2**14
+# float64 values, 128 KiB per array, which bounds the kernel's memory at any
+# grid size.
+MODE_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,9 @@ class XYParams:
             raise ValueError(
                 f"n_sites must be an even integer >= 4, got {self.n_sites}"
             )
+        for name in ("lam", "gamma", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "phi", float(self.phi) % math.pi)
 
 
@@ -137,17 +146,42 @@ def mode_momenta(n_sites: int) -> list[MomentumMode]:
     return [MomentumMode(i, float(q)) for i, q in enumerate(momentum_grid(n_sites))]
 
 
+def _mode_components(cos_q, sin_q, lam, gamma):
+    """(epsilon, |gamma| sin q, gap) from precomputed cos q and sin q; broadcasts."""
+    eps = cos_q - lam
+    sines = np.abs(gamma) * sin_q
+    return eps, sines, np.hypot(eps, sines)
+
+
 def mode_angle_arrays(q, lam: float, gamma: float):
     """Vectorized (epsilon, gap, theta) over an array of momenta."""
     q = np.asarray(q, dtype=float)
-    eps = np.cos(q) - lam
-    sines = np.abs(gamma) * np.sin(q)
-    gap = np.hypot(eps, sines)
+    eps, sines, gap = _mode_components(np.cos(q), np.sin(q), lam, gamma)
     theta = np.arctan2(sines, eps)
     # Both components vanish only at a spectral degeneracy; pick the fixed
     # convention theta = pi/2 there (downstream phases are refused anyway).
     theta = np.where((sines == 0.0) & (eps == 0.0), 0.5 * np.pi, theta)
     return eps, gap, theta
+
+
+def mode_gap_blocks(lam, gamma, n_sites: int):
+    """(epsilon, gap) over many (lam, gamma) points, one block of points at a time.
+
+    ``lam`` and ``gamma`` are equal-length 1-d arrays of points.  Yields
+    ``(rows, eps, gap)`` where ``rows`` is the slice of points covered and
+    ``eps``, ``gap`` have shape (points in block, N/2), the momenta of
+    ``momentum_grid(n_sites)`` along the last axis.  Each value equals what
+    ``mode_angle_arrays`` gives for the same point; theta is not formed.
+    """
+    q = momentum_grid(n_sites)
+    cos_q, sin_q = np.cos(q), np.sin(q)
+    lam = np.asarray(lam, dtype=float)[:, None]
+    gamma = np.asarray(gamma, dtype=float)[:, None]
+    step = max(1, MODE_BLOCK_ELEMENTS // q.size)
+    for start in range(0, lam.shape[0], step):
+        rows = slice(start, start + step)
+        eps, _, gap = _mode_components(cos_q, sin_q, lam[rows], gamma[rows])
+        yield rows, eps, gap
 
 
 def mode_angles(q: float, params: XYParams) -> ModeAngles:
@@ -162,17 +196,19 @@ def mode_angles(q: float, params: XYParams) -> ModeAngles:
     return ModeAngles(float(eps), float(gap), float(theta))
 
 
-def argmin_gap(gaps) -> int:
-    """Index of the smallest gap; ties go to the smallest momentum.
+def argmin_gap(gaps):
+    """Index of the smallest gap along the last axis; ties go to the smallest momentum.
 
     Exact ties occur (e.g. lam = 0, where the spectrum is symmetric under
-    q -> pi - q), so the tie-break uses a relative tolerance rather than
-    raw argmin over floating-point values.
+    q -> pi - q), so the tie-break takes the first index within a relative
+    tolerance of the minimum rather than raw argmin over floating-point
+    values.  Returns an int for 1-d input and an index array otherwise.
     """
     gaps = np.asarray(gaps, dtype=float)
-    gmin = float(gaps.min())
-    tol = 1e-12 * (1.0 + abs(gmin))
-    return int(np.nonzero(gaps <= gmin + tol)[0][0])
+    gmin = gaps.min(axis=-1, keepdims=True)
+    tol = 1e-12 * (1.0 + np.abs(gmin))
+    k = np.argmax(gaps <= gmin + tol, axis=-1)
+    return int(k) if gaps.ndim == 1 else k
 
 
 def min_gap_mode(params: XYParams) -> tuple[MomentumMode, ModeAngles]:

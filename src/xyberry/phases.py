@@ -23,6 +23,7 @@ from .model import (
     classify_criticality,
     min_gap_mode,
     mode_angle_arrays,
+    mode_gap_blocks,
     momentum_grid,
 )
 
@@ -224,21 +225,32 @@ def phase_surface(
     'critical', so the table shape is deterministic and nothing is dropped
     silently.
     """
-    rows = []
-    q = momentum_grid(n_sites)
-    for lam in np.asarray(lam_values, dtype=float):
-        for gamma in np.asarray(gamma_values, dtype=float):
-            c = classify_criticality(lam, gamma, tol)
-            if c.tag is not Criticality.NON_CRITICAL:
-                rows.append((float(lam), float(gamma), math.nan, math.nan, math.nan, "critical"))
-                continue
-            eps, gap, _ = mode_angle_arrays(q, lam, gamma)
-            cos_theta = eps / gap
-            raw = float(np.pi * np.sum(1.0 - cos_theta))
-            k0 = argmin_gap(gap)
-            phi_eg = -math.pi * (1.0 - float(cos_theta[k0]))
-            rows.append((float(lam), float(gamma), raw, wrap_angle(raw), phi_eg, "ok"))
-    return rows
+    lams = np.asarray(lam_values, dtype=float)
+    gammas = np.asarray(gamma_values, dtype=float)
+    lam, gamma = np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
+    ok = np.array(
+        [classify_criticality(l, g, tol).tag is Criticality.NON_CRITICAL
+         for l, g in zip(lam, gamma)],
+        dtype=bool,
+    )
+    # Only noncritical points reach the kernel, where every gap is nonzero.
+    idx = np.flatnonzero(ok)
+    raw = np.full(lam.size, math.nan)
+    phi_eg = np.full(lam.size, math.nan)
+    for rows, eps, gap in mode_gap_blocks(lam[idx], gamma[idx], n_sites):
+        cos_theta = eps / gap
+        raw[idx[rows]] = np.pi * np.sum(1.0 - cos_theta, axis=-1)
+        k0 = argmin_gap(gap)
+        phi_eg[idx[rows]] = -np.pi * (1.0 - cos_theta[np.arange(k0.size), k0])
+    table = []
+    for l, g, is_ok, r, e in zip(
+        lam.tolist(), gamma.tolist(), ok.tolist(), raw.tolist(), phi_eg.tolist()
+    ):
+        if is_ok:
+            table.append((l, g, r, wrap_angle(r), e, "ok"))
+        else:
+            table.append((l, g, math.nan, math.nan, math.nan, "critical"))
+    return table
 
 
 def _fmt(x: float) -> str:

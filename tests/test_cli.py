@@ -1,11 +1,13 @@
 """Command-line surface: parsing, artifacts, determinism, error paths."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from xyberry.cli import main, parse_config, parse_range
+from xyberry import cli, finite_min_gap
+from xyberry.cli import MAX_RANGE_POINTS, main, parse_config, parse_range
 from xyberry.cli import UsageError
 
 
@@ -27,6 +29,19 @@ class TestRangeParsing:
     def test_malformed(self, bad):
         with pytest.raises(UsageError):
             parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["nan:1:0.1", "0:inf:0.1", "0:1:nan", "-inf:0:1"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["0:1e9:1e-9", "0:1:1e-320", "-1e308:1e308:1"])
+    def test_point_cap_checked_before_allocating(self, bad):
+        with pytest.raises(UsageError, match="more than"):
+            parse_range(bad)
+
+    def test_point_cap_is_inclusive(self):
+        assert len(parse_range(f"0:{MAX_RANGE_POINTS}:1")) == MAX_RANGE_POINTS
 
 
 class TestParseConfig:
@@ -107,8 +122,59 @@ class TestMainErrorSurface:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "StepDetectionError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--steps", "abc"],
+            ["verify", "--seed", "1.5"],
+            ["verify", "--seed", "-1"],
+            ["gap-map", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--critical-tol", "x"],
+            ["gap-map", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--critical-tol", "nan"],
+            ["scaling-fit", "ising", "--samples", "q"],
+            ["scaling-fit", "xx", "--window", "1e-3:inf"],
+            ["gap-map", "--lambda=nan:1:0.1", "--gamma", "0:1:0.5"],
+            ["gap-map", "--lambda", "0:1e9:1e-9", "--gamma", "0:1:0.5"],
+            ["lattice-map", "--input", "lp.json", "--threshold", "inf"],
+        ],
+    )
+    def test_malformed_values_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "usage"
+        assert "Traceback" not in captured.err
         assert not out.exists()
-        assert not out.with_name(out.name + ".tmp").exists()
+
+    def test_failed_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        def partial_then_fail(rows, path):
+            with open(path, "w") as fh:
+                fh.write("lambda,gam")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_phase_surface_csv", partial_then_fail)
+        out = tmp_path / "s.csv"
+        argv = ["phase-surface", "--lambda", "0.5:0.6:0.1", "--gamma", "0.5:0.6:0.1", "--n", "8"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_uses_a_fresh_temporary_file(self, tmp_path):
+        out = tmp_path / "a.txt"
+        out.write_text("old")
+        seen = []
+
+        def write(tmp):
+            seen.append(tmp)
+            with open(tmp, "w") as fh:
+                fh.write("new")
+
+        cli._atomic_write(str(out), write)
+        cli._atomic_write(str(out), write)
+        assert out.read_text() == "new"
+        assert seen[0] != seen[1] and all(t != str(out) + ".tmp" for t in seen)
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestPhaseSurfaceCommand:
@@ -156,9 +222,19 @@ class TestGapMapCommand:
         assert main(["gap-map", "--lambda", "0.5:0.75:0.25", "--gamma", "0.5:0.75:0.25",
                      "--n", "8", "--out", str(out)]) == 0
         line = out.read_text().strip().split("\n")[1]
-        from xyberry import finite_min_gap
-
         assert float(line.split(",")[2]) == pytest.approx(finite_min_gap(8, 0.5, 0.5))
+
+    def test_finite_size_rows_equal_pointwise_min_gap(self, tmp_path, monkeypatch):
+        # Print every number in full so the comparison is exact, not to 12 digits.
+        monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))
+        out = tmp_path / "g.csv"
+        assert main(["gap-map", "--lambda=-1.25:1.5:0.25", "--gamma=-0.5:1:0.25",
+                     "--n", "8", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 11 * 6
+        assert {r[5] for r in rows} == {"ok", "critical"}
+        for lam, gamma, gap, *_ in rows:
+            assert float(gap) == finite_min_gap(8, float(lam), float(gamma))
 
 
 class TestScalingFitCommand:
@@ -246,6 +322,19 @@ class TestVerifyCommand:
             at = payload["max_discrepancy_at"][key]
             assert [at["lambda"], at["gamma"]] in payload["points"]
             assert payload["per_n"][str(at["n"])][key] == worst
+
+    def test_nan_discrepancy_fails_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "magnetization_ed", lambda params: math.nan)
+        assert main(["verify", "--n", "4", "--steps", "100", "--draws", "2"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is False
+        assert math.isnan(payload["max_discrepancy"]["magnetization"])
+        assert math.isnan(payload["per_n"]["4"]["magnetization"])
+        first = payload["points"][0]
+        assert payload["max_discrepancy_at"]["magnetization"] == {
+            "lambda": first[0], "gamma": first[1], "n": 4
+        }
+        assert payload["max_discrepancy"]["energy"] < 1e-8
 
     def test_seed_changes_points(self, capsys):
         assert main(["verify", "--n", "4", "--steps", "600", "--draws", "1", "--seed", "1"]) == 0

@@ -15,7 +15,8 @@ from xyberry import (
     mode_momenta,
     momentum_grid,
 )
-from xyberry.model import mode_angle_arrays
+from xyberry import model
+from xyberry.model import argmin_gap, mode_angle_arrays, mode_gap_blocks
 
 
 def params(lam, gamma, n, phi=0.0):
@@ -60,6 +61,13 @@ class TestXYParams:
     def test_site_validation(self, bad):
         with pytest.raises(ValueError):
             params(0.1, 0.2, bad)
+
+    @pytest.mark.parametrize("field", ["lam", "gamma", "phi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = {"lam": 0.1, "gamma": 0.2, "phi": 0.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            XYParams(n_sites=4, **values)
 
 
 class TestModeAngles:
@@ -197,6 +205,52 @@ class TestMinGapMode:
         assert mode.index == 1
         assert mode.q == pytest.approx(3 * np.pi / 8, abs=1e-15)
         assert angles.gap == pytest.approx(gaps[1], abs=1e-15)
+
+
+class TestArgminGap:
+    def test_lam_zero_tie_goes_to_smaller_q(self):
+        # At lam = 0 the gap is symmetric under q -> pi - q, so the two modes
+        # flanking pi/2 tie up to rounding; a raw argmin may pick either.
+        q = momentum_grid(8)
+        _, gaps, _ = mode_angle_arrays(q, 0.0, 0.5)
+        assert abs(gaps[1] - gaps[2]) <= 1e-15
+        assert argmin_gap(gaps) == 1
+        assert type(argmin_gap(gaps)) is int
+
+    def test_rows_reduce_like_one_dimensional_calls(self):
+        q = momentum_grid(8)
+        points = [(0.0, 0.5), (0.0, 0.9), (0.0, -0.7), (0.4, 0.5), (-1.6, 0.2)]
+        gaps = np.array([mode_angle_arrays(q, lam, g)[1] for lam, g in points])
+        k = argmin_gap(gaps)
+        assert k.shape == (len(points),)
+        assert k.tolist() == [argmin_gap(row) for row in gaps]
+        # every lam = 0 row resolves its tie to the mode just below pi/2
+        assert k[:3].tolist() == [1, 1, 1]
+
+    def test_one_ulp_tie_in_batched_input(self):
+        # The later entry is smaller by one ulp: a raw argmin would take it.
+        x = 0.1
+        gaps = np.array([[[0.3, x, np.nextafter(x, 0.0)], [0.2, 0.2, 0.5]]])
+        assert argmin_gap(gaps).tolist() == [[1, 0]]
+
+
+class TestModeGapBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    def test_matches_pointwise_kernel_exactly(self, monkeypatch, block):
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
+        lam = np.array([0.0, 0.4, -1.2, 1.0, 2.5, -0.3, 0.9])
+        gamma = np.array([0.5, -0.8, 0.0, 1.0, 0.3, -1.4, 0.05])
+        seen = []
+        for rows, eps, gap in mode_gap_blocks(lam, gamma, 10):
+            assert eps.shape == gap.shape == (len(lam[rows]), 5)
+            for i, (l, g) in enumerate(zip(lam[rows], gamma[rows])):
+                e1, g1, _ = mode_angle_arrays(momentum_grid(10), l, g)
+                assert np.array_equal(eps[i], e1) and np.array_equal(gap[i], g1)
+            seen.extend(range(len(lam))[rows])
+        assert seen == list(range(len(lam)))
+
+    def test_empty_input_yields_nothing(self):
+        assert list(mode_gap_blocks(np.array([]), np.array([]), 8)) == []
 
 
 class TestGroundEnergy:

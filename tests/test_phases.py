@@ -20,6 +20,7 @@ from xyberry import (
     spin_half_phase,
     wrap_angle,
 )
+from xyberry import model
 from xyberry.model import mode_angle_arrays, momentum_grid
 from xyberry.phases import PHASE_SURFACE_HEADER, PhaseResult, write_phase_surface_csv
 
@@ -266,6 +267,45 @@ class TestPhaseSurface:
             assert raw == pytest.approx(g.value, abs=1e-12)
             assert wrapped == pytest.approx(g.wrapped, abs=1e-12)
             assert phi_eg == pytest.approx(relative_phase_finite(p).value, abs=1e-12)
+
+    # lam = 0 (exact ties), negative lam and gamma, and the critical planes,
+    # segment and endpoints.
+    GRID_LAMS = [-1.6, -1.0, -0.45, 0.0, 0.3, 1.0, 1.25]
+    GRID_GAMMAS = [-0.8, -0.05, 0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 1000])
+    def test_rows_equal_pointwise_phases_exactly(self, n):
+        rows = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, n)
+        assert len(rows) == len(self.GRID_LAMS) * len(self.GRID_GAMMAS)
+        statuses = {r[5] for r in rows}
+        assert statuses == {"ok", "critical"}
+        for lam, gamma, raw, wrapped, phi_eg, status in rows:
+            p = params(lam, gamma, n)
+            try:
+                g = ground_phase(p)
+            except CriticalPointError:
+                assert status == "critical"
+                assert all(math.isnan(x) for x in (raw, wrapped, phi_eg))
+                continue
+            assert status == "ok"
+            assert (raw, wrapped) == (g.value, g.wrapped)
+            assert phi_eg == relative_phase_finite(p).value
+
+    @pytest.mark.parametrize("block", [1, 15, 40])
+    def test_uneven_blocks_keep_rows(self, monkeypatch, block):
+        # 15 and 40 elements hold 3 and 8 points of 5 modes: neither divides
+        # the 22 noncritical points, so the last block is short.
+        expected = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, 10)
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
+        rows = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, 10)
+        assert [r[:2] + r[5:] for r in rows] == [r[:2] + r[5:] for r in expected]
+        assert np.array_equal(
+            np.array([r[2:5] for r in rows]), np.array([r[2:5] for r in expected]), equal_nan=True
+        )
+
+    def test_all_critical_grid(self):
+        rows = phase_surface([1.0, -1.0], [0.0, 0.7], 8)
+        assert [r[5] for r in rows] == ["critical"] * 4
 
     def test_row_major_order(self):
         rows = phase_surface([0.1, 0.2], [0.5, 0.6], 8)
