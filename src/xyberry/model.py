@@ -237,8 +237,11 @@ def classify_criticality(
     The planes |lam| = 1 host second-order transitions (level avoiding);
     the segment gamma = 0, |lam| < 1 is first order with an actual level
     crossing.  Membership is decided within ``tol``; the planes win when a
-    point sits on both (the segment endpoints).
+    point sits on both (the segment endpoints).  Non-finite input raises
+    ValueError.
     """
+    if not (math.isfinite(lam) and math.isfinite(gamma) and math.isfinite(tol)):
+        raise ValueError(f"lam, gamma and tol must be finite, got {lam}, {gamma}, {tol}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     ising_dist = abs(abs(lam) - 1.0)

@@ -1,10 +1,10 @@
 """Dense-matrix ground truth for the rotated XY chain.
 
-Builds the full 2^N spin Hamiltonian, extracts low eigenpairs, and computes
-discrete loop phases as the argument of the closed product of successive
-state overlaps.  That product is gauge invariant once the endpoint state is
-identified with the start state, so no phase smoothing of eigenvectors is
-ever needed.
+Builds the 2^N spin Hamiltonian and its parity blocks, extracts low
+eigenpairs, and computes discrete loop phases as the argument of the closed
+product of successive state overlaps.  That product is gauge invariant once
+the endpoint state is identified with the start state, so no phase
+smoothing of eigenvectors is ever needed.
 
 Three structural facts are exploited throughout:
 
@@ -15,17 +15,17 @@ Three structural facts are exploited throughout:
   where an odd-parity level dips below it, so oracle comparisons are made
   sector-resolved.  ``lowest_states`` still reports the plain global
   spectrum.
-* H(phi) decomposes exactly as M0 + cos(2 phi) Mc + sin(2 phi) Ms.  The
-  three matrices are assembled bond by bond from index arithmetic on the two
+* Matrices are assembled bond by bond from index arithmetic on the two
   bits each bond acts on (the bit representation of exact diagonalization:
   Lin, PRB 42, 6561 (1990); Sandvik, AIP Conf. Proc. 1297, 135 (2010)), so
-  no 2^N x 2^N Kronecker product is ever formed.  Site 0 is the most
-  significant bit of a basis index, and bit value 0 is sigma^z = +1.
+  no Kronecker product is ever formed.  Site 0 is the most significant bit
+  of a basis index, and bit value 0 is sigma^z = +1.
 * The loop is a rotation: H(phi) = U(phi) H(0) U(phi)^dagger with the
-  diagonal U(phi) = exp(i phi S^z / 2), S^z = sum_l sigma^z_l.  So every
-  state on the loop is U(phi - phi0) psi0 for one eigenvector psi0 of
-  H(phi0): a loop costs one eigensolve, and its energies and gaps are
-  constant.
+  diagonal U(phi) = exp(i phi S^z / 2), S^z = sum_l sigma^z_l, so the
+  eigenvector at phi is U(phi) psi(0).  Energy, magnetization and every
+  loop state share ONE eigensolve, done once on the real symmetric phi = 0
+  block of a parity sector (assembled on its 2^(N-1) indices alone) and
+  memoized read-only; the full matrices are off that path.
 
 Dense matrices are capped at N = 10 sites by default; the environment
 variable XYBERRY_MAX_N overrides the cap.
@@ -33,6 +33,7 @@ variable XYBERRY_MAX_N overrides the cap.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -98,6 +99,10 @@ DEGENERACY_TOL = 1e-8
 # degenerate cluster and the nearest level above it.
 LOOP_LEVELS = 6
 
+# Parity-block solves memoized by ``_sector_spectrum``: a verify point reads
+# one three times (loop, energy, magnetization).  About 30 KB each at N = 10.
+SPECTRUM_CACHE_SIZE = 32
+
 
 def _lowest_eigh(mat: np.ndarray, count: int):
     """Lowest ``count`` eigenpairs, ascending.
@@ -114,7 +119,7 @@ def _lowest_eigh(mat: np.ndarray, count: int):
         except LinAlgError:
             pass
     vals, vecs = eigh(mat)
-    return vals[:count], vecs[:, :count]
+    return vals[:count].copy(), vecs[:, :count].copy()  # no view pins the full set
 
 
 def max_sites() -> int:
@@ -200,11 +205,6 @@ def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
     return m0, mc, ms
 
 
-def _rotation_diagonal(n_sites: int, phi: float) -> np.ndarray:
-    """Diagonal of U(phi) = prod_l exp(i sigma^z_l phi / 2)."""
-    return np.exp(0.5j * phi * total_sz_diagonal(n_sites))
-
-
 def xy_dense_hamiltonian(
     n_sites: int,
     lam: float,
@@ -225,7 +225,7 @@ def xy_dense_hamiltonian(
         return m0 + math.cos(2.0 * phi) * mc + math.sin(2.0 * phi) * ms
     if method == "conjugation":
         h0 = xy_dense_hamiltonian(n_sites, lam, gamma, 0.0, "rotated-couplings")
-        u = _rotation_diagonal(n_sites, phi)
+        u = np.exp(0.5j * phi * total_sz_diagonal(n_sites))  # U(phi)
         return (u[:, None] * h0) * u.conj()[None, :]
     raise ValueError(f"unknown method {method!r}")
 
@@ -240,11 +240,8 @@ def build_hamiltonian(params: XYParams, method: str = "rotated-couplings") -> De
 
 def parity_diagonal(n_sites: int) -> np.ndarray:
     """Diagonal of the spin-flip parity prod_l sigma^z_l (+/-1 entries)."""
-    bits = np.arange(2**n_sites)
-    pop = np.zeros(2**n_sites, dtype=np.int64)
-    for b in range(n_sites):
-        pop += (bits >> b) & 1
-    return 1 - 2 * (pop % 2)
+    down = (n_sites - total_sz_diagonal(n_sites).astype(np.int64)) // 2
+    return 1 - 2 * (down % 2)
 
 
 def parity_indices(n_sites: int):
@@ -314,27 +311,55 @@ def lowest_states(H, count: int) -> list[EigenPair]:
     return pairs
 
 
-def _sector_block(n_sites, lam, gamma, parity):
-    m0, mc, ms = hamiltonian_phi_parts(n_sites, lam, gamma)
-    even, odd = parity_indices(n_sites)
-    idx = even if parity == +1 else odd
-    sub = np.ix_(idx, idx)
-    return (m0[sub], mc[sub], ms[sub]), idx
+def _sector_hamiltonian(n_sites, lam, gamma, parity):
+    """(block, basis indices, S^z) of the real phi = 0 block H(0) = M0 + Mc.
+
+    A bond flips both its bits (weight -gamma if parallel, -1 if not), so it
+    keeps parity.  2k and 2k + 1 lie in opposite sectors: index >> 1 is the row.
+    """
+    states = parity_indices(n_sites)[0 if parity == +1 else 1]
+    sz = total_sz_diagonal(n_sites)[states]
+    rows = np.arange(states.size)
+    h0 = np.zeros((states.size, states.size))
+    h0[rows, rows] = -lam * sz
+    for l in range(n_sites):
+        mask = (1 << n_sites - 1 - l) | (1 << n_sites - 1 - (l + 1) % n_sites)
+        parallel = (states & mask) % mask == 0
+        h0[(states ^ mask) >> 1, rows] -= np.where(parallel, gamma, 1.0)
+    return h0, states, sz
+
+
+def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
+    """Read-only (lowest min(LOOP_LEVELS, dim) levels, real vectors, indices, S^z).
+
+    The site cap is checked before the cache lookup, so lowering it binds.
+    """
+    _check_sites(n_sites)
+    return _solve_sector(n_sites, lam, gamma, parity)
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _solve_sector(n_sites, lam, gamma, parity):
+    h0, states, sz = _sector_hamiltonian(n_sites, lam, gamma, parity)
+    spectrum = (*_lowest_eigh(h0, min(LOOP_LEVELS, states.size)), states, sz)
+    for array in spectrum:
+        array.setflags(write=False)
+    return spectrum
 
 
 def sector_ground(params: XYParams, parity: int = +1) -> EigenPair:
     """Lowest eigenpair within one spin-flip parity sector.
 
     parity=+1 is the sector of the paired-mode closed forms.  The vector is
-    returned embedded in the full 2^N basis.
+    U(phi) psi(0), returned embedded in the full 2^N basis.
     """
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    (b0, bc, bs), idx = _sector_block(params.n_sites, params.lam, params.gamma, parity)
-    h = b0 + math.cos(2.0 * params.phi) * bc + math.sin(2.0 * params.phi) * bs
-    vals, vecs = _lowest_eigh(h, 1)
+    vals, vecs, states, sz = _sector_spectrum(
+        params.n_sites, params.lam, params.gamma, parity
+    )
     full = np.zeros(2**params.n_sites, dtype=complex)
-    full[idx] = vecs[:, 0]
+    full[states] = np.exp(0.5j * params.phi * sz) * vecs[:, 0]
     return EigenPair(float(vals[0]), _gauge_fix(full))
 
 
@@ -349,17 +374,14 @@ def magnetization_ed(params: XYParams) -> float:
     Warns if that level is degenerate within its sector, in which case the
     expectation value is basis dependent.
     """
-    (b0, bc, bs), idx = _sector_block(params.n_sites, params.lam, params.gamma, +1)
-    h = b0 + math.cos(2.0 * params.phi) * bc + math.sin(2.0 * params.phi) * bs
-    vals, vecs = _lowest_eigh(h, 2)
+    vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
     if vals[1] - vals[0] < DEGENERACY_TOL:
         warnings.warn(
             f"even-sector ground state degenerate (splitting {vals[1] - vals[0]:.3e})",
             DegenerateLevelWarning,
             stacklevel=2,
         )
-    sz = total_sz_diagonal(params.n_sites)[idx]
-    return float(np.real(np.sum(sz * np.abs(vecs[:, 0]) ** 2)))
+    return float(np.sum(sz * vecs[:, 0] ** 2))
 
 
 @dataclass(frozen=True)
@@ -426,9 +448,9 @@ def loop_states(
 
     level='ground' follows the lowest even-parity state, level='excited'
     the lowest odd-parity state (the minimum-gap single excitation).  Since
-    parity commutes with H(phi), the level lives in one parity block.  One
-    eigensolve of that block at phi0 = params.phi gives the level's vector
-    psi0; the vector at phi_j is U(phi_j - phi0) psi0.  An exactly
+    parity commutes with H(phi), the level lives in one parity block.  The
+    block's shared phi = 0 eigensolve gives the level's vector psi(0); the
+    vector at phi_j = params.phi + j delta is U(phi_j) psi(0).  An exactly
     degenerate level is flagged and transported by projecting each vector
     onto the rotated degenerate subspace: in cluster coordinates D the
     coefficients step as a_{j+1} ~ (D^dagger U(-delta) D) a_j.
@@ -438,10 +460,8 @@ def loop_states(
     if windings < 1:
         raise ValueError(f"windings must be >= 1, got {windings}")
     parity = +1 if level == "ground" else -1
-    (b0, bc, bs), idx = _sector_block(params.n_sites, params.lam, params.gamma, parity)
+    vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
     phi0 = params.phi
-    h = b0 + math.cos(2.0 * phi0) * bc + math.sin(2.0 * phi0) * bs
-    vals, vecs = _lowest_eigh(h, min(LOOP_LEVELS, h.shape[0]))
 
     # Gap from the tracked level's degenerate cluster to the nearest level
     # outside it; below tolerance the adiabatic level is ill-defined.
@@ -455,9 +475,8 @@ def loop_states(
 
     m = loop.steps * windings
     offsets = np.pi * windings * np.arange(m) / m
-    sz = total_sz_diagonal(params.n_sites)[idx]
-    rotations = np.exp(0.5j * np.outer(offsets, sz))  # row j: U(phi_j - phi0)
-    step = rotations[1]  # U(delta)
+    rotations = np.exp(0.5j * np.outer(phi0 + offsets, sz))  # row j: U(phi_j)
+    step = np.exp(0.5j * offsets[1] * sz)  # U(delta)
     degenerate = bool(np.count_nonzero(cluster) > 1)
     if not degenerate:
         psi0 = vecs[:, 0]
@@ -477,20 +496,16 @@ def loop_states(
             stacklevel=2,
         )
         basis = vecs[:, cluster]
-        kick = basis.conj().T @ (step.conj()[:, None] * basis)
+        kick = basis.T @ (step.conj()[:, None] * basis)
         coeffs = np.zeros((m, basis.shape[1]), dtype=complex)
         coeffs[0, 0] = 1.0
         for j in range(1, m):
             a = kick @ coeffs[j - 1]
             # |a| is the overlap of the previous vector with the projected one.
             norm = np.linalg.norm(a)
-            if norm == 0.0:
-                raise DiscretizationError(
-                    f"lost the tracked subspace at phi={phi0 + offsets[j]:.6f}"
-                )
             if norm < 0.5:
                 raise DiscretizationError(
-                    f"overlap below 0.5 between steps {j - 1} and {j} "
+                    f"overlap {norm:.3e} below 0.5 between steps {j - 1} and {j} "
                     f"(phi={phi0 + offsets[j]:.6f}); refine the loop grid"
                 )
             coeffs[j] = a / norm

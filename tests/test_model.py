@@ -1,5 +1,7 @@
 """Momentum grid, mode angles, ground energy, criticality classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,14 @@ class TestClassifyCriticality:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             classify_criticality(0.5, 0.5, tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # A NaN coordinate used to classify as NON_CRITICAL with distance NaN,
+        # and a NaN tol slipped past the tol <= 0 check.
+        for args in ((bad, 0.5), (0.5, bad), (0.5, 0.5, bad)):
+            with pytest.raises(ValueError):
+                classify_criticality(*args)
 
     def test_tolerance_width(self):
         assert classify_criticality(1.0 + 5e-10, 0.5).tag is Criticality.ISING_PLANE

@@ -27,8 +27,10 @@ from xyberry import (
     spin_half_loop_phase,
     spin_half_phase,
 )
+from xyberry import oracle
 from xyberry.cli import draw_noncritical_points
 from xyberry.oracle import (
+    ed_ground_energy,
     hamiltonian_phi_parts,
     parity_diagonal,
     total_sz_diagonal,
@@ -161,6 +163,92 @@ class TestAssemblyReference:
             want = kronecker_parts(n, lam, gamma)
             for a, b in zip(got, want):
                 assert np.max(np.abs(a - b)) <= 1e-14
+
+
+class TestSectorSpectrum:
+    """The one cached phi = 0 parity-block solve behind the sector readouts."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("parity", [+1, -1])
+    def test_block_matches_full_assembly(self, n, parity):
+        # N = 2 is where the periodic bond sum visits the single pair twice.
+        idx = np.flatnonzero(parity_diagonal(n) == parity)
+        for lam, gamma in ((0.3, 0.7), (-1.2, 0.4), (1.0, 1.3)):
+            m0, mc, _ = hamiltonian_phi_parts(n, lam, gamma)
+            block, states, sz = oracle._sector_hamiltonian(n, lam, gamma, parity)
+            assert block.dtype == np.float64
+            assert np.array_equal(states, idx)
+            assert np.array_equal(sz, total_sz_diagonal(n)[idx])
+            assert np.max(np.abs(block - (m0 + mc)[np.ix_(idx, idx)])) <= 1e-14
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("parity", [+1, -1])
+    def test_rotated_readouts_match_plain_eigh(self, n, parity):
+        # Each readout at phi != 0 comes from the phi = 0 solve and U(phi);
+        # the reference diagonalizes the parity slice of H(phi) itself.
+        rng = np.random.default_rng(40 + n)
+        idx = np.flatnonzero(parity_diagonal(n) == parity)
+        sz = total_sz_diagonal(n)[idx]
+        for lam, gamma in draw_noncritical_points(rng, 3):
+            phi = float(rng.uniform(0.1, np.pi - 0.1))
+            p = params(lam, gamma, n, phi=phi)
+            h = xy_dense_hamiltonian(n, lam, gamma, phi)[np.ix_(idx, idx)]
+            vals, vecs = eigh(h)
+            assert vals[1] - vals[0] > 1e-6, "reference needs a non-degenerate level"
+            pair = sector_ground(p, parity)
+            assert abs(pair.value - vals[0]) <= 1e-12
+            assert abs(np.vdot(pair.vector[idx], vecs[:, 0])) >= 1 - 1e-12
+            level = "ground" if parity == +1 else "excited"
+            trace = loop_states(p, level, LoopDiscretization(16))
+            assert abs(trace.energies[0] - vals[0]) <= 1e-12
+            assert abs(np.vdot(trace.vectors[0], vecs[:, 0])) >= 1 - 1e-12
+            if parity == +1:
+                assert abs(ed_ground_energy(p) - vals[0]) <= 1e-12
+                want = float(np.sum(sz * np.abs(vecs[:, 0]) ** 2))
+                assert abs(magnetization_ed(p) - want) <= 1e-12
+
+    def test_site_cap_checked_on_cache_hits(self, monkeypatch):
+        p = params(0.4, 0.6, 6)
+        monkeypatch.setenv("XYBERRY_MAX_N", "6")
+        energy = ed_ground_energy(p)
+        hits = oracle._solve_sector.cache_info().hits
+        assert ed_ground_energy(p) == energy
+        assert oracle._solve_sector.cache_info().hits == hits + 1
+        monkeypatch.setenv("XYBERRY_MAX_N", "4")
+        with pytest.raises(ResourceLimitError):
+            ed_ground_energy(p)
+        with pytest.raises(ResourceLimitError):
+            magnetization_ed(p)
+        with pytest.raises(ResourceLimitError):
+            sector_ground(p, -1)
+        with pytest.raises(ResourceLimitError):
+            loop_states(p, "ground", LoopDiscretization(16))
+
+    def test_degenerate_warning_on_every_call(self):
+        # Same in-sector crossing as TestMagnetizationED; the second call is a
+        # cache hit and must warn again.
+        p = params(float(np.cos(np.pi / 4)), 0.0, 4)
+        with pytest.warns(DegenerateLevelWarning):
+            first = magnetization_ed(p)
+        hits = oracle._solve_sector.cache_info().hits
+        with pytest.warns(DegenerateLevelWarning):
+            assert magnetization_ed(p) == first
+        assert oracle._solve_sector.cache_info().hits == hits + 1
+
+    def test_returned_arrays_cannot_write_the_cache(self):
+        p = params(0.5, 0.5, 4)
+        spectrum = oracle._sector_spectrum(4, 0.5, 0.5, +1)
+        for array in spectrum:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[1][0, 0] = 1.0
+        magnetization = magnetization_ed(p)
+        pair = sector_ground(p)
+        pair.vector[:] = 0.0
+        trace = loop_states(p, "ground", LoopDiscretization(16))
+        trace.vectors[:] = 0.0
+        assert np.linalg.norm(sector_ground(p).vector) == pytest.approx(1.0, abs=1e-12)
+        assert magnetization_ed(p) == magnetization
 
 
 class TestLowestStates:
