@@ -59,6 +59,7 @@ from .oracle import (
     pancharatnam_phase,
     sector_ground,
     spin_half_loop_phase,
+    sz_cumulants,
 )
 from .phases import (
     BlochLoopSpec,
@@ -134,6 +135,7 @@ __all__ = [
     "sector_ground",
     "ed_ground_energy",
     "magnetization_ed",
+    "sz_cumulants",
     "pancharatnam_phase",
     "loop_states",
     "discrete_loop_phase",

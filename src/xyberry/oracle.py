@@ -6,7 +6,7 @@ product of successive state overlaps.  That product is gauge invariant once
 the endpoint state is identified with the start state, so no phase
 smoothing of eigenvectors is ever needed.
 
-Three structural facts are exploited throughout:
+Four structural facts are exploited throughout:
 
 * The chain Hamiltonian commutes with the spin-flip parity prod_l sigma^z_l
   for every rotation angle, so it is block diagonal in the parity basis.
@@ -26,6 +26,16 @@ Three structural facts are exploited throughout:
   loop state share ONE eigensolve, done once on the real symmetric phi = 0
   block of a parity sector (assembled on its 2^(N-1) indices alone) and
   memoized read-only; the full matrices are off that path.
+* So the overlap product has a closed form.  Over m = steps * windings
+  segments every overlap but the closing one is the characteristic
+  function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at delta = pi w / m
+  (w windings), and on one parity block the closing one differs by the
+  constant exp(-i pi w S^z / 2).  The loop phase of a non-degenerate level
+  is m arg chi - pi w N / 2 (+ pi w in the odd sector), one O(2^(N-1))
+  pass with no loop vectors.  Expanding ln chi in the cumulants kappa_n of
+  S^z gives the limit w pi (N + <S^z>) / 2 and the discretization error
+  -pi^3 kappa_3 w^3 / (48 m^2).  Only a degenerate level is stepped around
+  the loop, by subspace projection.
 
 Dense matrices are capped at N = 10 sites by default; the environment
 variable XYBERRY_MAX_N overrides the cap.
@@ -33,11 +43,13 @@ variable XYBERRY_MAX_N overrides the cap.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -50,7 +62,7 @@ from .errors import (
     TrackingError,
 )
 from .model import XYParams
-from .phases import PhaseResult
+from .phases import PhaseResult, wrap_angle
 
 __all__ = [
     "PAULI_X",
@@ -73,6 +85,7 @@ __all__ = [
     "sector_ground",
     "ed_ground_energy",
     "magnetization_ed",
+    "sz_cumulants",
     "pancharatnam_phase",
     "loop_states",
     "discrete_loop_phase",
@@ -384,6 +397,20 @@ def magnetization_ed(params: XYParams) -> float:
     return float(np.sum(sz * vecs[:, 0] ** 2))
 
 
+def sz_cumulants(params: XYParams) -> tuple:
+    """Cumulants (kappa_1, ..., kappa_5) of S^z on the even-sector ground vector.
+
+    ln chi(delta) = sum_n kappa_n (i delta / 2)^n / n!, so the odd cumulants
+    set the discrete loop phase: kappa_1 = <S^z> its limit, kappa_3 its
+    leading discretization error and kappa_5 the next term.
+    """
+    _, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
+    weights = vecs[:, 0] ** 2
+    mean = float(np.sum(sz * weights))
+    mu2, mu3, mu4, mu5 = (float(np.sum(weights * (sz - mean) ** k)) for k in range(2, 6))
+    return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
+
+
 @dataclass(frozen=True)
 class LoopDiscretization:
     """Uniform grid phi_j = j pi / steps, j = 0..steps, endpoint identified.
@@ -437,6 +464,57 @@ def pancharatnam_phase(vectors) -> float:
     return PANCHARATNAM_SIGN * float(np.angle(np.prod(overlaps / sizes)))
 
 
+class _LoopStart(NamedTuple):
+    """A tracked level's checked start: its block spectrum and loop grid."""
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    sz: np.ndarray
+    cluster: np.ndarray  # mask of the tracked level's degenerate cluster
+    gap: float
+    steps: int  # m = loop.steps * windings segments
+    chi: Optional[complex]  # <psi(0)|U(delta)|psi(0)>; None for a degenerate cluster
+
+
+def _loop_start(params, level, loop, windings, gap_tol) -> _LoopStart:
+    """Validate a loop request and run the checks every loop readout shares.
+
+    Raises ValueError on a bad ``level`` or ``windings``, TrackingError when
+    the tracked level's cluster lies within ``gap_tol`` of the next level,
+    and, for a non-degenerate level, DiscretizationError when consecutive
+    loop states overlap by |chi| < 0.5.  A degenerate cluster's projection
+    checks each of its steps itself.
+    """
+    if level not in ("ground", "excited"):
+        raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
+    if windings < 1:
+        raise ValueError(f"windings must be >= 1, got {windings}")
+    parity = +1 if level == "ground" else -1
+    vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
+
+    # Gap from the tracked level's degenerate cluster to the nearest level
+    # outside it; below tolerance the adiabatic level is ill-defined.
+    cluster = vals - vals[0] < DEGENERACY_TOL
+    rest = vals[~cluster]
+    gap = float(rest[0] - vals[0]) if rest.size else math.inf
+    if gap < gap_tol:
+        raise TrackingError(
+            f"spectral gap {gap:.3e} below tolerance {gap_tol:.1e} at phi={params.phi:.6f}"
+        )
+
+    m = loop.steps * windings
+    chi = None
+    if np.count_nonzero(cluster) == 1:
+        delta = math.pi * windings / m
+        chi = complex(np.dot(vecs[:, 0] ** 2, np.exp(0.5j * delta * sz)))
+        if abs(chi) < 0.5:
+            raise DiscretizationError(
+                f"overlap {abs(chi):.3e} below 0.5 between consecutive loop states "
+                f"(step {delta:.6f}); refine the loop grid"
+            )
+    return _LoopStart(vals, vecs, sz, cluster, gap, m, chi)
+
+
 def loop_states(
     params: XYParams,
     level: str,
@@ -446,47 +524,27 @@ def loop_states(
 ) -> LoopTrace:
     """Transport one level of H(phi) around ``windings`` closed circuits.
 
-    level='ground' follows the lowest even-parity state, level='excited'
-    the lowest odd-parity state (the minimum-gap single excitation).  Since
-    parity commutes with H(phi), the level lives in one parity block.  The
-    block's shared phi = 0 eigensolve gives the level's vector psi(0); the
-    vector at phi_j = params.phi + j delta is U(phi_j) psi(0).  An exactly
-    degenerate level is flagged and transported by projecting each vector
-    onto the rotated degenerate subspace: in cluster coordinates D the
-    coefficients step as a_{j+1} ~ (D^dagger U(-delta) D) a_j.
+    level='ground' follows the lowest even-parity state, the paired-mode
+    vacuum.  level='excited' follows the lowest odd-parity state.  For
+    |lam| > 1 that is the minimum-gap single excitation; inside |lam| < 1 it
+    is the ground state's quasi-degenerate parity partner of the ordered
+    phase (its splitting closes exponentially in N), not the quasiparticle
+    state whose phase the closed-form phi_eg describes.  Since parity
+    commutes with H(phi), the level lives in one parity block.  The block's
+    shared phi = 0 eigensolve gives the level's vector psi(0); the vector at
+    phi_j = params.phi + j delta is U(phi_j) psi(0).  An exactly degenerate
+    level is flagged and transported by projecting each vector onto the
+    rotated degenerate subspace: in cluster coordinates D the coefficients
+    step as a_{j+1} ~ (D^dagger U(-delta) D) a_j.
     """
-    if level not in ("ground", "excited"):
-        raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
-    if windings < 1:
-        raise ValueError(f"windings must be >= 1, got {windings}")
-    parity = +1 if level == "ground" else -1
-    vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
+    start = _loop_start(params, level, loop, windings, gap_tol)
+    vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, start.steps
     phi0 = params.phi
-
-    # Gap from the tracked level's degenerate cluster to the nearest level
-    # outside it; below tolerance the adiabatic level is ill-defined.
-    cluster = vals - vals[0] < DEGENERACY_TOL
-    rest = vals[~cluster]
-    gap = float(rest[0] - vals[0]) if rest.size else math.inf
-    if gap < gap_tol:
-        raise TrackingError(
-            f"spectral gap {gap:.3e} below tolerance {gap_tol:.1e} at phi={phi0:.6f}"
-        )
-
-    m = loop.steps * windings
     offsets = np.pi * windings * np.arange(m) / m
     rotations = np.exp(0.5j * np.outer(phi0 + offsets, sz))  # row j: U(phi_j)
-    step = np.exp(0.5j * offsets[1] * sz)  # U(delta)
-    degenerate = bool(np.count_nonzero(cluster) > 1)
+    degenerate = start.chi is None
     if not degenerate:
-        psi0 = vecs[:, 0]
-        overlap = abs(np.vdot(psi0, step * psi0))
-        if overlap < 0.5:
-            raise DiscretizationError(
-                f"overlap {overlap:.3e} below 0.5 between consecutive loop states "
-                f"(step {offsets[1]:.6f}); refine the loop grid"
-            )
-        vectors = rotations * psi0
+        vectors = rotations * vecs[:, 0]
     else:
         warnings.warn(
             f"tracked level degenerate at phi={phi0:.6f} "
@@ -496,6 +554,7 @@ def loop_states(
             stacklevel=2,
         )
         basis = vecs[:, cluster]
+        step = np.exp(0.5j * offsets[1] * sz)  # U(delta)
         kick = basis.T @ (step.conj()[:, None] * basis)
         coeffs = np.zeros((m, basis.shape[1]), dtype=complex)
         coeffs[0, 0] = 1.0
@@ -511,7 +570,7 @@ def loop_states(
             coeffs[j] = a / norm
         vectors = rotations * (coeffs @ basis.T)
     energies = np.full(m, vals[0])
-    gaps = np.full(m, gap)
+    gaps = np.full(m, start.gap)
     return LoopTrace(params, level, phi0 + offsets, vectors, energies, gaps, degenerate)
 
 
@@ -524,13 +583,31 @@ def discrete_loop_phase(
 ) -> PhaseResult:
     """Loop phase of one tracked level, fixed modulo 2 pi.
 
-    The discrete product determines the phase only up to whole turns, so
-    ``value`` and ``wrapped`` coincide here; compare against closed forms
-    with a circular distance.
+    The m = loop.steps * windings loop states are U(phi_j) psi(0), so each
+    of the first m - 1 overlaps is chi = <psi(0)|exp(i delta S^z / 2)|psi(0)>
+    with delta = pi windings / m.  The closing overlap is chi times
+    exp(-i pi windings S^z / 2), which on one parity block is the constant
+    exp(-i pi windings N / 2), times (-1)^windings in the odd block.  So
+
+        phase = m arg chi - pi windings N / 2 (+ pi windings if odd)
+
+    (times PANCHARATNAM_SIGN, mod 2 pi), at O(2^(N-1)) cost and with no loop
+    vectors.  Its m -> infinity limit is windings pi (N + <S^z>) / 2; the cumulant
+    expansion of ln chi puts the discretization error at
+    -pi^3 kappa_3 windings^3 / (48 m^2), kappa_3 the third cumulant of S^z.
+    A degenerate level takes the stepped subspace projection of
+    ``loop_states`` and ``pancharatnam_phase``.  The product determines the
+    phase only up to whole turns, so ``value`` and ``wrapped`` coincide
+    here; compare against closed forms with a circular distance.
     """
-    trace = loop_states(params, level, loop, windings=windings, gap_tol=gap_tol)
-    angle = pancharatnam_phase(trace.vectors)
-    return PhaseResult.from_value(angle, winding=windings)
+    start = _loop_start(params, level, loop, windings, gap_tol)
+    if start.chi is None:
+        trace = loop_states(params, level, loop, windings=windings, gap_tol=gap_tol)
+        return PhaseResult.from_value(pancharatnam_phase(trace.vectors), winding=windings)
+    # The closing constant is the sign (-1)^(windings (N/2 + odd)): N is even.
+    flips = windings * (params.n_sites // 2 + (level == "excited")) % 2
+    angle = start.steps * cmath.phase(start.chi) + math.pi * flips
+    return PhaseResult.from_value(wrap_angle(PANCHARATNAM_SIGN * angle), winding=windings)
 
 
 def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> PhaseResult:

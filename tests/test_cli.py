@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from xyberry import cli, finite_min_gap
+from xyberry import (
+    LoopDiscretization,
+    PhaseResult,
+    XYParams,
+    cli,
+    discrete_loop_phase,
+    finite_min_gap,
+    magnetization_ed,
+    sz_cumulants,
+)
 from xyberry.cli import MAX_RANGE_POINTS, main, parse_config, parse_range
 from xyberry.cli import UsageError
 
@@ -314,12 +323,18 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert payload["max_discrepancy"]["phase"] < 1e-3
         assert payload["max_discrepancy"]["energy"] < 1e-8
-        assert payload["max_discrepancy"]["identity"] < 1e-10
+        assert payload["max_discrepancy"]["identity"] < 1.0
+        assert payload["thresholds"]["identity"] == 1.0
         assert len(payload["points"]) == 2
         assert set(payload["per_n"]) == {"4", "6"}
-        # each worst discrepancy names the point and N where it occurred
+        # each worst discrepancy above the rounding floor names the point and
+        # N where it occurred
         for key, worst in payload["max_discrepancy"].items():
             at = payload["max_discrepancy_at"][key]
+            if at is None:
+                assert key in ("energy", "magnetization")
+                assert worst < cli.VERIFY_LOCATION_FLOOR
+                continue
             assert [at["lambda"], at["gamma"]] in payload["points"]
             assert payload["per_n"][str(at["n"])][key] == worst
 
@@ -335,6 +350,61 @@ class TestVerifyCommand:
             "lambda": first[0], "gamma": first[1], "n": 4
         }
         assert payload["max_discrepancy"]["energy"] < 1e-8
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5])
+    def test_no_location_below_the_rounding_floor(self, seed, capsys):
+        # README defaults: energy and magnetization agree to rounding, so the
+        # summary names no point for them; phase and identity keep theirs.
+        argv = ["verify", "--n", "4,6", "--steps", "2000", "--draws", "10", "--seed", str(seed)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("energy", "magnetization"):
+            assert payload["max_discrepancy"][key] < cli.VERIFY_LOCATION_FLOOR
+            assert payload["max_discrepancy_at"][key] is None
+        for key in ("phase", "identity"):
+            at = payload["max_discrepancy_at"][key]
+            assert [at["lambda"], at["gamma"]] in payload["points"]
+
+    def test_location_reported_above_the_rounding_floor(self, monkeypatch, capsys):
+        ed_energy = cli.ed_ground_energy
+        monkeypatch.setattr(cli, "ed_ground_energy", lambda xp: ed_energy(xp) + 1e-10)
+        assert main(["verify", "--n", "4", "--steps", "100", "--draws", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        at = payload["max_discrepancy_at"]["energy"]
+        assert [at["lambda"], at["gamma"]] in payload["points"]
+        assert payload["max_discrepancy_at"]["magnetization"] is None
+
+    def test_identity_row_catches_what_the_phase_row_cannot(self, monkeypatch, capsys):
+        # A 1e-9 rad error in the oracle loop phase passes the closed-form
+        # phase row (tolerance 1e-3) but not the derived kappa_3 bound.
+        loop_phase = cli.discrete_loop_phase
+
+        def shifted(*args, **kwargs):
+            r = loop_phase(*args, **kwargs)
+            return PhaseResult.from_value(r.value + 1e-9, winding=r.winding)
+
+        monkeypatch.setattr(cli, "discrete_loop_phase", shifted)
+        assert main(["verify", "--n", "4,6", "--steps", "2000", "--draws", "3"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_discrepancy"]["phase"] < cli.VERIFY_PHASE_TOL
+        assert payload["max_discrepancy"]["identity"] > 1.0
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_identity_bound_holds_across_loop_grids(self, n):
+        rng = np.random.default_rng(90 + n)
+        for lam, gamma in cli.draw_noncritical_points(rng, 4):
+            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
+            magnetization = magnetization_ed(xp)
+            _, _, k3, _, _ = sz_cumulants(xp)
+            for steps in (8, 50, 2000, 20000):
+                loop_phase = discrete_loop_phase(xp, "ground", LoopDiscretization(steps)).wrapped
+                assert cli._identity_ratio(xp, steps, loop_phase, magnetization) < 1.0
+                # Without its kappa_3 term the target misses by more than the
+                # bound wherever kappa_3 is not negligible.
+                plain = math.pi * (n + magnetization) / 2
+                if steps in (50, 2000) and abs(k3) > 1e-3:
+                    drop = cli._identity_ratio(xp, steps, plain, magnetization)
+                    assert drop > 1.0
 
     def test_seed_changes_points(self, capsys):
         assert main(["verify", "--n", "4", "--steps", "600", "--draws", "1", "--seed", "1"]) == 0

@@ -17,6 +17,7 @@ from xyberry import (
     build_hamiltonian,
     circular_distance,
     discrete_loop_phase,
+    ground_energy,
     ground_phase,
     loop_states,
     lowest_states,
@@ -26,9 +27,10 @@ from xyberry import (
     sector_ground,
     spin_half_loop_phase,
     spin_half_phase,
+    wrap_angle,
 )
 from xyberry import oracle
-from xyberry.cli import draw_noncritical_points
+from xyberry.cli import VERIFY_ENERGY_TOL, draw_noncritical_points
 from xyberry.oracle import (
     ed_ground_energy,
     hamiltonian_phi_parts,
@@ -144,9 +146,15 @@ class TestAssembly:
         monkeypatch.setenv("XYBERRY_MAX_N", "4")
         with pytest.raises(ResourceLimitError):
             xy_dense_hamiltonian(6, 0.5, 0.5)
+        with pytest.raises(ResourceLimitError):
+            ed_ground_energy(params(0.5, 0.5, 6))
+        # A raised cap admits N = 12 through the parity-block solve (about
+        # 120 MB, against 1.3 GB for the full complex matrix) and binds above.
         monkeypatch.setenv("XYBERRY_MAX_N", "12")
-        h = xy_dense_hamiltonian(12, 0.5, 0.5)
-        assert h.shape == (4096, 4096)
+        p = params(0.5, 0.5, 12)
+        assert abs(ed_ground_energy(p) - ground_energy(p)) < VERIFY_ENERGY_TOL
+        with pytest.raises(ResourceLimitError):
+            ed_ground_energy(params(0.5, 0.5, 14))
 
     def test_spectrum_symmetric_under_field_flip(self):
         # Global spin flip about x maps lam -> -lam.
@@ -506,6 +514,128 @@ class TestTransportReference:
                 got = discrete_loop_phase(p, level, LoopDiscretization(200)).wrapped
                 want = rediagonalized_loop_phase(p, level, 200)
                 assert circular_distance(got, want) <= 1e-10, (p, level)
+
+
+class TestCharacteristicFunctionPath:
+    """The closed form m arg chi against the overlap product of the loop vectors."""
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return fn()
+        except (TrackingError, DiscretizationError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_matches_overlap_product(self, n):
+        rng = np.random.default_rng(60 + n)
+        for lam, gamma in draw_noncritical_points(rng, 2):
+            p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
+            for level in ("ground", "excited"):
+                for windings in (1, 2):
+                    for steps in (8, 200, 2000):
+                        loop = LoopDiscretization(steps)
+                        got = discrete_loop_phase(p, level, loop, windings=windings)
+                        trace = loop_states(p, level, loop, windings=windings)
+                        assert not trace.degenerate
+                        want = pancharatnam_phase(trace.vectors)
+                        assert got.winding == windings
+                        assert got.value == got.wrapped
+                        where = (p, level, windings, steps)
+                        assert circular_distance(got.wrapped, want) <= 1e-12, where
+
+    def test_no_loop_vectors_on_the_closed_form_path(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("stepped path taken")
+
+        monkeypatch.setattr(oracle, "loop_states", fail)
+        monkeypatch.setattr(oracle, "pancharatnam_phase", fail)
+        for level in ("ground", "excited"):
+            discrete_loop_phase(params(0.5, 0.5, 6), level, LoopDiscretization(2000))
+
+    def test_tracking_error_from_both(self):
+        p = params(0.5, 0.5, 4)
+        loop = LoopDiscretization(16)
+        for level in ("ground", "excited"):
+            a = self._outcome(lambda: loop_states(p, level, loop, gap_tol=10.0))
+            b = self._outcome(lambda: discrete_loop_phase(p, level, loop, gap_tol=10.0))
+            assert a[0] is TrackingError and a == b
+
+    def test_discretization_error_from_both(self, monkeypatch):
+        # No physical point trips |chi| < 0.5 at steps >= 8, so hand-build a
+        # spectrum: (|up...up> + |down...down>) / sqrt 2 at N = 8, whose
+        # chi(pi / 8) = cos(pi / 2) = 0.
+        n = 8
+        states = np.flatnonzero(parity_diagonal(n) == 1)
+        sz = total_sz_diagonal(n)[states]
+        vecs = np.zeros((states.size, 2))
+        vecs[[0, -1], 0] = math.sqrt(0.5)
+        vecs[1, 1] = 1.0
+        spectrum = (np.array([0.0, 1.0]), vecs, states, sz)
+        monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
+        p = params(0.5, 0.5, n)
+        loop = LoopDiscretization(8)
+        a = self._outcome(lambda: loop_states(p, "ground", loop))
+        b = self._outcome(lambda: discrete_loop_phase(p, "ground", loop))
+        assert a[0] is DiscretizationError and a == b
+        assert "below 0.5 between consecutive loop states" in a[1]
+        # Sixteen steps halve the angle: chi = cos(pi / 4) passes the check.
+        loop = LoopDiscretization(16)
+        got = discrete_loop_phase(p, "ground", loop).wrapped
+        want = pancharatnam_phase(loop_states(p, "ground", loop).vectors)
+        assert circular_distance(got, want) <= 1e-12
+
+    def test_degenerate_level_takes_the_stepped_path(self, monkeypatch):
+        calls = []
+        stepped = oracle.loop_states
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return stepped(*args, **kwargs)
+
+        p = params(float(np.cos(np.pi / 4)), 0.0, 4)
+        loop = LoopDiscretization(32)
+        with pytest.warns(DegenerateLevelWarning):
+            want = pancharatnam_phase(loop_states(p, "ground", loop).vectors)
+        monkeypatch.setattr(oracle, "loop_states", spy)
+        with pytest.warns(DegenerateLevelWarning):
+            got = discrete_loop_phase(p, "ground", loop)
+        assert len(calls) == 1
+        assert got.value == want
+
+
+class TestSzCumulants:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_against_moments_of_the_parity_slice(self, n):
+        rng = np.random.default_rng(80 + n)
+        idx = np.flatnonzero(parity_diagonal(n) == 1)
+        sz = total_sz_diagonal(n)[idx]
+        for lam, gamma in draw_noncritical_points(rng, 3):
+            _, vecs = eigh(xy_dense_hamiltonian(n, lam, gamma)[np.ix_(idx, idx)])
+            prob = np.abs(vecs[:, 0]) ** 2
+            raw = [float(np.sum(prob * sz**k)) for k in range(6)]
+            # kappa_n from the raw moments by the recursion
+            # kappa_n = m_n - sum_{k=1}^{n-1} C(n-1, k-1) kappa_k m_{n-k}.
+            kappa = [0.0]
+            for order in range(1, 6):
+                lower = sum(
+                    math.comb(order - 1, k - 1) * kappa[k] * raw[order - k]
+                    for k in range(1, order)
+                )
+                kappa.append(raw[order] - lower)
+            got = oracle.sz_cumulants(params(lam, gamma, n))
+            assert got[0] == pytest.approx(magnetization_ed(params(lam, gamma, n)), abs=1e-12)
+            assert np.allclose(got, kappa[1:], rtol=1e-9, atol=1e-9)
+
+    def test_discretization_error_is_the_kappa3_term(self):
+        # m arg chi - pi <S^z> / 2 falls off as -pi^3 kappa_3 / (48 m^2).
+        p = params(0.4, 0.9, 8)
+        mean, _, k3, _, _ = oracle.sz_cumulants(p)
+        assert abs(k3) > 0.1
+        for steps in (50, 100, 200):
+            got = discrete_loop_phase(p, "ground", LoopDiscretization(steps)).wrapped
+            error = wrap_angle(got - math.pi * (p.n_sites + mean) / 2)
+            assert error == pytest.approx(-math.pi**3 * k3 / (48 * steps**2), rel=1e-3)
 
 
 class TestEnergiesAlongLoop:
