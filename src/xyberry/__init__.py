@@ -33,6 +33,7 @@ from .model import (
     MomentumMode,
     XYParams,
     classify_criticality,
+    classify_criticality_arrays,
     ground_energy,
     min_gap_mode,
     mode_angles,
@@ -78,8 +79,10 @@ from .scaling import (
     ExponentFit,
     SweepSpec,
     continuum_min_gap,
+    continuum_min_gap_arrays,
     finite_min_gap,
     fit_exponent,
+    gap_map,
     gap_sweep,
     step_detect,
 )
@@ -108,6 +111,7 @@ __all__ = [
     "min_gap_mode",
     "ground_energy",
     "classify_criticality",
+    "classify_criticality_arrays",
     # phases
     "PhaseResult",
     "BlochLoopSpec",
@@ -144,7 +148,9 @@ __all__ = [
     "SweepSpec",
     "ExponentFit",
     "continuum_min_gap",
+    "continuum_min_gap_arrays",
     "finite_min_gap",
+    "gap_map",
     "gap_sweep",
     "fit_exponent",
     "step_detect",

@@ -15,6 +15,7 @@ keys are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,11 +29,12 @@ from . import __version__
 from .errors import XYBerryError
 from .lattice import LatticeParams, effective_xy, mott_regime_check
 from .model import (
+    CRITICALITY_TAGS,
     DEFAULT_CRITICAL_TOL,
+    Criticality,
     XYParams,
     classify_criticality,
     ground_energy,
-    mode_gap_blocks,
 )
 from .observables import magnetization_analytic
 from .oracle import (
@@ -43,7 +45,6 @@ from .oracle import (
     sz_cumulants,
 )
 from .phases import (
-    _fmt,
     circular_distance,
     ground_phase,
     phase_surface,
@@ -53,8 +54,8 @@ from .phases import (
 from .scaling import (
     DEFAULT_FIT_WINDOW,
     SweepSpec,
-    continuum_min_gap,
     fit_exponent,
+    gap_map,
     gap_sweep,
     step_detect,
     write_step_trace_csv,
@@ -201,6 +202,7 @@ _FLAG_SPECS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="xyberry", description=__doc__)
     parser.add_argument("--version", action="version", version=f"xyberry {__version__}")
@@ -361,24 +363,31 @@ def _run_phase_surface(cfg: RunConfig) -> int:
     return 0
 
 
+GAP_MAP_HEADER = "lambda,gamma,min_gap,tag,distance,status"
+
+# One %-format per gap-map row for each code of classify_criticality_arrays,
+# with the tag and status text baked in.
+_GAP_MAP_ROWS = tuple(
+    f"%.12g,%.12g,%.12g,{tag.value},%.12g,"
+    + ("ok" if tag is Criticality.NON_CRITICAL else "critical")
+    for tag in CRITICALITY_TAGS
+)
+
+
 def _run_gap_map(cfg: RunConfig) -> int:
     p = cfg.parameters
-    lams, gammas = p["lam_values"], p["gamma_values"]
-    lam, gamma = np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
-    if p["n_sites"] is None:
-        gaps = [continuum_min_gap(l, g) for l, g in zip(lam, gamma)]
-    else:
-        gaps = np.empty(lam.size)
-        for rows, _, gap in mode_gap_blocks(lam, gamma, p["n_sites"]):
-            gaps[rows] = gap.min(axis=-1)
-    lines = ["lambda,gamma,min_gap,tag,distance,status"]
-    flagged = 0
-    for l, g, gap in zip(lam, gamma, gaps):
-        c = classify_criticality(l, g, p["tol"])
-        status = "ok" if c.tag.value == "NonCritical" else "critical"
-        flagged += status == "critical"
-        lines.append(f"{_fmt(l)},{_fmt(g)},{_fmt(gap)},{c.tag.value},{_fmt(c.distance)},{status}")
+    lam, gamma, gap, codes, distance = gap_map(
+        p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"]
+    )
+    lines = [GAP_MAP_HEADER]
+    lines += [
+        _GAP_MAP_ROWS[c] % (l, g, m, d)
+        for c, l, g, m, d in zip(
+            codes.tolist(), lam.tolist(), gamma.tolist(), gap.tolist(), distance.tolist()
+        )
+    ]
     _atomic_write(cfg.output_path, _text_writer("\n".join(lines) + "\n"))
+    flagged = np.count_nonzero(codes)
     print(f"wrote {cfg.output_path}: {len(lines) - 1} rows ({flagged} flagged critical)")
     return 0
 
@@ -568,6 +577,10 @@ def main(argv=None) -> int:
         return 2
     except (XYBerryError, ValueError, ArithmeticError, OSError) as exc:
         _error_json(type(exc).__name__, str(exc))
+        return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; report the public name.
+        _error_json("MemoryError", str(exc))
         return 1
 
 

@@ -32,9 +32,11 @@ __all__ = [
     "ModeAngles",
     "Criticality",
     "CriticalityClass",
+    "CRITICALITY_TAGS",
     "GROUND_ENERGY_PREFACTOR",
     "DEFAULT_CRITICAL_TOL",
     "momentum_grid",
+    "grid_points",
     "mode_momenta",
     "mode_angles",
     "mode_angle_arrays",
@@ -43,6 +45,7 @@ __all__ = [
     "min_gap_mode",
     "ground_energy",
     "classify_criticality",
+    "classify_criticality_arrays",
 ]
 
 # Overall scale relating the paired-mode gap sum to the spin Hamiltonian's
@@ -120,6 +123,11 @@ class Criticality(Enum):
     NON_CRITICAL = "NonCritical"
 
 
+# The tags that the codes of classify_criticality_arrays index: code 0 is
+# noncritical, so ``codes == 0`` selects the points where phases exist.
+CRITICALITY_TAGS = (Criticality.NON_CRITICAL, Criticality.ISING_PLANE, Criticality.XX_LINE)
+
+
 @dataclass(frozen=True)
 class CriticalityClass:
     """Classification of a (lam, gamma) point against the critical manifolds.
@@ -139,6 +147,13 @@ def momentum_grid(n_sites: int) -> np.ndarray:
         raise ValueError(f"n_sites must be an even integer >= 4, got {n_sites}")
     m = np.arange(n_sites // 2)
     return 2.0 * np.pi * (m + 0.5) / n_sites
+
+
+def grid_points(lam_values, gamma_values):
+    """Flattened (lam, gamma) arrays of a grid, row-major: lam outer, gamma inner."""
+    lams = np.asarray(lam_values, dtype=float)
+    gammas = np.asarray(gamma_values, dtype=float)
+    return np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
 
 
 def mode_momenta(n_sites: int) -> list[MomentumMode]:
@@ -254,3 +269,26 @@ def classify_criticality(
     else:
         tag = Criticality.NON_CRITICAL
     return CriticalityClass(tag, float(distance))
+
+
+def classify_criticality_arrays(lam, gamma, tol: float = DEFAULT_CRITICAL_TOL):
+    """``classify_criticality`` over arrays of points: (codes, distance).
+
+    ``codes`` index ``CRITICALITY_TAGS``; ``lam`` and ``gamma`` broadcast.
+    Each point gets the tag and distance the scalar function gives it, from
+    the same operations in the same order, so both are equal, not merely
+    close.  Non-finite input or a nonpositive ``tol`` raises ValueError.
+    """
+    lam = np.asarray(lam, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if not (np.isfinite(lam).all() and np.isfinite(gamma).all() and math.isfinite(tol)):
+        raise ValueError(f"lam, gamma and tol must be finite (tol={tol})")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    abs_lam, abs_gamma = np.abs(lam), np.abs(gamma)
+    ising_dist = np.abs(abs_lam - 1.0)
+    inside = abs_lam < 1.0
+    distance = np.minimum(ising_dist, np.where(inside, abs_gamma, math.inf))
+    # np.select takes the first true condition, so the planes win as above.
+    codes = np.select([ising_dist <= tol, inside & (abs_gamma <= tol)], [1, 2], 0)
+    return codes.astype(np.int8), distance

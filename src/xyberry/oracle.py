@@ -253,7 +253,12 @@ def build_hamiltonian(params: XYParams, method: str = "rotated-couplings") -> De
 
 def parity_diagonal(n_sites: int) -> np.ndarray:
     """Diagonal of the spin-flip parity prod_l sigma^z_l (+/-1 entries)."""
-    down = (n_sites - total_sz_diagonal(n_sites).astype(np.int64)) // 2
+    return _parity_of(total_sz_diagonal(n_sites), n_sites)
+
+
+def _parity_of(sz: np.ndarray, n_sites: int) -> np.ndarray:
+    """Parity (-1)^(down spins) of basis states from their S^z diagonal."""
+    down = (n_sites - sz.astype(np.int64)) // 2
     return 1 - 2 * (down % 2)
 
 
@@ -330,8 +335,9 @@ def _sector_hamiltonian(n_sites, lam, gamma, parity):
     A bond flips both its bits (weight -gamma if parallel, -1 if not), so it
     keeps parity.  2k and 2k + 1 lie in opposite sectors: index >> 1 is the row.
     """
-    states = parity_indices(n_sites)[0 if parity == +1 else 1]
-    sz = total_sz_diagonal(n_sites)[states]
+    sz_all = total_sz_diagonal(n_sites)
+    states = np.flatnonzero(_parity_of(sz_all, n_sites) == parity)
+    sz = sz_all[states]
     rows = np.arange(states.size)
     h0 = np.zeros((states.size, states.size))
     h0[rows, rows] = -lam * sz

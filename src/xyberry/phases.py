@@ -21,6 +21,8 @@ from .model import (
     XYParams,
     argmin_gap,
     classify_criticality,
+    classify_criticality_arrays,
+    grid_points,
     min_gap_mode,
     mode_angle_arrays,
     mode_gap_blocks,
@@ -223,16 +225,12 @@ def phase_surface(
     Rows are emitted in row-major order (lam outer, gamma inner).  Grid
     points on a critical manifold are kept, with NaN phases and status
     'critical', so the table shape is deterministic and nothing is dropped
-    silently.
+    silently.  The grid is classified, reduced over ``mode_gap_blocks`` and
+    wrapped as whole arrays; each row equals the per-point phases exactly.
     """
-    lams = np.asarray(lam_values, dtype=float)
-    gammas = np.asarray(gamma_values, dtype=float)
-    lam, gamma = np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
-    ok = np.array(
-        [classify_criticality(l, g, tol).tag is Criticality.NON_CRITICAL
-         for l, g in zip(lam, gamma)],
-        dtype=bool,
-    )
+    lam, gamma = grid_points(lam_values, gamma_values)
+    codes, _ = classify_criticality_arrays(lam, gamma, tol)
+    ok = codes == 0
     # Only noncritical points reach the kernel, where every gap is nonzero.
     idx = np.flatnonzero(ok)
     raw = np.full(lam.size, math.nan)
@@ -242,26 +240,33 @@ def phase_surface(
         raw[idx[rows]] = np.pi * np.sum(1.0 - cos_theta, axis=-1)
         k0 = argmin_gap(gap)
         phi_eg[idx[rows]] = -np.pi * (1.0 - cos_theta[np.arange(k0.size), k0])
-    table = []
-    for l, g, is_ok, r, e in zip(
-        lam.tolist(), gamma.tolist(), ok.tolist(), raw.tolist(), phi_eg.tolist()
-    ):
-        if is_ok:
-            table.append((l, g, r, wrap_angle(r), e, "ok"))
-        else:
-            table.append((l, g, math.nan, math.nan, math.nan, "critical"))
-    return table
+    status = np.where(ok, "ok", "critical").tolist()
+    return list(zip(
+        lam.tolist(), gamma.tolist(), raw.tolist(), _wrap_angles(raw).tolist(),
+        phi_eg.tolist(), status,
+    ))
 
 
-def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else format(x, ".12g")
+def _wrap_angles(x: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` elementwise; NaN stays NaN.
+
+    fmod is exact, and so is each shift by 2 pi from (pi, 2 pi) or
+    (-2 pi, -pi] (Sterbenz), so the result is the same exact representative
+    in (-pi, pi] that math.remainder gives.
+    """
+    two_pi = 2.0 * math.pi
+    w = np.fmod(x, two_pi)
+    w = np.where(w > math.pi, w - two_pi, w)
+    return np.where(w <= -math.pi, w + two_pi, w)
+
+
+# One %-format per CSV row: '%.12g' % x == format(x, '.12g'), and NaN of
+# either sign prints as 'nan'.
+_SURFACE_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
 
 
 def write_phase_surface_csv(rows, path):
     """Write phase-surface rows as CSV (12 significant digits, LF, UTF-8)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PHASE_SURFACE_HEADER + "\n")
-        for lam, gamma, raw, wrapped, phi_eg, status in rows:
-            fh.write(
-                f"{_fmt(lam)},{_fmt(gamma)},{_fmt(raw)},{_fmt(wrapped)},{_fmt(phi_eg)},{status}\n"
-            )
+        fh.write("".join([_SURFACE_ROW % tuple(row) for row in rows]))

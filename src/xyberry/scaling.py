@@ -17,14 +17,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import StepDetectionError
-from .model import mode_angle_arrays, momentum_grid
+from .model import (
+    DEFAULT_CRITICAL_TOL,
+    classify_criticality_arrays,
+    grid_points,
+    mode_angle_arrays,
+    mode_gap_blocks,
+    momentum_grid,
+)
 
 __all__ = [
     "SweepSpec",
     "ExponentFit",
     "DEFAULT_FIT_WINDOW",
     "continuum_min_gap",
+    "continuum_min_gap_arrays",
     "finite_min_gap",
+    "gap_map",
     "gap_sweep",
     "fit_exponent",
     "step_detect",
@@ -110,6 +119,31 @@ def continuum_min_gap(lam: float, gamma: float) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def continuum_min_gap_arrays(lam, gamma) -> np.ndarray:
+    """``continuum_min_gap`` elementwise over broadcast arrays of points.
+
+    The same candidates in the same order (1, -1, then the clamped
+    lam / (1 - gamma^2) where that is positive) and the same arithmetic, so
+    each value equals the scalar function's.  The square goes through
+    ``np.float_power``, which calls C pow as Python's float ``**`` does;
+    ``**`` on arrays squares by multiplication, which differs in the last bit
+    for about one value in a thousand.  An overflowing square raises
+    FloatingPointError, where the scalar function raises OverflowError.
+    """
+    lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
+    g2 = gamma * gamma
+    a = 1.0 - g2
+    opens_up = a > 0.0
+    clamped = np.clip(lam / np.where(opens_up, a, 1.0), -1.0, 1.0)
+    best = np.full(lam.shape, math.inf)
+    for x, present in ((1.0, True), (-1.0, True), (clamped, opens_up)):
+        with np.errstate(over="raise"):
+            val = np.float_power(x - lam, 2) + g2 * (1.0 - x * x)
+        # min(best, val) keeps best unless val < best, NaN included.
+        best = np.where(present & (val < best), val, best)
+    return np.sqrt(np.maximum(best, 0.0))
+
+
 def finite_min_gap(n_sites: int, lam: float, gamma: float) -> float:
     """min over the chain's momentum grid of the mode gap."""
     q = momentum_grid(n_sites)
@@ -117,19 +151,37 @@ def finite_min_gap(n_sites: int, lam: float, gamma: float) -> float:
     return float(gap.min())
 
 
+def _min_gaps(lam, gamma, n_sites: Optional[int]) -> np.ndarray:
+    """Minimum gap at each point: the continuum one, or over N's momentum grid."""
+    if n_sites is None:
+        return continuum_min_gap_arrays(lam, gamma)
+    gaps = np.empty(len(lam))
+    for rows, _, gap in mode_gap_blocks(lam, gamma, n_sites):
+        gaps[rows] = gap.min(axis=-1)
+    return gaps
+
+
 def gap_sweep(spec: SweepSpec) -> np.ndarray:
     """Table of (g, min_gap) rows for the sweep, shape (samples, 2)."""
-    rows = np.empty((spec.values.size, 2))
-    for i, g in enumerate(spec.values):
-        lam, gamma = (
-            (g, spec.fixed_value) if spec.vary == "lambda" else (spec.fixed_value, g)
-        )
-        if spec.n_sites is None:
-            gap = continuum_min_gap(lam, gamma)
-        else:
-            gap = finite_min_gap(spec.n_sites, lam, gamma)
-        rows[i] = (g, gap)
-    return rows
+    fixed = np.full(spec.values.size, spec.fixed_value)
+    lam, gamma = (
+        (spec.values, fixed) if spec.vary == "lambda" else (fixed, spec.values)
+    )
+    return np.column_stack((spec.values, _min_gaps(lam, gamma, spec.n_sites)))
+
+
+def gap_map(lam_values, gamma_values, n_sites: Optional[int] = None,
+            tol: float = DEFAULT_CRITICAL_TOL):
+    """Minimum gap and criticality over a grid: (lam, gamma, gap, codes, distance).
+
+    Flat arrays in row-major order (lam outer, gamma inner); ``codes`` and
+    ``distance`` come from ``classify_criticality_arrays`` and ``gap`` is
+    the continuum minimum (``n_sites=None``) or the minimum over the chain's
+    momentum grid.  Each entry equals the scalar functions' value.
+    """
+    lam, gamma = grid_points(lam_values, gamma_values)
+    codes, distance = classify_criticality_arrays(lam, gamma, tol)
+    return lam, gamma, _min_gaps(lam, gamma, n_sites), codes, distance
 
 
 def fit_exponent(

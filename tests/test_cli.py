@@ -7,13 +7,21 @@ import numpy as np
 import pytest
 
 from xyberry import (
+    CriticalPointError,
     LoopDiscretization,
     PhaseResult,
     XYParams,
+    classify_criticality,
     cli,
+    continuum_min_gap,
     discrete_loop_phase,
     finite_min_gap,
+    gap_map,
+    ground_phase,
     magnetization_ed,
+    phases,
+    relative_phase_finite,
+    scaling,
     sz_cumulants,
 )
 from xyberry.cli import MAX_RANGE_POINTS, main, parse_config, parse_range
@@ -107,6 +115,34 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="unreadable"):
             parse_config(["verify", "--config", str(tmp_path / "missing.json")])
 
+    def test_cached_parser_keeps_calls_apart(self, tmp_path):
+        # One parser serves every call; no value may leak into the next call,
+        # whether it came from a flag, a config file or another command.
+        assert cli._build_parser() is cli._build_parser()
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"lambda": "0:2:0.5", "gamma": "0:1:0.5", "n": "8",
+                                       "critical-tol": "0.01", "out": "x.csv"}))
+        for _ in range(2):
+            cfg = parse_config(["phase-surface", "--config", str(cfgfile)])
+            assert (cfg.parameters["n_sites"], cfg.parameters["tol"]) == (8, 0.01)
+            assert cfg.output_path == "x.csv"
+            cfg = parse_config(["verify", "--n", "8", "--seed", "3", "--draws", "2"])
+            assert (cfg.parameters["n_sites"], cfg.seed, cfg.parameters["draws"]) == ([8], 3, 2)
+            cfg = parse_config(["phase-surface", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5",
+                                "--out", "y.csv"])
+            assert cfg.parameters["n_sites"] == 1000
+            assert cfg.parameters["tol"] == cli.DEFAULT_CRITICAL_TOL
+            assert cfg.output_path == "y.csv"
+            cfg = parse_config(["verify"])
+            assert (cfg.parameters["n_sites"], cfg.seed, cfg.parameters["draws"]) == ([4, 6], 0, 10)
+            assert cfg.output_path is None
+            cfg = parse_config(["scaling-fit", "xx"])
+            assert cfg.parameters["approach"] == "xx" and cfg.parameters["n_sites"] is None
+            cfg = parse_config(["scaling-fit", "ising", "--n", "8"])
+            assert cfg.parameters["approach"] == "ising" and cfg.parameters["n_sites"] == 8
+            with pytest.raises(UsageError):
+                parse_config(["scaling-fit"])
+
 
 class TestMainErrorSurface:
     def test_usage_error_json_on_stderr(self, capsys):
@@ -155,6 +191,34 @@ class TestMainErrorSurface:
         assert json.loads(captured.err)["error"] == "usage"
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "module,argv",
+        [
+            (scaling, ["gap-map"]),
+            (scaling, ["gap-map", "--n", "8"]),
+            (phases, ["phase-surface", "--n", "8"]),
+        ],
+    )
+    def test_memory_error_is_a_runtime_error(self, module, argv, tmp_path, monkeypatch, capsys):
+        # A grid within the per-axis cap can still be too large to allocate;
+        # numpy raises a private MemoryError subclass there.
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def no_memory(lam_values, gamma_values):
+            raise ArrayMemoryError("Unable to allocate 1.16 TiB for an array")
+
+        monkeypatch.setattr(module, "grid_points", no_memory)
+        out = tmp_path / "g.csv"
+        grid = ["--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--out", str(out)]
+        assert main(argv + grid) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "MemoryError"
+        assert err["message"] == "Unable to allocate 1.16 TiB for an array"
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
         def partial_then_fail(rows, path):
@@ -233,17 +297,100 @@ class TestGapMapCommand:
         line = out.read_text().strip().split("\n")[1]
         assert float(line.split(",")[2]) == pytest.approx(finite_min_gap(8, 0.5, 0.5))
 
-    def test_finite_size_rows_equal_pointwise_min_gap(self, tmp_path, monkeypatch):
-        # Print every number in full so the comparison is exact, not to 12 digits.
-        monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))
+    def test_finite_size_rows_equal_pointwise_min_gap(self, tmp_path):
+        # The unformatted gap column, so the comparison is exact, not to 12 digits.
+        lams, gammas = parse_range("-1.25:1.5:0.25"), parse_range("-0.5:1:0.25")
+        lam, gamma, gap, _, _ = gap_map(lams, gammas, 8)
+        assert len(gap) == 11 * 6
+        for l, g, m in zip(lam.tolist(), gamma.tolist(), gap.tolist()):
+            assert m == finite_min_gap(8, l, g)
         out = tmp_path / "g.csv"
         assert main(["gap-map", "--lambda=-1.25:1.5:0.25", "--gamma=-0.5:1:0.25",
                      "--n", "8", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert len(rows) == 11 * 6
         assert {r[5] for r in rows} == {"ok", "critical"}
-        for lam, gamma, gap, *_ in rows:
-            assert float(gap) == finite_min_gap(8, float(lam), float(gamma))
+
+
+def _g(x) -> str:
+    return format(float(x), ".12g")
+
+
+class TestGridArtifactsAgainstScalarFunctions:
+    """Whole CSVs, byte for byte, against rows built from the scalar functions."""
+
+    LAMBDA, GAMMA = "-1.5:1.5:0.125", "-1:1:0.125"
+
+    @pytest.mark.parametrize("n_sites", [None, 8])
+    def test_gap_map_bytes(self, n_sites, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        argv = ["gap-map", f"--lambda={self.LAMBDA}", f"--gamma={self.GAMMA}", "--out", str(out)]
+        assert main(argv + ([] if n_sites is None else ["--n", str(n_sites)])) == 0
+        lines = ["lambda,gamma,min_gap,tag,distance,status"]
+        for lam in parse_range(self.LAMBDA).tolist():
+            for gamma in parse_range(self.GAMMA).tolist():
+                c = classify_criticality(lam, gamma)
+                gap = (continuum_min_gap(lam, gamma) if n_sites is None
+                       else finite_min_gap(n_sites, lam, gamma))
+                status = "ok" if c.tag.value == "NonCritical" else "critical"
+                lines.append(f"{_g(lam)},{_g(gamma)},{_g(gap)},{c.tag.value},"
+                             f"{_g(c.distance)},{status}")
+        assert {line.split(",")[3] for line in lines[1:]} == {"NonCritical", "XXLine", "IsingPlane"}
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("n_sites", [6, 8])
+    def test_phase_surface_bytes(self, n_sites, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["phase-surface", f"--lambda={self.LAMBDA}", f"--gamma={self.GAMMA}",
+                     "--n", str(n_sites), "--out", str(out)]) == 0
+        lines = ["lambda,gamma,phi_g_raw,phi_g_wrapped,phi_eg,status"]
+        for lam in parse_range(self.LAMBDA).tolist():
+            for gamma in parse_range(self.GAMMA).tolist():
+                xp = XYParams(lam=lam, gamma=gamma, n_sites=n_sites)
+                try:
+                    g = ground_phase(xp)
+                except CriticalPointError:
+                    lines.append(f"{_g(lam)},{_g(gamma)},nan,nan,nan,critical")
+                    continue
+                phi_eg = relative_phase_finite(xp).value
+                lines.append(f"{_g(lam)},{_g(gamma)},{_g(g.value)},{_g(g.wrapped)},{_g(phi_eg)},ok")
+        assert {line.split(",")[5] for line in lines[1:]} == {"ok", "critical"}
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestRowFormatting:
+    """One %-format per row prints each number as format(x, '.12g') does."""
+
+    @staticmethod
+    def values():
+        rng = np.random.default_rng(12)
+        special = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+        random = (rng.uniform(-1, 1, 5000) * 10.0 ** rng.integers(-320, 308, 5000)).tolist()
+        return special + random + rng.uniform(-10, 10, 5000).tolist()
+
+    @staticmethod
+    def expected(x) -> str:
+        return "nan" if math.isnan(x) else format(x, ".12g")
+
+    def test_phase_surface_rows(self, tmp_path):
+        values = self.values()
+        rows = [tuple(values[i:i + 5]) + ("ok",) for i in range(len(values) - 4)]
+        path = tmp_path / "s.csv"
+        phases.write_phase_surface_csv(rows, path)
+        lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
+        assert lines == [",".join(map(self.expected, row[:5])) + ",ok" for row in rows]
+
+    def test_gap_map_rows(self):
+        values = self.values()
+        for code, row_format in enumerate(cli._GAP_MAP_ROWS):
+            tag = cli.CRITICALITY_TAGS[code]
+            status = "ok" if code == 0 else "critical"
+            for i in range(len(values) - 3):
+                l, g, m, d = values[i:i + 4]
+                want = ",".join(map(self.expected, (l, g, m)))
+                want += f",{tag.value},{self.expected(d)},{status}"
+                assert row_format % (l, g, m, d) == want
 
 
 class TestScalingFitCommand:

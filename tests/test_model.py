@@ -10,6 +10,7 @@ from xyberry import (
     GROUND_ENERGY_PREFACTOR,
     XYParams,
     classify_criticality,
+    classify_criticality_arrays,
     ed_ground_energy,
     ground_energy,
     min_gap_mode,
@@ -18,7 +19,7 @@ from xyberry import (
     momentum_grid,
 )
 from xyberry import model
-from xyberry.model import argmin_gap, mode_angle_arrays, mode_gap_blocks
+from xyberry.model import CRITICALITY_TAGS, argmin_gap, mode_angle_arrays, mode_gap_blocks
 
 
 def params(lam, gamma, n, phi=0.0):
@@ -326,6 +327,53 @@ class TestClassifyCriticality:
     def test_tolerance_width(self):
         assert classify_criticality(1.0 + 5e-10, 0.5).tag is Criticality.ISING_PLANE
         assert classify_criticality(0.3, 1e-10).tag is Criticality.XX_LINE
+
+
+class TestClassifyCriticalityArrays:
+    """The array classifier against the scalar one, with ==."""
+
+    @staticmethod
+    def assert_equals_scalar(lam, gamma, tol):
+        codes, distance = classify_criticality_arrays(lam, gamma, tol)
+        assert codes.shape == distance.shape == np.shape(lam)
+        for l, g, code, d in zip(lam, gamma, codes.tolist(), distance.tolist()):
+            c = classify_criticality(l, g, tol)
+            assert (CRITICALITY_TAGS[code], d) == (c.tag, c.distance), (l, g, tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.5])
+    def test_random_grids(self, tol):
+        rng = np.random.default_rng(70)
+        lam = np.concatenate([rng.uniform(-3, 3, 3000), rng.integers(-2, 3, 200) * 0.5])
+        gamma = np.concatenate([rng.uniform(-2, 2, 3000), rng.integers(-2, 3, 200) * 0.5])
+        self.assert_equals_scalar(lam, gamma, tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.05])
+    def test_edges(self, tol):
+        # |lam| = 1 +- tol, gamma = +-tol, gamma = 0 inside |lam| < 1, both
+        # signs, one ulp either side of each boundary, and the endpoints.
+        lam_edges = [1.0 + tol, 1.0 - tol, 1.0, 0.0, 0.3, 1.0 - 2 * tol, 1.0 + 2 * tol]
+        gamma_edges = [tol, 0.0, 2 * tol, 0.7]
+        lams = [s * x for x in lam_edges for s in (1.0, -1.0)]
+        gammas = [s * x for x in gamma_edges for s in (1.0, -1.0)]
+        lams += [np.nextafter(x, d) for x in lams for d in (math.inf, -math.inf)]
+        gammas += [np.nextafter(x, d) for x in gammas for d in (math.inf, -math.inf)]
+        lam, gamma = model.grid_points(lams, gammas)
+        self.assert_equals_scalar(lam, gamma, tol)
+        codes, _ = classify_criticality_arrays(lam, gamma, tol)
+        assert set(codes.tolist()) == {0, 1, 2}
+
+    def test_invalid_input_rejected(self):
+        ok = np.array([0.5, 0.2])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                classify_criticality_arrays(np.array([0.5, bad]), ok)
+            with pytest.raises(ValueError):
+                classify_criticality_arrays(ok, np.array([bad, 0.5]))
+            with pytest.raises(ValueError):
+                classify_criticality_arrays(ok, ok, bad)
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                classify_criticality_arrays(ok, ok, tol)
 
 
 class TestGapClosure:

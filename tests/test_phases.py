@@ -20,7 +20,7 @@ from xyberry import (
     spin_half_phase,
     wrap_angle,
 )
-from xyberry import model
+from xyberry import model, phases
 from xyberry.model import mode_angle_arrays, momentum_grid
 from xyberry.phases import PHASE_SURFACE_HEADER, PhaseResult, write_phase_surface_csv
 
@@ -45,6 +45,24 @@ class TestWrapping:
     def test_wrap(self, x, expected):
         assert wrap_angle(x) == pytest.approx(expected, abs=1e-12)
         assert -np.pi < wrap_angle(x) <= np.pi
+
+    def test_array_wrap_equals_wrap_angle(self):
+        # Exact multiples and odd multiples of pi, one ulp either side of
+        # them, signed zeros, and random values up to the N = 1000 surface's
+        # raw phases and far beyond.
+        two_pi = 2.0 * math.pi
+        edges = [k * math.pi for k in range(-9, 10)] + [0.0, -0.0, 1e-300, -5e-324]
+        edges += [np.nextafter(x, d) for x in edges for d in (math.inf, -math.inf)]
+        rng = np.random.default_rng(6)
+        random = rng.uniform(-1, 1, 20_000) * 10.0 ** rng.uniform(-3, 12, 20_000)
+        x = np.concatenate([edges, random, rng.integers(-10**6, 10**6, 2000) * two_pi])
+        wrapped = phases._wrap_angles(x)
+        want = [wrap_angle(v) for v in x.tolist()]
+        assert [math.copysign(1.0, w) for w in wrapped.tolist()] == [
+            math.copysign(1.0, w) for w in want
+        ]
+        assert np.array_equal(wrapped, want)
+        assert math.isnan(phases._wrap_angles(np.array([math.nan]))[0])
 
     def test_circular_distance(self):
         assert circular_distance(np.pi, -np.pi) == pytest.approx(0.0, abs=1e-12)

@@ -8,12 +8,14 @@ from xyberry import (
     StepDetectionError,
     SweepSpec,
     continuum_min_gap,
+    continuum_min_gap_arrays,
     finite_min_gap,
     fit_exponent,
     gap_sweep,
     relative_phase_thermo,
     step_detect,
 )
+from xyberry import model
 from xyberry.scaling import write_gap_table_csv, write_step_trace_csv, fit_to_json
 
 
@@ -48,6 +50,54 @@ class TestContinuumMinGap:
             assert finite_min_gap(n, lam, gamma) >= continuum_min_gap(lam, gamma) - 1e-12
 
 
+class TestContinuumMinGapArrays:
+    """The vectorized continuum gap against the scalar one, with ==."""
+
+    @staticmethod
+    def assert_equals_scalar(lam, gamma):
+        gaps = continuum_min_gap_arrays(lam, gamma)
+        want = [continuum_min_gap(l, g) for l, g in zip(lam.tolist(), gamma.tolist())]
+        mismatches = np.flatnonzero(gaps != np.array(want))
+        assert mismatches.size == 0, [(lam[i], gamma[i]) for i in mismatches[:5]]
+
+    def test_random_grids(self):
+        # |gamma| < 1 (interior minimum), |gamma| = 1 (a = 0), |gamma| > 1
+        # (a < 0), and |lam| >> 1.  The squared term misrounds in C pow about
+        # once in a thousand values, so 50,000 points exercise it.
+        rng = np.random.default_rng(80)
+        size = 10_000
+        lam = np.concatenate([
+            rng.uniform(-3, 3, 4 * size),
+            rng.uniform(-3, 3, size),
+            rng.uniform(-3, 3, size),
+            rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(0, 150, size),
+        ])
+        gamma = np.concatenate([
+            rng.uniform(-2, 2, 4 * size),
+            rng.choice([-1.0, 1.0], size),
+            rng.choice([-1.0, 1.0], size) * rng.uniform(1, 1e3, size),
+            rng.uniform(-2, 2, size),
+        ])
+        self.assert_equals_scalar(lam, gamma)
+
+    def test_grid_edges(self):
+        lam, gamma = model.grid_points(
+            [-1e6, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1e6],
+            [-2.0, -1.0, np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0, 3.0],
+        )
+        self.assert_equals_scalar(lam, gamma)
+
+    def test_broadcasts(self):
+        gaps = continuum_min_gap_arrays(np.array([0.5, 1.5]), 0.5)
+        assert gaps.tolist() == [continuum_min_gap(0.5, 0.5), continuum_min_gap(1.5, 0.5)]
+
+    def test_overflow_raises_like_the_scalar(self):
+        with pytest.raises(OverflowError):
+            continuum_min_gap(1e200, 0.5)
+        with pytest.raises(ArithmeticError):
+            continuum_min_gap_arrays(np.array([0.5, 1e200]), np.array([0.5, 0.5]))
+
+
 class TestGapSweep:
     def test_table_shape_and_values(self):
         spec = SweepSpec("gamma", 0.5, np.linspace(0.2, 0.8, 8))
@@ -59,6 +109,17 @@ class TestGapSweep:
         spec = SweepSpec("lambda", 1.0, np.linspace(0.5, 0.9, 9), n_sites=16)
         table = gap_sweep(spec)
         assert table[0, 1] == pytest.approx(finite_min_gap(16, 0.5, 1.0))
+
+    @pytest.mark.parametrize("n_sites", [None, 8, 1000])
+    @pytest.mark.parametrize("vary", ["lambda", "gamma"])
+    def test_rows_equal_pointwise_min_gap(self, vary, n_sites):
+        spec = SweepSpec(vary, 0.6, np.linspace(-1.5, 1.5, 41), n_sites=n_sites)
+        for g, gap in gap_sweep(spec):
+            lam, gamma = (g, 0.6) if vary == "lambda" else (0.6, g)
+            if n_sites is None:
+                assert gap == continuum_min_gap(lam, gamma)
+            else:
+                assert gap == finite_min_gap(n_sites, lam, gamma)
 
     def test_validation(self):
         with pytest.raises(ValueError):
