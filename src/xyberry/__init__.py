@@ -71,6 +71,7 @@ from .phases import (
     phase_surface,
     relative_phase_finite,
     relative_phase_thermo,
+    relative_phase_thermo_arrays,
     spin_half_connection,
     spin_half_phase,
     wrap_angle,
@@ -81,6 +82,7 @@ from .scaling import (
     continuum_min_gap,
     continuum_min_gap_arrays,
     finite_min_gap,
+    finite_min_gap_arrays,
     fit_exponent,
     gap_map,
     gap_sweep,
@@ -123,6 +125,7 @@ __all__ = [
     "excited_phase",
     "relative_phase_finite",
     "relative_phase_thermo",
+    "relative_phase_thermo_arrays",
     "phase_surface",
     # observables
     "CyclicGeneratorSpec",
@@ -150,6 +153,7 @@ __all__ = [
     "continuum_min_gap",
     "continuum_min_gap_arrays",
     "finite_min_gap",
+    "finite_min_gap_arrays",
     "gap_map",
     "gap_sweep",
     "fit_exponent",

@@ -48,7 +48,7 @@ from .phases import (
     circular_distance,
     ground_phase,
     phase_surface,
-    relative_phase_thermo,
+    relative_phase_thermo_arrays,
     write_phase_surface_csv,
 )
 from .scaling import (
@@ -77,8 +77,8 @@ VERIFY_IDENTITY_RATIO = 1.0
 # summary names no point for them.
 VERIFY_LOCATION_FLOOR = 1e-12
 
-# Largest point count one min:max:step range may ask for; checked before the
-# grid is allocated.
+# Largest point count one min:max:step range, or verify's --draws, may ask
+# for; checked before the points are allocated.
 MAX_RANGE_POINTS = 1_000_000
 
 
@@ -224,6 +224,8 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
         values["approach"] = None
     for key in values:
         values[key] = getattr(args, key, None)
+        if isinstance(values[key], list):  # argparse's value for "--flag=--"
+            raise UsageError(f"--{key.replace('_', '-')} needs a value")
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -277,8 +279,8 @@ def parse_config(argv=None) -> RunConfig:
         params["draws"] = _parse_number(raw["draws"] or "10", int, "draws")
         if params["steps"] < 8:
             raise UsageError("steps must be >= 8")
-        if params["draws"] < 1:
-            raise UsageError("draws must be >= 1")
+        if not 1 <= params["draws"] <= MAX_RANGE_POINTS:
+            raise UsageError(f"draws must be between 1 and {MAX_RANGE_POINTS}")
         seed = _parse_number(raw["seed"] or "0", int, "seed")
         if seed < 0:
             raise UsageError("seed must be >= 0")
@@ -468,13 +470,16 @@ def _run_verify(cfg: RunConfig) -> int:
         "identity": VERIFY_IDENTITY_RATIO,
     }
     summary["thresholds"] = tol
-    ok = all(worst[k] < tol[k] for k in tol)
-    summary["pass"] = ok
+    failed = [k for k in tol if not worst[k] < tol[k]]
+    summary["pass"] = not failed
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if cfg.output_path:
         _atomic_write(cfg.output_path, _text_writer(text))
     print(text, end="")
-    return 0 if ok else 1
+    if failed:
+        _error_json("VerificationFailed", f"discrepancy at or above threshold: {', '.join(failed)}")
+        return 1
+    return 0
 
 
 def _run_scaling_fit(cfg: RunConfig) -> int:
@@ -510,7 +515,7 @@ def _run_step_trace(cfg: RunConfig) -> int:
     p = cfg.parameters
     rows = []
     for gamma in p["gammas"]:
-        trace = [relative_phase_thermo(lam, gamma).value for lam in p["lam_values"]]
+        trace = relative_phase_thermo_arrays(p["lam_values"], gamma)
         rows.append((gamma, step_detect(p["lam_values"], trace)))
     _atomic_write(cfg.output_path, lambda tmp: write_step_trace_csv(rows, tmp))
     print(f"wrote {cfg.output_path}: {len(rows)} rows")

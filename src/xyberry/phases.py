@@ -40,6 +40,7 @@ __all__ = [
     "excited_phase",
     "relative_phase_finite",
     "relative_phase_thermo",
+    "relative_phase_thermo_arrays",
     "phase_surface",
     "write_phase_surface_csv",
     "PHASE_SURFACE_HEADER",
@@ -175,6 +176,9 @@ def _on_nontrivial_branch(lam: float, gamma: float) -> bool:
     return abs(lam) < 1.0 - gamma * gamma
 
 
+_XX_SEGMENT_MESSAGE = "relative phase undefined on the XX critical segment (gamma=0, |lam|<=1)"
+
+
 def relative_phase_thermo(lam: float, gamma: float) -> PhaseResult:
     """Thermodynamic (N -> infinity) limit of the relative phase.
 
@@ -187,9 +191,7 @@ def relative_phase_thermo(lam: float, gamma: float) -> PhaseResult:
     XX segment gamma = 0, |lam| < 1 is excluded (critical line).
     """
     if gamma == 0.0 and abs(lam) <= 1.0:
-        raise CriticalPointError(
-            "relative phase undefined on the XX critical segment (gamma=0, |lam|<=1)"
-        )
+        raise CriticalPointError(_XX_SEGMENT_MESSAGE)
     if not _on_nontrivial_branch(lam, gamma):
         return PhaseResult.from_value(0.0)
     c = 1.0 - gamma * gamma
@@ -198,6 +200,23 @@ def relative_phase_thermo(lam: float, gamma: float) -> PhaseResult:
     assert disc > 0.0, "nontrivial branch implies a positive discriminant"
     geometric = math.pi * lam * gamma / math.sqrt(disc)
     return PhaseResult.from_value(-math.pi + geometric, topological_part=-math.pi)
+
+
+def relative_phase_thermo_arrays(lam, gamma) -> np.ndarray:
+    """``relative_phase_thermo(lam, gamma).value`` over broadcast arrays of points.
+
+    The scalar's operations in the scalar's order, so each value equals it;
+    raises its CriticalPointError if any point lies on the XX segment.
+    """
+    lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
+    if np.any((gamma == 0.0) & (np.abs(lam) <= 1.0)):
+        raise CriticalPointError(_XX_SEGMENT_MESSAGE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 1.0 - gamma * gamma
+        branch = np.abs(lam) < c
+        disc = c * (c - lam * lam)
+        geometric = math.pi * lam * gamma / np.sqrt(np.where(branch, disc, 1.0))
+    return np.where(branch, -math.pi + geometric, 0.0)
 
 
 def excited_phase(params: XYParams, tol: float = DEFAULT_CRITICAL_TOL) -> PhaseResult:

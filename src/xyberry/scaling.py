@@ -5,6 +5,13 @@ manifold; a log-log least-squares fit of the minimum gap against the
 distance to the critical value recovers the exponent product z*nu.  Only
 the product is extracted: separating z from nu would need correlation
 lengths, which nothing here computes.
+
+The minimum gap is quadratic in cos q, so neither minimum scans every mode:
+the continuum one is the closed-form vertex (``continuum_min_gap_arrays``),
+and the finite-N one evaluates a few modes next to the vertex and certifies
+them against the rest (``finite_min_gap_arrays``), reducing a full row of
+``mode_gap_blocks`` only for points the certificate cannot settle.  The
+scalar ``continuum_min_gap`` and ``finite_min_gap`` are the references.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ __all__ = [
     "continuum_min_gap",
     "continuum_min_gap_arrays",
     "finite_min_gap",
+    "finite_min_gap_arrays",
     "gap_map",
     "gap_sweep",
     "fit_exponent",
@@ -151,14 +159,98 @@ def finite_min_gap(n_sites: int, lam: float, gamma: float) -> float:
     return float(gap.min())
 
 
+# Rounding slack of the certificate in finite_min_gap_arrays, derived in its
+# docstring: the guard's squared gap shrinks by this share, less this times
+# gamma^2.
+_CERT_SLACK = 2.0**-46
+# Smallest certified margin; below it a square may have underflowed.
+_CERT_FLOOR = 2.0**-1000
+
+
+def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
+    """``finite_min_gap`` over equal-length 1-d arrays of points, from a few modes each.
+
+    With x = cos q the squared gap f(x) = (1 - gamma^2) x^2 - 2 lam x +
+    lam^2 + gamma^2 is a quadratic, so the minimizing mode is known up to a
+    few grid steps.  The grid x_k = cos q_k (k = 0 .. M - 1, M = N/2)
+    decreases with k.  Per point:
+
+    * convex, a = 1 - gamma^2 > 0: with j the count of x_k above the vertex
+      lam / a, modes j - 3 .. j + 2 (clipped to the grid) are evaluated, and
+      the two outer ones are guards;
+    * concave or linear, a <= 0: the minimum sits at an end; modes 0, 1,
+      M - 2, M - 1 are evaluated, and modes 1 and M - 2 are guards.
+
+    Each gap is the kernel's own ``hypot(cos_q[k] - lam, |gamma| sin_q[k])``
+    on the one ``cos``/``sin`` of ``momentum_grid(n_sites)``, so it equals
+    the ``mode_gap_blocks`` entry and the minimum equals ``finite_min_gap``.
+
+    Certificate.  Every mode left out lies beyond a guard, where the exact f
+    is no smaller than at the guard (convexity), or between the two guards,
+    where it is no smaller than at one of them (concavity).  Rounding stands
+    between f and the computed gap G, with u = 2^-53:
+
+    * numpy's cos and sin are taken to be within 4 ulp (8u relative), so
+      rho = s^2 + c^2 - 1 has |rho| <= 17u, and the kernel's exact
+      g^2 = (c - lam)^2 + gamma^2 s^2 = f(c) + gamma^2 rho;
+    * eps = c - lam and |gamma| s are each rounded once (u), and ``hypot``
+      is within 1 ulp (2u), so G = g (1 + eta) with |eta| < 4u.
+
+    For a mode k beyond guard b, g_k^2 >= f(c_k) - 17u gamma^2 >= f(c_b) -
+    17u gamma^2 >= g_b^2 - 34u gamma^2, and so G_k^2 >= (1 - 16u) G_b^2 -
+    34u gamma^2.  G_k >= m, the evaluated minimum, follows whenever
+    G_b^2 (1 - 2^-46) - 2^-46 gamma^2 >= m^2: 2^-46 = 128u covers 16u and
+    34u with room for the few roundings of the test itself.  A guard that
+    holds the window's minimum never passes, so a vertex estimate off by
+    more than the window (1 - gamma^2 loses its digits as gamma -> 1) makes
+    the point fail rather than go wrong.  Both sides that have modes left
+    out must pass; the test also asks for finite squares and a margin above
+    2^-1000, so overflow and underflow fail it.
+
+    Points that fail (flat rows such as lam ~ 0, |gamma| ~ 1; huge lam or
+    gamma; NaN) are reduced over ``mode_gap_blocks`` as a whole row.
+    """
+    lam = np.asarray(lam, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    q = momentum_grid(n_sites)
+    cos_q, sin_q = np.cos(q), np.sin(q)
+    m_modes = q.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g2 = gamma * gamma
+        a = 1.0 - g2
+        convex = a > 0.0
+        vertex = lam / np.where(convex, a, 1.0)
+        above = m_modes - np.searchsorted(cos_q[::-1], vertex, side="right")
+        # Columns: low guard, four inner modes, high guard.
+        idx = np.where(
+            convex[:, None],
+            np.clip(above[:, None] + np.arange(-3, 3), 0, m_modes - 1),
+            np.array([1, 0, 0, m_modes - 1, m_modes - 1, m_modes - 2]) % m_modes,
+        )
+        gaps = np.hypot(cos_q[idx] - lam[:, None], np.abs(gamma)[:, None] * sin_q[idx])
+        best = gaps.min(axis=1)
+        best2 = best * best
+        interior = m_modes > 4
+        ok = np.isfinite(best2)
+        for side, left_out in (
+            (0, np.where(convex, above - 3 > 0, interior)),
+            (-1, np.where(convex, above + 2 < m_modes - 1, interior)),
+        ):
+            guard = gaps[:, side]
+            margin = guard * guard * (1.0 - _CERT_SLACK) - _CERT_SLACK * g2 - best2
+            ok &= ~left_out | (np.isfinite(margin) & (margin >= _CERT_FLOOR))
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        for rows, _, gap in mode_gap_blocks(lam[fallback], gamma[fallback], n_sites):
+            best[fallback[rows]] = gap.min(axis=-1)
+    return best
+
+
 def _min_gaps(lam, gamma, n_sites: Optional[int]) -> np.ndarray:
     """Minimum gap at each point: the continuum one, or over N's momentum grid."""
     if n_sites is None:
         return continuum_min_gap_arrays(lam, gamma)
-    gaps = np.empty(len(lam))
-    for rows, _, gap in mode_gap_blocks(lam, gamma, n_sites):
-        gaps[rows] = gap.min(axis=-1)
-    return gaps
+    return finite_min_gap_arrays(lam, gamma, n_sites)
 
 
 def gap_sweep(spec: SweepSpec) -> np.ndarray:

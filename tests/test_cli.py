@@ -181,6 +181,9 @@ class TestMainErrorSurface:
             ["scaling-fit", "xx", "--window", "1e-3:inf"],
             ["gap-map", "--lambda=nan:1:0.1", "--gamma", "0:1:0.5"],
             ["gap-map", "--lambda", "0:1e9:1e-9", "--gamma", "0:1:0.5"],
+            ["gap-map", "--lambda", "0:1:0.5", "--gamma=--"],
+            ["verify", "--draws", "1000001"],
+            ["verify", "--draws", "100000000000000000000000"],
             ["lattice-map", "--input", "lp.json", "--threshold", "inf"],
         ],
     )
@@ -427,6 +430,24 @@ class TestStepTraceCommand:
     def test_zero_gamma_rejected(self, capsys):
         assert main(["step-trace", "--gamma", "0.0", "--out", "x.csv"]) == 2
 
+    def test_xx_segment_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # The parser refuses gamma = 0; a configuration that gets past it
+        # still fails at the XX segment with the scalar's error and exit 1.
+        out = tmp_path / "t.csv"
+        cfg = cli.RunConfig(
+            "step-trace",
+            {"gammas": [0.2, 0.0], "lam_values": parse_range("0:2:0.005")},
+            str(out),
+        )
+        monkeypatch.setattr(cli, "parse_config", lambda argv=None: cfg)
+        assert main([]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CriticalPointError"
+        with pytest.raises(CriticalPointError) as scalar:
+            phases.relative_phase_thermo(0.0, 0.0)
+        assert err["message"] == str(scalar.value)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLatticeMapCommand:
     def test_round_trip_artifact(self, tmp_path, capsys):
@@ -488,8 +509,13 @@ class TestVerifyCommand:
     def test_nan_discrepancy_fails_the_run(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "magnetization_ed", lambda params: math.nan)
         assert main(["verify", "--n", "4", "--steps", "100", "--draws", "2"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert payload["pass"] is False
+        assert json.loads(captured.err) == {
+            "error": "VerificationFailed",
+            "message": "discrepancy at or above threshold: magnetization, identity",
+        }
         assert math.isnan(payload["max_discrepancy"]["magnetization"])
         assert math.isnan(payload["per_n"]["4"]["magnetization"])
         first = payload["points"][0]

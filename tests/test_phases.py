@@ -1,6 +1,7 @@
 """Closed-form loop phases and the phase-surface tabulation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from xyberry import (
     phase_surface,
     relative_phase_finite,
     relative_phase_thermo,
+    relative_phase_thermo_arrays,
     spin_half_connection,
     spin_half_phase,
     wrap_angle,
@@ -252,6 +254,37 @@ class TestRelativePhaseThermo:
         edge = 1 - gamma**2
         inner = relative_phase_thermo(edge - 1e-9, gamma).value
         assert abs(inner) < 1e-3  # rises to meet the trivial branch at 0
+
+
+class TestRelativePhaseThermoArrays:
+    """The array pass of step-trace against the scalar, bit for bit."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5, -0.3, 0.999, 1.0, 1.5, 1e-200, -1e200])
+    def test_equals_scalar(self, gamma):
+        rng = np.random.default_rng(17)
+        lam = np.concatenate([
+            0.005 * np.arange(401),
+            rng.uniform(-2.0, 2.0, 3000),
+            [0.0, -0.0, 1.0, -1.0, 1 - gamma * gamma, -(1 - gamma * gamma), np.nan, np.inf],
+        ])
+        got = relative_phase_thermo_arrays(lam, gamma)
+        want = np.array([relative_phase_thermo(l, gamma).value for l in lam.tolist()])
+        # Compared as bit patterns, so the sign of zero counts too.
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_broadcasts_over_gamma(self):
+        got = relative_phase_thermo_arrays(0.3, np.array([0.2, 0.5, 2.0]))
+        assert got.tolist() == [relative_phase_thermo(0.3, g).value for g in (0.2, 0.5, 2.0)]
+
+    @pytest.mark.parametrize("lam", [[0.5], [2.0, 1.0], [-1.0], [3.0, -0.0]])
+    def test_xx_segment_raises_the_scalar_error(self, lam):
+        with pytest.raises(CriticalPointError) as scalar:
+            relative_phase_thermo(lam[-1], 0.0)
+        with pytest.raises(CriticalPointError, match=re.escape(str(scalar.value))):
+            relative_phase_thermo_arrays(np.array(lam), 0.0)
+
+    def test_off_the_xx_segment_at_zero_gamma(self):
+        assert relative_phase_thermo_arrays(np.array([1.5, -2.0]), 0.0).tolist() == [0.0, 0.0]
 
 
 class TestExcitedPhase:

@@ -10,12 +10,13 @@ from xyberry import (
     continuum_min_gap,
     continuum_min_gap_arrays,
     finite_min_gap,
+    finite_min_gap_arrays,
     fit_exponent,
     gap_sweep,
     relative_phase_thermo,
     step_detect,
 )
-from xyberry import model
+from xyberry import model, scaling
 from xyberry.scaling import write_gap_table_csv, write_step_trace_csv, fit_to_json
 
 
@@ -96,6 +97,131 @@ class TestContinuumMinGapArrays:
             continuum_min_gap(1e200, 0.5)
         with pytest.raises(ArithmeticError):
             continuum_min_gap_arrays(np.array([0.5, 1e200]), np.array([0.5, 0.5]))
+
+
+def _kernel_min_gaps(lam, gamma, n_sites):
+    """The reference: each point's minimum over its full row of mode_gap_blocks."""
+    out = np.empty(len(lam))
+    for rows, _, gap in model.mode_gap_blocks(lam, gamma, n_sites):
+        out[rows] = gap.min(axis=-1)
+    return out
+
+
+def _planted_points(rng):
+    """Flat, near-critical, huge and NaN points, as (lam, gamma) arrays."""
+    tiny = rng.uniform(-1e-12, 1e-12, 40)
+    near = rng.uniform(-1e-9, 1e-9, 40)
+    lam = np.concatenate([
+        [0.0, 0.0, -0.0, 1e-17, -1e-17, 0.0, 0.0],  # flat rows
+        tiny,  # flat-ish: lam ~ 0, |gamma| ~ 1
+        1.0 + near, -1.0 + near,  # Ising planes
+        rng.uniform(-1.5, 1.5, 40),  # gamma ~ 0: the XX segment and beyond
+        [1e150, -1e200, 1e300, 0.5, 0.5, 0.3, np.nan, 0.5, 1e-300],
+    ])
+    gamma = np.concatenate([
+        [1.0, -1.0, 1.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+        rng.choice([-1.0, 1.0], 40) + tiny[::-1],
+        rng.uniform(-1.2, 1.2, 80),
+        rng.uniform(-1e-12, 1e-12, 40),
+        [0.5, 0.3, 0.7, 1e160, -1e200, 1e300, 0.5, np.nan, 1e-300],
+    ])
+    return lam, gamma
+
+
+class TestFiniteMinGapArrays:
+    """The vertex search against the full mode row, with ==."""
+
+    @staticmethod
+    def assert_equals_kernel(lam, gamma, n_sites):
+        with np.errstate(all="ignore"):
+            gaps = finite_min_gap_arrays(lam, gamma, n_sites)
+            want = _kernel_min_gaps(lam, gamma, n_sites)
+        same = (gaps == want) | (np.isnan(gaps) & np.isnan(want))
+        mismatches = np.flatnonzero(~same)
+        assert mismatches.size == 0, [(lam[i], gamma[i], n_sites) for i in mismatches[:5]]
+
+    @staticmethod
+    def count_kernel_rows(monkeypatch):
+        """Rows that finite_min_gap_arrays hands to the full-row kernel."""
+        rows = []
+
+        def counting(lam, gamma, n_sites):
+            rows.append(len(lam))
+            return model.mode_gap_blocks(lam, gamma, n_sites)
+
+        monkeypatch.setattr(scaling, "mode_gap_blocks", counting)
+        return rows
+
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 50, 1000, 4096])
+    def test_readme_grid(self, n_sites):
+        lam, gamma = model.grid_points(0.02 * np.arange(100), 0.02 * np.arange(50))
+        self.assert_equals_kernel(lam, gamma, n_sites)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_grids_with_planted_points(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n_sites = int(rng.choice([4, 6, 8, 10, 16, 50, 128, 1000]))
+        planted_lam, planted_gamma = _planted_points(rng)
+        lam = np.concatenate([rng.uniform(-3, 3, 2000), planted_lam])
+        gamma = np.concatenate([rng.uniform(-1.6, 1.6, 2000), planted_gamma])
+        self.assert_equals_kernel(lam, gamma, n_sites)
+
+    @pytest.mark.parametrize("n_sites", [4, 8, 64, 1000])
+    def test_equals_finite_min_gap(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        planted_lam, planted_gamma = _planted_points(rng)
+        lam = np.concatenate([rng.uniform(-2, 2, 200), planted_lam])
+        gamma = np.concatenate([rng.uniform(-1.5, 1.5, 200), planted_gamma])
+        with np.errstate(all="ignore"):
+            gaps = finite_min_gap_arrays(lam, gamma, n_sites)
+            want = [finite_min_gap(n_sites, l, g) for l, g in zip(lam.tolist(), gamma.tolist())]
+        np.testing.assert_array_equal(gaps, want)
+
+    def test_exactly_flat_rows_fall_back(self, monkeypatch):
+        # lam = 0, |gamma| = 1: every mode's gap is 1 up to rounding, which
+        # no guard can beat, so the whole row decides.
+        rows = self.count_kernel_rows(monkeypatch)
+        lam = np.array([0.0, -0.0, 0.0, 0.5])
+        gamma = np.array([1.0, 1.0, -1.0, 0.5])
+        self.assert_equals_kernel(lam, gamma, 1000)
+        assert rows == [3]
+
+    @pytest.mark.parametrize(
+        "lam,gamma", [(1e200, 0.5), (0.5, 1e200), (1e300, 1e300), (np.nan, 0.5), (0.5, np.inf)]
+    )
+    def test_overflow_and_nan_fall_back_without_raising(self, lam, gamma, monkeypatch):
+        rows = self.count_kernel_rows(monkeypatch)
+        lam, gamma = np.array([lam]), np.array([gamma])
+        with np.errstate(all="raise"):
+            finite_min_gap_arrays(lam, gamma, 16)
+        self.assert_equals_kernel(lam, gamma, 16)
+        assert rows == [1, 1]
+
+    def test_readme_grid_needs_no_kernel_rows(self, monkeypatch):
+        rows = self.count_kernel_rows(monkeypatch)
+        lam, gamma = model.grid_points(0.02 * np.arange(100), 0.02 * np.arange(50))
+        finite_min_gap_arrays(lam, gamma, 1000)
+        assert rows == []
+
+    @pytest.mark.parametrize("n_sites", [256, 1000, 4096])
+    def test_near_flat_rows(self, n_sites):
+        # lam ~ 1e-15 and |gamma| within 4 ulps of 1: the gap varies by a few
+        # ulps across the row, so rounding alone can order the modes, and a
+        # certificate without its slack accepts wrong minima here.
+        rng = np.random.default_rng(n_sites)
+        size = 5000
+        lam = rng.uniform(-1e-15, 1e-15, size)
+        gamma = rng.choice([-1.0, 1.0], size) * (1.0 + rng.integers(-4, 5, size) * 2.0**-53)
+        self.assert_equals_kernel(lam, gamma, n_sites)
+
+    def test_near_flat_points_certify_only_beyond_the_slack(self, monkeypatch):
+        # lam ~ 1e-17, gamma = 1 - 2^-53: a = 1 - gamma^2 = 2^-52 lifts the
+        # guards far less than the rounding slack, so these rows fall back.
+        rows = self.count_kernel_rows(monkeypatch)
+        lam = np.array([1e-17, -1e-17, 3e-17])
+        gamma = np.full(3, np.nextafter(1.0, 0.0))
+        self.assert_equals_kernel(lam, gamma, 4096)
+        assert rows == [3]
 
 
 class TestGapSweep:
