@@ -222,10 +222,11 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
     values = {k.replace("-", "_"): None for k in _FLAG_SPECS[command]}
     if command == "scaling-fit":
         values["approach"] = None
+    for key, val in vars(args).items():
+        if isinstance(val, list):  # argparse's value for "--flag=--"
+            raise UsageError(f"--{key.replace('_', '-')} needs a value")
     for key in values:
         values[key] = getattr(args, key, None)
-        if isinstance(values[key], list):  # argparse's value for "--flag=--"
-            raise UsageError(f"--{key.replace('_', '-')} needs a value")
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:

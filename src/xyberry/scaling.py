@@ -175,19 +175,17 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
     few grid steps.  The grid x_k = cos q_k (k = 0 .. M - 1, M = N/2)
     decreases with k.  Per point:
 
-    * convex, a = 1 - gamma^2 > 0: with j the count of x_k above the vertex
-      lam / a, modes j - 3 .. j + 2 (clipped to the grid) are evaluated, and
-      the two outer ones are guards;
-    * concave or linear, a <= 0: the minimum sits at an end; modes 0, 1,
-      M - 2, M - 1 are evaluated, and modes 1 and M - 2 are guards.
+    When a = 1 - gamma^2 > 0 (f convex), with j the count of x_k above the
+    vertex lam / a, modes j - 3 .. j + 2 (clipped to the grid) are
+    evaluated, and the two outer ones are guards.  Points with a <= 0
+    (|gamma| >= 1) are left to the fallback below.
 
     Each gap is the kernel's own ``hypot(cos_q[k] - lam, |gamma| sin_q[k])``
     on the one ``cos``/``sin`` of ``momentum_grid(n_sites)``, so it equals
     the ``mode_gap_blocks`` entry and the minimum equals ``finite_min_gap``.
 
-    Certificate.  Every mode left out lies beyond a guard, where the exact f
-    is no smaller than at the guard (convexity), or between the two guards,
-    where it is no smaller than at one of them (concavity).  Rounding stands
+    Certificate.  Every mode left out lies beyond a guard, where by
+    convexity the exact f is no smaller than at the guard.  Rounding stands
     between f and the computed gap G, with u = 2^-53:
 
     * numpy's cos and sin are taken to be within 4 ulp (8u relative), so
@@ -207,8 +205,9 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
     out must pass; the test also asks for finite squares and a margin above
     2^-1000, so overflow and underflow fail it.
 
-    Points that fail (flat rows such as lam ~ 0, |gamma| ~ 1; huge lam or
-    gamma; NaN) are reduced over ``mode_gap_blocks`` as a whole row.
+    Points that fail or are not convex (flat rows such as lam ~ 0,
+    |gamma| ~ 1; |gamma| >= 1; huge lam or gamma; NaN) are reduced over
+    ``mode_gap_blocks`` as a whole row.
     """
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -222,20 +221,12 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
         vertex = lam / np.where(convex, a, 1.0)
         above = m_modes - np.searchsorted(cos_q[::-1], vertex, side="right")
         # Columns: low guard, four inner modes, high guard.
-        idx = np.where(
-            convex[:, None],
-            np.clip(above[:, None] + np.arange(-3, 3), 0, m_modes - 1),
-            np.array([1, 0, 0, m_modes - 1, m_modes - 1, m_modes - 2]) % m_modes,
-        )
+        idx = np.clip(above[:, None] + np.arange(-3, 3), 0, m_modes - 1)
         gaps = np.hypot(cos_q[idx] - lam[:, None], np.abs(gamma)[:, None] * sin_q[idx])
         best = gaps.min(axis=1)
         best2 = best * best
-        interior = m_modes > 4
-        ok = np.isfinite(best2)
-        for side, left_out in (
-            (0, np.where(convex, above - 3 > 0, interior)),
-            (-1, np.where(convex, above + 2 < m_modes - 1, interior)),
-        ):
+        ok = convex & np.isfinite(best2)
+        for side, left_out in ((0, above - 3 > 0), (-1, above + 2 < m_modes - 1)):
             guard = gaps[:, side]
             margin = guard * guard * (1.0 - _CERT_SLACK) - _CERT_SLACK * g2 - best2
             ok &= ~left_out | (np.isfinite(margin) & (margin >= _CERT_FLOOR))

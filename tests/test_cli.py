@@ -182,6 +182,7 @@ class TestMainErrorSurface:
             ["gap-map", "--lambda=nan:1:0.1", "--gamma", "0:1:0.5"],
             ["gap-map", "--lambda", "0:1e9:1e-9", "--gamma", "0:1:0.5"],
             ["gap-map", "--lambda", "0:1:0.5", "--gamma=--"],
+            ["gap-map", "--config=--"],
             ["verify", "--draws", "1000001"],
             ["verify", "--draws", "100000000000000000000000"],
             ["lattice-map", "--input", "lp.json", "--threshold", "inf"],

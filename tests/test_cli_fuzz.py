@@ -1,7 +1,7 @@
 """Argv fuzz: every command line ends in exit 0, 1 or 2, and errors are JSON.
 
 Command lines are built from ``cli._FLAG_SPECS``: a subcommand, a subset of
-its flags, and for each flag a token that is malformed, non-finite,
+its flags and ``--config``, and for each flag a token that is malformed, non-finite,
 negative, huge, or a small valid value (chains of at most 8 sites, ranges
 of at most 10 points), so an accepted command line stays cheap to run.
 """
@@ -43,6 +43,7 @@ VALID = {
     "threshold": ["0.1", "0.5"],
     "input": ["{dir}/lattice.json", "{dir}/missing.json", "{dir}/broken.json"],
     "out": ["{dir}/out.dat", "{dir}/no/such/dir/out.dat"],
+    "config": ["{dir}/config.json", "{dir}/missing.json", "{dir}/broken.json"],
 }
 
 LATTICE = {"j_a": 1.0, "j_b": 1.0, "j_c": 0.2, "u_ab": 100.0, "omega": 0.5, "delta": 1.0}
@@ -55,7 +56,8 @@ def command_lines(draw):
     if command == "scaling-fit":
         approach = draw(st.sampled_from(["ising", "xx", "sideways", None]))
         argv += [approach] if approach else []
-    flags = draw(st.lists(st.sampled_from(sorted(cli._FLAG_SPECS[command])), unique=True))
+    flags = draw(st.lists(st.sampled_from(sorted(cli._FLAG_SPECS[command]) + ["config"]),
+                          unique=True))
     for flag in flags:
         pool = VALID[flag] + MALFORMED + NON_FINITE + NEGATIVE + HUGE
         argv.append(f"--{flag}={draw(st.sampled_from(pool))}")
@@ -72,6 +74,7 @@ def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))
     (work / "broken.json").write_text("{not json")
+    (work / "config.json").write_text(json.dumps({"seed": 1}))
     argv = [token.replace("{dir}", str(work)) for token in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

@@ -178,8 +178,8 @@ class TestFiniteMinGapArrays:
         np.testing.assert_array_equal(gaps, want)
 
     def test_exactly_flat_rows_fall_back(self, monkeypatch):
-        # lam = 0, |gamma| = 1: every mode's gap is 1 up to rounding, which
-        # no guard can beat, so the whole row decides.
+        # lam = 0, |gamma| = 1: every mode's gap is 1 up to rounding, and
+        # 1 - gamma^2 = 0 has no vertex, so the whole row decides.
         rows = self.count_kernel_rows(monkeypatch)
         lam = np.array([0.0, -0.0, 0.0, 0.5])
         gamma = np.array([1.0, 1.0, -1.0, 0.5])
@@ -196,6 +196,14 @@ class TestFiniteMinGapArrays:
             finite_min_gap_arrays(lam, gamma, 16)
         self.assert_equals_kernel(lam, gamma, 16)
         assert rows == [1, 1]
+
+    def test_non_convex_points_fall_back(self, monkeypatch):
+        # |gamma| >= 1 makes 1 - gamma^2 <= 0: no vertex window to certify.
+        rows = self.count_kernel_rows(monkeypatch)
+        lam = np.array([0.3, -2.0, 0.7, 1.0, 0.5])
+        gamma = np.array([1.0, -1.0, 1.5, -3.0, np.nextafter(1.0, 0.0)])
+        self.assert_equals_kernel(lam, gamma, 64)
+        assert rows == [4]
 
     def test_readme_grid_needs_no_kernel_rows(self, monkeypatch):
         rows = self.count_kernel_rows(monkeypatch)
