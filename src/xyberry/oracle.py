@@ -6,7 +6,7 @@ product of successive state overlaps.  That product is gauge invariant once
 the endpoint state is identified with the start state, so no phase
 smoothing of eigenvectors is ever needed.
 
-Four structural facts are exploited throughout:
+Five structural facts are exploited throughout:
 
 * The chain Hamiltonian commutes with the spin-flip parity prod_l sigma^z_l
   for every rotation angle, so it is block diagonal in the parity basis.
@@ -23,9 +23,21 @@ Four structural facts are exploited throughout:
 * The loop is a rotation: H(phi) = U(phi) H(0) U(phi)^dagger with the
   diagonal U(phi) = exp(i phi S^z / 2), S^z = sum_l sigma^z_l, so the
   eigenvector at phi is U(phi) psi(0).  Energy, magnetization and every
-  loop state share ONE eigensolve, done once on the real symmetric phi = 0
-  block of a parity sector (assembled on its 2^(N-1) indices alone) and
-  memoized read-only; the full matrices are off that path.
+  loop state share ONE memoized, read-only solve of the real phi = 0
+  block of a parity sector; the full matrices are off that path.
+* That solve runs on crystal-momentum blocks.  The periodic chain also
+  commutes with the one-site translation T, so a parity block splits into
+  blocks k = 2 pi m / N spanned by the orbits of T (Sandvik, section 4), each
+  about 1/N of its 2^(N-1) states.  H(0) is real and T a real
+  permutation, so H(-k) = conj H(k): only m = 0 .. N/2 are solved, k = 0
+  and pi as real blocks, and each level of a complex block stands for a
+  +-k pair whose -k vector is the conjugate.  The lowest LOOP_LEVELS
+  levels are expanded back to parity-block coordinates, so the vectors are
+  complex.  The orbits and each block's sparsity pattern are built once
+  per (N, parity) and cached; a point only scales three coefficient
+  arrays by (lam, gamma, 1) and solves N/2 + 1 small blocks.  Everything
+  here works on spin states, never on the fermion momentum grid of the
+  closed forms.
 * So the overlap product has a closed form.  Over m = steps * windings
   segments every overlap but the closing one is the characteristic
   function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at delta = pi w / m
@@ -113,7 +125,7 @@ DEGENERACY_TOL = 1e-8
 LOOP_LEVELS = 6
 
 # Parity-block solves memoized by ``_sector_spectrum``: a verify point reads
-# one three times (loop, energy, magnetization).  About 30 KB each at N = 10.
+# one three times (loop, energy, magnetization).  About 50 KB each at N = 10.
 SPECTRUM_CACHE_SIZE = 32
 
 
@@ -122,11 +134,12 @@ def _lowest_eigh(mat: np.ndarray, count: int):
 
     The subset LAPACK driver occasionally reports an internal error on
     small matrices with tightly clustered eigenvalues; fall back to the
-    full decomposition in that case (and use it outright when the subset
-    saves nothing).
+    full decomposition in that case.  It is used outright where the subset
+    saves nothing: for half the levels or more, and below 17 rows, where
+    call overhead outweighs the eigenvectors left out.
     """
     dim = mat.shape[0]
-    if count < dim // 2 and dim > 64:
+    if count < dim // 2 and dim > 16:
         try:
             return eigh(mat, subset_by_index=[0, count - 1])
         except LinAlgError:
@@ -329,29 +342,107 @@ def lowest_states(H, count: int) -> list[EigenPair]:
     return pairs
 
 
-def _sector_hamiltonian(n_sites, lam, gamma, parity):
-    """(block, basis indices, S^z) of the real phi = 0 block H(0) = M0 + Mc.
+class _MomentumBlock(NamedTuple):
+    """One crystal-momentum block k = 2 pi m / N of a parity sector.
 
-    A bond flips both its bits (weight -gamma if parallel, -1 if not), so it
-    keeps parity.  2k and 2k + 1 lie in opposite sectors: index >> 1 is the row.
+    Its basis is the momentum states |r(k)> = sum_d e^{-ikd} T^d |r> / sqrt(L_r)
+    of the orbit representatives r compatible with k (m L_r = 0 mod N).
+    """
+
+    reps: np.ndarray  # layout indices of the block's representatives
+    pos: np.ndarray  # flat positions of the block's nonzero entries
+    coef: np.ndarray  # (3, nnz) field, parallel-bond and antiparallel-bond parts
+    expand: np.ndarray  # e^{-ikd} / sqrt(L_r) at each parity-block state s = T^d r
+
+
+class _Layout(NamedTuple):
+    """Translation orbits of one parity block and its momentum blocks."""
+
+    states: np.ndarray  # parity-block basis indices, ascending
+    sz: np.ndarray
+    state_rep: np.ndarray  # layout index of each state's representative
+    n_reps: int
+    blocks: tuple  # non-empty _MomentumBlock for m = 0 .. N/2
+
+
+@functools.lru_cache(maxsize=8)
+def _translation_layout(n_sites: int, parity: int) -> _Layout:
+    """Orbits of the one-site translation T on a parity block, and the blocks.
+
+    T moves site l to l + 1, a right rotation of the index bits.  The
+    representative r of an orbit is its smallest index, L_r its length, and
+    a state s = T^d r sits at distance d.  A bond flips two bits of r into
+    some s = T^d r', and H(0) commutes with T, so on the momentum states
+
+        <r'(k)|H|r(k)> = sum_b h_b e^{ikd} sqrt(L_r / L_r'),
+
+    with h_b = -gamma (parallel pair) or -1 (antiparallel pair), plus
+    -lam S^z on the diagonal.  Every sum here runs over arrays of states.
     """
     sz_all = total_sz_diagonal(n_sites)
     states = np.flatnonzero(_parity_of(sz_all, n_sites) == parity)
     sz = sz_all[states]
-    rows = np.arange(states.size)
-    h0 = np.zeros((states.size, states.size))
-    h0[rows, rows] = -lam * sz
-    for l in range(n_sites):
-        mask = (1 << n_sites - 1 - l) | (1 << n_sites - 1 - (l + 1) % n_sites)
-        parallel = (states & mask) % mask == 0
-        h0[(states ^ mask) >> 1, rows] -= np.where(parallel, gamma, 1.0)
-    return h0, states, sz
+    orbit = np.empty((n_sites, states.size), dtype=np.int64)  # row d: T^d s
+    orbit[0] = states
+    for d in range(1, n_sites):
+        orbit[d] = (orbit[d - 1] >> 1) | ((orbit[d - 1] & 1) << (n_sites - 1))
+    rep = orbit.min(axis=0)
+    shift = -np.argmin(orbit, axis=0) % n_sites  # r = T^j s, so s = T^(-j) r
+    back = orbit[1:] == states
+    length = np.where(back.any(axis=0), np.argmax(back, axis=0) + 1, n_sites)
+    is_rep = rep == states
+    reps = states[is_rep]
+    rep_length = length[is_rep]
+    state_rep = np.searchsorted(reps, rep)
+
+    # Bond b maps representative r to the state r ^ mask_b; 2i and 2i + 1
+    # lie in opposite sectors, so its parity-block row is (r ^ mask_b) >> 1.
+    masks = np.array(
+        [(1 << n_sites - 1 - l) | (1 << n_sites - 1 - (l + 1) % n_sites)
+         for l in range(n_sites)]
+    )
+    rows = (reps[:, None] ^ masks) >> 1  # (rep, bond)
+    target = state_rep[rows]
+    dist = shift[rows]
+    parallel = (reps[:, None] & masks) % masks == 0
+    source = np.broadcast_to(np.arange(reps.size)[:, None], rows.shape)
+    ratio = np.sqrt(rep_length[source] / rep_length[target])
+
+    roots = np.exp(2j * np.pi * np.arange(n_sites) / n_sites)
+    blocks = []
+    for m in range(n_sites // 2 + 1):
+        compatible = m * rep_length % n_sites == 0
+        if not compatible.any():
+            continue
+        real = 2 * m % n_sites == 0  # k = 0 or pi: e^{ikd} = +-1
+        slot = np.cumsum(compatible) - 1
+        dim = int(slot[-1]) + 1
+        keep = compatible[source] & compatible[target]
+        phase = roots[m * dist[keep] % n_sites] * ratio[keep]
+        flat = slot[target[keep]] * dim + slot[source[keep]]
+        dense = np.zeros((3, dim * dim), dtype=complex)
+        dense[0, :: dim + 1] = sz[is_rep][compatible]
+        for row, bonds in ((1, parallel[keep]), (2, ~parallel[keep])):
+            terms = phase[bonds]  # bincount sums real weights only
+            dense[row] = np.bincount(flat[bonds], terms.real, dim * dim)
+            dense[row] += 1j * np.bincount(flat[bonds], terms.imag, dim * dim)
+        pos = np.flatnonzero(dense.any(axis=0))
+        coef = dense[:, pos]
+        expand = roots[-m * shift % n_sites] / np.sqrt(length)
+        if real:
+            coef, expand = coef.real.copy(), expand.real.copy()
+        blocks.append(_MomentumBlock(np.flatnonzero(compatible), pos, coef, expand))
+    for array in (states, sz, state_rep):
+        array.setflags(write=False)
+    return _Layout(states, sz, state_rep, reps.size, tuple(blocks))
 
 
 def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
-    """Read-only (lowest min(LOOP_LEVELS, dim) levels, real vectors, indices, S^z).
+    """Read-only (lowest min(LOOP_LEVELS, dim) levels, vectors, indices, S^z).
 
-    The site cap is checked before the cache lookup, so lowering it binds.
+    The vectors are complex, in parity-block coordinates.  The site cap is
+    checked before the cache lookup and before any layout is built, so
+    lowering it binds.
     """
     _check_sites(n_sites)
     return _solve_sector(n_sites, lam, gamma, parity)
@@ -359,9 +450,34 @@ def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _solve_sector(n_sites, lam, gamma, parity):
-    h0, states, sz = _sector_hamiltonian(n_sites, lam, gamma, parity)
-    spectrum = (*_lowest_eigh(h0, min(LOOP_LEVELS, states.size)), states, sz)
-    for array in spectrum:
+    layout = _translation_layout(n_sites, parity)
+    count = min(LOOP_LEVELS, layout.states.size)
+    weights = np.array([-lam, -gamma, -1.0])
+    values, levels = [], []  # levels: (block, eigenvectors, column, conjugate)
+    for block in layout.blocks:
+        dim = block.reps.size
+        h = np.zeros((dim, dim), dtype=block.coef.dtype)
+        h.flat[block.pos] = weights @ block.coef
+        # H is real and T a real permutation, so H(-k) = conj H(k): each level
+        # of a complex block is also a level of -k, with the conjugate
+        # vector, and half the count suffices there.
+        pair = np.iscomplexobj(h)
+        vals, vecs = _lowest_eigh(h, min(-(-count // 2) if pair else count, dim))
+        for conj in (False, True) if pair else (False,):
+            values.append(vals)
+            levels.extend((block, vecs, j, conj) for j in range(vals.size))
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")[:count]
+    vectors = np.empty((layout.states.size, count), dtype=complex)
+    coeffs = np.zeros(layout.n_reps, dtype=complex)
+    for col, i in enumerate(order):
+        block, vecs, j, conj = levels[i]
+        coeffs[:] = 0.0  # a representative incompatible with k expands to 0
+        coeffs[block.reps] = vecs[:, j]
+        vec = coeffs[layout.state_rep] * block.expand
+        vectors[:, col] = vec.conj() if conj else vec
+    spectrum = (values[order], vectors, layout.states, layout.sz)
+    for array in spectrum[:2]:
         array.setflags(write=False)
     return spectrum
 
@@ -400,7 +516,7 @@ def magnetization_ed(params: XYParams) -> float:
             DegenerateLevelWarning,
             stacklevel=2,
         )
-    return float(np.sum(sz * vecs[:, 0] ** 2))
+    return float(np.sum(sz * np.abs(vecs[:, 0]) ** 2))
 
 
 def sz_cumulants(params: XYParams) -> tuple:
@@ -411,7 +527,7 @@ def sz_cumulants(params: XYParams) -> tuple:
     leading discretization error and kappa_5 the next term.
     """
     _, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
-    weights = vecs[:, 0] ** 2
+    weights = np.abs(vecs[:, 0]) ** 2
     mean = float(np.sum(sz * weights))
     mu2, mu3, mu4, mu5 = (float(np.sum(weights * (sz - mean) ** k)) for k in range(2, 6))
     return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
@@ -512,7 +628,7 @@ def _loop_start(params, level, loop, windings, gap_tol) -> _LoopStart:
     chi = None
     if np.count_nonzero(cluster) == 1:
         delta = math.pi * windings / m
-        chi = complex(np.dot(vecs[:, 0] ** 2, np.exp(0.5j * delta * sz)))
+        chi = complex(np.dot(np.abs(vecs[:, 0]) ** 2, np.exp(0.5j * delta * sz)))
         if abs(chi) < 0.5:
             raise DiscretizationError(
                 f"overlap {abs(chi):.3e} below 0.5 between consecutive loop states "
@@ -541,7 +657,10 @@ def loop_states(
     phi_j = params.phi + j delta is U(phi_j) psi(0).  An exactly degenerate
     level is flagged and transported by projecting each vector onto the
     rotated degenerate subspace: in cluster coordinates D the coefficients
-    step as a_{j+1} ~ (D^dagger U(-delta) D) a_j.
+    step as a_{j+1} ~ (D^dagger U(-delta) D) a_j.  A +-k pair of crystal
+    momentum is such a level; U(delta) commutes with the translation, so its
+    kick is a multiple of the identity and the phase does not depend on the
+    basis the pair comes in.
     """
     start = _loop_start(params, level, loop, windings, gap_tol)
     vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, start.steps
@@ -561,7 +680,7 @@ def loop_states(
         )
         basis = vecs[:, cluster]
         step = np.exp(0.5j * offsets[1] * sz)  # U(delta)
-        kick = basis.T @ (step.conj()[:, None] * basis)
+        kick = basis.conj().T @ (step.conj()[:, None] * basis)
         coeffs = np.zeros((m, basis.shape[1]), dtype=complex)
         coeffs[0, 0] = 1.0
         for j in range(1, m):

@@ -507,6 +507,13 @@ class TestVerifyCommand:
             assert [at["lambda"], at["gamma"]] in payload["points"]
             assert payload["per_n"][str(at["n"])][key] == worst
 
+    def test_twelve_sites_under_a_raised_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("XYBERRY_MAX_N", "12")
+        assert main(["verify", "--n", "12", "--draws", "2", "--steps", "200"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True
+        assert set(payload["per_n"]) == {"12"}
+
     def test_nan_discrepancy_fails_the_run(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "magnetization_ed", lambda params: math.nan)
         assert main(["verify", "--n", "4", "--steps", "100", "--draws", "2"]) == 1

@@ -21,6 +21,7 @@ from xyberry import (
     ground_phase,
     loop_states,
     lowest_states,
+    magnetization_analytic,
     magnetization_ed,
     pancharatnam_phase,
     relative_phase_finite,
@@ -30,7 +31,11 @@ from xyberry import (
     wrap_angle,
 )
 from xyberry import oracle
-from xyberry.cli import VERIFY_ENERGY_TOL, draw_noncritical_points
+from xyberry.cli import (
+    VERIFY_ENERGY_TOL,
+    VERIFY_MAGNETIZATION_TOL,
+    draw_noncritical_points,
+)
 from xyberry.oracle import (
     ed_ground_energy,
     hamiltonian_phi_parts,
@@ -75,6 +80,25 @@ def kronecker_parts(n, lam, gamma):
         mc -= 0.5 * gamma * (xx - yy)
         ms += 0.5 * gamma * (xy + yx)
     return m0, mc, ms
+
+
+def sector_hamiltonian(n, lam, gamma, parity):
+    """(block, basis indices, S^z) of the real phi = 0 parity block H(0) = M0 + Mc.
+
+    The dense reference for the oracle's momentum-block solve.  A bond flips
+    both its bits (weight -gamma if parallel, -1 if not), so it keeps parity.
+    2k and 2k + 1 lie in opposite sectors: index >> 1 is the row.
+    """
+    states = np.flatnonzero(parity_diagonal(n) == parity)
+    sz = total_sz_diagonal(n)[states]
+    rows = np.arange(states.size)
+    h0 = np.zeros((states.size, states.size))
+    h0[rows, rows] = -lam * sz
+    for l in range(n):
+        mask = (1 << n - 1 - l) | (1 << n - 1 - (l + 1) % n)
+        parallel = (states & mask) % mask == 0
+        h0[(states ^ mask) >> 1, rows] -= np.where(parallel, gamma, 1.0)
+    return h0, states, sz
 
 
 def rediagonalized_loop_phase(p, level, steps):
@@ -180,14 +204,19 @@ class TestSectorSpectrum:
     @pytest.mark.parametrize("parity", [+1, -1])
     def test_block_matches_full_assembly(self, n, parity):
         # N = 2 is where the periodic bond sum visits the single pair twice.
+        # The dense block is the reference of TestMomentumBlocks; the
+        # oracle's spectrum must report the same basis and S^z.
         idx = np.flatnonzero(parity_diagonal(n) == parity)
         for lam, gamma in ((0.3, 0.7), (-1.2, 0.4), (1.0, 1.3)):
             m0, mc, _ = hamiltonian_phi_parts(n, lam, gamma)
-            block, states, sz = oracle._sector_hamiltonian(n, lam, gamma, parity)
+            block, states, sz = sector_hamiltonian(n, lam, gamma, parity)
             assert block.dtype == np.float64
             assert np.array_equal(states, idx)
             assert np.array_equal(sz, total_sz_diagonal(n)[idx])
             assert np.max(np.abs(block - (m0 + mc)[np.ix_(idx, idx)])) <= 1e-14
+            _, _, got_states, got_sz = oracle._sector_spectrum(n, lam, gamma, parity)
+            assert np.array_equal(got_states, idx)
+            assert np.array_equal(got_sz, sz)
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("parity", [+1, -1])
@@ -250,6 +279,9 @@ class TestSectorSpectrum:
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             spectrum[1][0, 0] = 1.0
+        for parity in (+1, -1):  # complex levels of +-k pairs included
+            for array in oracle._sector_spectrum(6, 1.5, 0.6, parity):
+                assert not array.flags.writeable
         magnetization = magnetization_ed(p)
         pair = sector_ground(p)
         pair.vector[:] = 0.0
@@ -257,6 +289,83 @@ class TestSectorSpectrum:
         trace.vectors[:] = 0.0
         assert np.linalg.norm(sector_ground(p).vector) == pytest.approx(1.0, abs=1e-12)
         assert magnetization_ed(p) == magnetization
+
+
+def _momentum_points(rng):
+    """Seeded points with lam < 0, with |gamma| > 1 and with lam = 0."""
+    return (
+        (float(rng.uniform(-2.0, -0.1)), float(rng.uniform(-0.9, 0.9))),
+        (float(rng.uniform(-2.0, 2.0)), float(rng.choice([-1, 1]) * rng.uniform(1.1, 3.0))),
+        (0.0, float(rng.uniform(0.1, 0.9))),
+    )
+
+
+def _is_complex(vec):
+    """True unless ``vec`` is a real vector times one global phase."""
+    k = int(np.argmax(np.abs(vec)))
+    return np.max(np.abs((vec * np.conj(vec[k]) / abs(vec[k])).imag)) > 1e-10
+
+
+class TestMomentumBlocks:
+    """The momentum-block solve against the dense parity block."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("parity", [+1, -1])
+    def test_levels_and_vectors_match_dense_block(self, n, parity):
+        rng = np.random.default_rng(100 + n + (parity > 0))
+        complex_levels = 0
+        for lam, gamma in _momentum_points(rng):
+            vals, vecs, _, _ = oracle._sector_spectrum(n, lam, gamma, parity)
+            block, _, _ = sector_hamiltonian(n, lam, gamma, parity)
+            count = min(oracle.LOOP_LEVELS, block.shape[0])
+            assert vals.shape == (count,) and vecs.shape == (block.shape[0], count)
+            want = np.linalg.eigvalsh(block)[:count]
+            where = (n, parity, lam, gamma)
+            assert np.max(np.abs(vals - want)) <= 1e-13, where
+            residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+            assert np.max(residual) <= 1e-13, where
+            gram = vecs.conj().T @ vecs
+            assert np.max(np.abs(gram - np.eye(count))) <= 1e-13, where
+            complex_levels += sum(_is_complex(v) for v in vecs.T)
+        # k = 0 and pi are the only momenta at N = 2; from N = 4 on the
+        # residuals must reach the expansion of some +-k pair.
+        assert (complex_levels > 0) == (n >= 4)
+
+    def test_pm_k_pair_is_projected_like_the_dense_path(self, monkeypatch):
+        # No physical point has a +-k pair as its lowest odd level (the
+        # lowest odd level sits at k = 0 or pi), so the pair above it is
+        # exposed by dropping level 0, in both solves alike.
+        n, lam, gamma = 6, 1.5, 0.6
+        vals, vecs, states, sz = oracle._sector_spectrum(n, lam, gamma, -1)
+        assert vals[1] == vals[2] and vals[2] - vals[0] > 1.0 and vals[3] - vals[2] > 1.0
+        assert _is_complex(vecs[:, 1])
+        assert np.max(np.abs(vecs[:, 2] - vecs[:, 1].conj())) <= 1e-15
+        block, _, _ = sector_hamiltonian(n, lam, gamma, -1)
+        dense_vals, dense_vecs = eigh(block)
+        pair = (vals[1:], vecs[:, 1:], states, sz)
+        p = params(lam, gamma, n, phi=0.4)
+        loop = LoopDiscretization(200)
+        phases = []
+        for spectrum in ((dense_vals[1:6], dense_vecs[:, 1:6], states, sz), pair):
+            monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
+            with pytest.warns(DegenerateLevelWarning):
+                assert loop_states(p, "excited", loop).degenerate
+            with pytest.warns(DegenerateLevelWarning):
+                phases.append(discrete_loop_phase(p, "excited", loop).wrapped)
+        assert circular_distance(*phases) <= 1e-10
+        # Readouts of one complex vector of the pair weigh it by |psi|^2.
+        want = np.vdot(vecs[:, 1], sz * vecs[:, 1]).real
+        with pytest.warns(DegenerateLevelWarning):
+            assert magnetization_ed(p) == pytest.approx(want, abs=1e-12)
+        assert oracle.sz_cumulants(p)[0] == pytest.approx(want, abs=1e-12)
+
+    def test_twelve_sites_match_the_closed_forms(self, monkeypatch):
+        monkeypatch.setenv("XYBERRY_MAX_N", "12")
+        for lam, gamma in ((0.3, 0.6), (-1.4, 0.3)):
+            p = params(lam, gamma, 12)
+            assert abs(ed_ground_energy(p) - ground_energy(p)) < VERIFY_ENERGY_TOL
+            want = magnetization_analytic(p)
+            assert abs(magnetization_ed(p) - want) < VERIFY_MAGNETIZATION_TOL
 
 
 class TestLowestStates:
