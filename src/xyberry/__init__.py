@@ -47,15 +47,12 @@ from .observables import (
     phase_magnetization_identity,
 )
 from .oracle import (
-    DenseOperator,
     EigenPair,
     LoopDiscretization,
     LoopTrace,
-    build_hamiltonian,
     discrete_loop_phase,
     ed_ground_energy,
     loop_states,
-    lowest_states,
     magnetization_ed,
     pancharatnam_phase,
     sector_ground,
@@ -133,12 +130,9 @@ __all__ = [
     "magnetization_analytic",
     "phase_magnetization_identity",
     # oracle
-    "DenseOperator",
     "EigenPair",
     "LoopDiscretization",
     "LoopTrace",
-    "build_hamiltonian",
-    "lowest_states",
     "sector_ground",
     "ed_ground_energy",
     "magnetization_ed",

@@ -141,18 +141,16 @@ def _parse_number(text: str, kind, flag: str):
     return value
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise UsageError(f"non-numeric list entry in {text!r}") from exc
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Comma-separated values of one flag, each as ``_parse_number``; at least one."""
+    values = [_parse_number(p, kind, flag) for p in text.split(",") if p != ""]
+    if not values:
+        raise UsageError(f"--{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _parse_sites(text: str) -> list[int]:
-    try:
-        ns = [int(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise UsageError(f"non-integer site count in {text!r}") from exc
+    ns = _parse_list(text, int, "n")
     for n in ns:
         if n < 4 or n % 2 != 0:
             raise UsageError(
@@ -306,7 +304,7 @@ def parse_config(argv=None) -> RunConfig:
     elif command == "step-trace":
         if raw["gamma"] is None:
             raise UsageError("step-trace needs --gamma values")
-        params["gammas"] = _parse_floats(raw["gamma"])
+        params["gammas"] = _parse_list(raw["gamma"], float, "gamma")
         if any(g == 0.0 for g in params["gammas"]):
             raise UsageError("step-trace gamma values must be nonzero (XX line is critical)")
         params["lam_values"] = parse_range(raw["lambda"] or "0:2:0.005")
@@ -527,13 +525,16 @@ def _run_lattice_map(cfg: RunConfig) -> int:
     p = cfg.parameters
     try:
         with open(p["input"], encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=float)  # a huge integer reads as inf
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"unreadable input file {p['input']}: {exc}") from exc
     known = {"j_a", "j_b", "j_c", "u_ab", "omega", "delta", "phase"}
     if not isinstance(data, dict) or not set(data) <= known:
         raise UsageError(f"lattice input keys must be a subset of {sorted(known)}")
-    lp = LatticeParams(**{k: float(v) for k, v in data.items()})
+    for key, value in data.items():
+        if type(value) is not float or not math.isfinite(value):  # bool and null too
+            raise UsageError(f"lattice input {key!r} must be a finite number, got {value!r}")
+    lp = LatticeParams(**data)
     eff = effective_xy(lp)
     check = mott_regime_check(lp, p["threshold"])
     payload = {
@@ -544,7 +545,8 @@ def _run_lattice_map(cfg: RunConfig) -> int:
         "energy_scale": eff.energy_scale,
         "mott_regime": {"ok": check.ok, "margin": check.margin, "threshold": check.threshold},
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # An overflowing coupling is a ValueError here, not an Infinity token.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if cfg.output_path:
         _atomic_write(cfg.output_path, _text_writer(text))
     print(text, end="")

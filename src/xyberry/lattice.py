@@ -38,6 +38,9 @@ class LatticeParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if min(self.j_a, self.j_b, self.j_c) < 0:
             raise ValueError("tunnelling couplings must be nonnegative")
         if self.u_ab <= 0:

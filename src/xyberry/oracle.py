@@ -1,10 +1,11 @@
-"""Dense-matrix ground truth for the rotated XY chain.
+"""Exact-diagonalization ground truth for the rotated XY chain.
 
-Builds the 2^N spin Hamiltonian and its parity blocks, extracts low
-eigenpairs, and computes discrete loop phases as the argument of the closed
-product of successive state overlaps.  That product is gauge invariant once
-the endpoint state is identified with the start state, so no phase
-smoothing of eigenvectors is ever needed.
+Solves the spin-flip parity blocks of the 2^N spin Hamiltonian for their
+low eigenpairs, and computes discrete loop phases as the argument of the
+closed product of successive state overlaps.  That product is gauge
+invariant once the endpoint state is identified with the start state, so no
+phase smoothing of eigenvectors is ever needed.  The full matrix
+(``hamiltonian_phi_parts``) is built only as a reference for the tests.
 
 Five structural facts are exploited throughout:
 
@@ -13,8 +14,7 @@ Five structural facts are exploited throughout:
   The paired-mode closed-form solution describes the lowest EVEN-parity
   state; at small N there are parameter pockets (inside lam^2 + gamma^2 < 1)
   where an odd-parity level dips below it, so oracle comparisons are made
-  sector-resolved.  ``lowest_states`` still reports the plain global
-  spectrum.
+  sector-resolved.
 * Matrices are assembled bond by bond from index arithmetic on the two
   bits each bond acts on (the bit representation of exact diagonalization:
   Lin, PRB 42, 6561 (1990); Sandvik, AIP Conf. Proc. 1297, 135 (2010)), so
@@ -82,18 +82,14 @@ __all__ = [
     "PAULI_Z",
     "DEFAULT_MAX_SITES",
     "PANCHARATNAM_SIGN",
-    "DenseOperator",
     "EigenPair",
     "LoopDiscretization",
     "LoopTrace",
     "max_sites",
-    "xy_dense_hamiltonian",
     "hamiltonian_phi_parts",
-    "build_hamiltonian",
     "parity_diagonal",
     "parity_indices",
     "total_sz_diagonal",
-    "lowest_states",
     "sector_ground",
     "ed_ground_energy",
     "magnetization_ed",
@@ -102,7 +98,6 @@ __all__ = [
     "loop_states",
     "discrete_loop_phase",
     "spin_half_loop_phase",
-    "write_loop_trace_csv",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -173,28 +168,6 @@ def _check_sites(n_sites: int):
         )
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A 2^N x 2^N Hermitian matrix with its site count."""
-
-    matrix: np.ndarray
-    n_sites: int
-
-    def __post_init__(self):
-        d = 2**self.n_sites
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match 2^{self.n_sites}"
-            )
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if dev > 1e-13 * max(1.0, np.max(np.abs(self.matrix))):
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_sites
-
-
 def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
     """Matrices (M0, Mc, Ms) with H(phi) = M0 + cos(2 phi) Mc + sin(2 phi) Ms.
 
@@ -209,7 +182,8 @@ def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
 
     The field -lam sigma^z_l sits on the diagonal of M0.  For N = 2 the
     periodic bond sum visits the single pair twice and the doubled bond is
-    kept as written.
+    kept as written.  No readout calls this, the package's only full-matrix
+    builder: it is the tests' reference and the benchmark tracer's assembly.
     """
     _check_sites(n_sites)
     d = 2**n_sites
@@ -229,39 +203,6 @@ def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
         mc[flipped[par], states[par]] -= gamma
         ms[flipped[par], states[par]] += 1j * gamma * (1 - 2 * bit_a[par])
     return m0, mc, ms
-
-
-def xy_dense_hamiltonian(
-    n_sites: int,
-    lam: float,
-    gamma: float,
-    phi: float = 0.0,
-    method: str = "rotated-couplings",
-) -> np.ndarray:
-    """Dense Hamiltonian of the rotated chain.
-
-    The field term carries coefficient lam per site, matching the momentum
-    modes' epsilon_k = cos q - lam (the tests pin this normalization against
-    the closed-form solution).  ``method`` selects between conjugating the
-    unrotated matrix with U(phi) and assembling the rotated couplings
-    directly; the two agree entrywise.
-    """
-    if method == "rotated-couplings":
-        m0, mc, ms = hamiltonian_phi_parts(n_sites, lam, gamma)
-        return m0 + math.cos(2.0 * phi) * mc + math.sin(2.0 * phi) * ms
-    if method == "conjugation":
-        h0 = xy_dense_hamiltonian(n_sites, lam, gamma, 0.0, "rotated-couplings")
-        u = np.exp(0.5j * phi * total_sz_diagonal(n_sites))  # U(phi)
-        return (u[:, None] * h0) * u.conj()[None, :]
-    raise ValueError(f"unknown method {method!r}")
-
-
-def build_hamiltonian(params: XYParams, method: str = "rotated-couplings") -> DenseOperator:
-    """DenseOperator for the given control point, rotation included."""
-    return DenseOperator(
-        xy_dense_hamiltonian(params.n_sites, params.lam, params.gamma, params.phi, method),
-        params.n_sites,
-    )
 
 
 def parity_diagonal(n_sites: int) -> np.ndarray:
@@ -307,39 +248,6 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
     if z == 0:
         return vec
     return vec * (abs(z) / z)
-
-
-def lowest_states(H, count: int) -> list[EigenPair]:
-    """The ``count`` lowest eigenpairs of a dense Hermitian matrix.
-
-    Eigenvalues ascend; vectors are orthonormal and gauge fixed.  Adjacent
-    returned eigenvalues closer than 1e-12 (relative) trigger a
-    DegenerateLevelWarning.  A residual check guards against a silently
-    failed factorization.
-    """
-    mat = H.matrix if isinstance(H, DenseOperator) else np.asarray(H)
-    dim = mat.shape[0]
-    if not 1 <= count <= dim:
-        raise ValueError(f"count must be in [1, {dim}], got {count}")
-    vals, vecs = _lowest_eigh(mat, count)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    pairs = []
-    for i in range(count):
-        v = _gauge_fix(vecs[:, i])
-        residual = np.linalg.norm(mat @ v - vals[i] * v)
-        if residual > 1e-9 * max(1.0, np.linalg.norm(mat, ord=np.inf)):
-            raise ArithmeticError(
-                f"eigenpair residual {residual:.3e} too large at level {i}"
-            )
-        pairs.append(EigenPair(float(vals[i]), v))
-    for i in range(count - 1):
-        if vals[i + 1] - vals[i] < 1e-12 * scale:
-            warnings.warn(
-                f"levels {i} and {i + 1} are degenerate within 1e-12",
-                DegenerateLevelWarning,
-                stacklevel=2,
-            )
-    return pairs
 
 
 class _MomentumBlock(NamedTuple):
@@ -761,19 +669,3 @@ def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> Pha
         _, vecs = eigh(h)
         vectors.append(vecs[:, idx])
     return PhaseResult.from_value(pancharatnam_phase(vectors))
-
-
-def write_loop_trace_csv(trace: LoopTrace, path):
-    """Debug dump: per-segment overlap and cumulative phase."""
-    vecs = trace.vectors
-    m = len(vecs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phi,overlap_re,overlap_im,cumulative_phase\n")
-        cum = 1.0 + 0.0j
-        for j in range(m):
-            ov = np.vdot(vecs[j], vecs[(j + 1) % m])
-            cum *= ov / abs(ov)
-            fh.write(
-                f"{trace.phis[j]:.12g},{ov.real:.12g},{ov.imag:.12g},"
-                f"{PANCHARATNAM_SIGN * np.angle(cum):.12g}\n"
-            )

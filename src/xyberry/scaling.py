@@ -16,7 +16,6 @@ scalar ``continuum_min_gap`` and ``finite_min_gap`` are the references.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -45,9 +44,7 @@ __all__ = [
     "gap_sweep",
     "fit_exponent",
     "step_detect",
-    "write_gap_table_csv",
     "write_step_trace_csv",
-    "fit_to_json",
 ]
 
 # Offsets |g - g_c| used for exponent fits: far enough from the critical
@@ -316,29 +313,9 @@ def step_detect(lam_values, phi_eg_values) -> float:
     return 0.5 * (lam_values[i] + lam_values[i + 1])
 
 
-def write_gap_table_csv(table, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("g,min_gap\n")
-        for g, gap in np.asarray(table, dtype=float):
-            fh.write(f"{g:.12g},{gap:.12g}\n")
-
-
 def write_step_trace_csv(rows, path):
     """rows: iterable of (gamma, lambda_star)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,lambda_star\n")
         for gamma, lam_star in rows:
             fh.write(f"{gamma:.12g},{lam_star:.12g}\n")
-
-
-def fit_to_json(fit: ExponentFit) -> str:
-    return json.dumps(
-        {
-            "exponent": fit.exponent,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
-        },
-        indent=2,
-        sort_keys=True,
-    )

@@ -186,6 +186,13 @@ class TestMainErrorSurface:
             ["verify", "--draws", "1000001"],
             ["verify", "--draws", "100000000000000000000000"],
             ["lattice-map", "--input", "lp.json", "--threshold", "inf"],
+            ["phase-surface", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", ","],
+            ["gap-map", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", ","],
+            ["scaling-fit", "ising", "--n", ","],
+            ["verify", "--n", ",", "--draws", "1", "--steps", "8"],
+            ["step-trace", "--gamma", ","],
+            ["step-trace", "--gamma", "nan"],
+            ["step-trace", "--gamma", "0.5,inf"],
         ],
     )
     def test_malformed_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -474,6 +481,34 @@ class TestLatticeMapCommand:
         inp = tmp_path / "lp.json"
         inp.write_text(json.dumps({"j_a": 1.0, "frob": 2.0}))
         assert main(["lattice-map", "--input", str(inp)]) == 2
+
+    @pytest.mark.parametrize(
+        "value",
+        ["[1]", "null", "true", '"abc"', "NaN", "Infinity", "-Infinity", "1e400",
+         pytest.param("9" * 400, id="huge-integer")],
+    )
+    def test_bad_input_values(self, value, tmp_path, capsys):
+        # Only finite JSON numbers: no bool, null, string or list, and no
+        # NaN or Infinity token, which would otherwise reach the output.
+        inp = tmp_path / "lp.json"
+        inp.write_text('{"j_a": %s, "j_b": 1, "j_c": 0.2, "u_ab": 100, "omega": 0.5, "delta": 1}'
+                       % value)
+        out = tmp_path / "eff.json"
+        assert main(["lattice-map", "--input", str(inp), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "usage"
+        assert captured.out == "" and not out.exists()
+
+    def test_overflowing_couplings_are_a_runtime_error(self, tmp_path, capsys):
+        # Finite inputs whose energy scale overflows: exit 1, no Infinity token.
+        inp = tmp_path / "lp.json"
+        inp.write_text(json.dumps({"j_a": 1e200, "j_b": 1e200, "j_c": 0.2, "u_ab": 100.0,
+                                   "omega": 0.5, "delta": 1.0}))
+        out = tmp_path / "eff.json"
+        assert main(["lattice-map", "--input", str(inp), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "ValueError"
+        assert captured.out == "" and not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["lattice-map", "--input", str(tmp_path / "nope.json")]) == 2

@@ -9,6 +9,7 @@ of at most 10 points), so an accepted command line stays cheap to run.
 import contextlib
 import io
 import json
+import math
 import os
 
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from xyberry import cli
 
-MALFORMED = ["", "abc", "1:2", "::", "1,,x", "0x10", "1e", "--", "1:2:3:4", "4,six"]
+MALFORMED = ["", ",", "abc", "1:2", "::", "1,,x", "0x10", "1e", "--", "1:2:3:4", "4,six"]
 NON_FINITE = ["nan", "inf", "-inf", "1e400", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "nan:1e-3"]
 NEGATIVE = ["-1", "-4", "-0.5", "-1:-0.5:0.1", "0:1:-0.1", "1:0:0.1", "-4,-6", "-1e-3:1e-1"]
 HUGE = [
@@ -41,12 +42,21 @@ VALID = {
     "window": ["1e-3:1e-1", "1e-3:5e-2"],
     "samples": ["8", "10"],
     "threshold": ["0.1", "0.5"],
-    "input": ["{dir}/lattice.json", "{dir}/missing.json", "{dir}/broken.json"],
+    "input": [
+        "{dir}/lattice.json",
+        "{dir}/missing.json",
+        "{dir}/broken.json",
+        "{dir}/lattice_list.json",
+        "{dir}/lattice_null.json",
+        "{dir}/lattice_nan.json",
+    ],
     "out": ["{dir}/out.dat", "{dir}/no/such/dir/out.dat"],
     "config": ["{dir}/config.json", "{dir}/missing.json", "{dir}/broken.json"],
 }
 
 LATTICE = {"j_a": 1.0, "j_b": 1.0, "j_c": 0.2, "u_ab": 100.0, "omega": 0.5, "delta": 1.0}
+# Lattice files whose "j_a" is not a finite number.
+BAD_LATTICE = {"list": [1], "null": None, "nan": math.nan}
 
 
 @st.composite
@@ -73,6 +83,8 @@ def command_lines(draw):
 def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))
+    for name, value in BAD_LATTICE.items():
+        (work / f"lattice_{name}.json").write_text(json.dumps({**LATTICE, "j_a": value}))
     (work / "broken.json").write_text("{not json")
     (work / "config.json").write_text(json.dumps({"seed": 1}))
     argv = [token.replace("{dir}", str(work)) for token in argv]

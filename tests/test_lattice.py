@@ -1,5 +1,7 @@
 """Lattice-control algebra: forward map, inversion, Mott check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,12 @@ class TestEffectiveXY:
             lattice(j_a=-0.1)
         with pytest.raises(ValueError):
             lattice(omega=-1.0)
+
+    def test_non_finite_rejected(self):
+        for name in ("j_a", "j_b", "j_c", "u_ab", "omega", "delta", "phase"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    lattice(**{name: value})
 
 
 class TestSolveForTargets:

@@ -1,4 +1,4 @@
-"""Dense Hamiltonian assembly, eigenpairs, and discrete loop phases."""
+"""Full-matrix assembly, sector eigenpairs, and discrete loop phases."""
 
 import math
 
@@ -8,19 +8,16 @@ from scipy.linalg import eigh
 
 from xyberry import (
     DegenerateLevelWarning,
-    DenseOperator,
     DiscretizationError,
     LoopDiscretization,
     ResourceLimitError,
     TrackingError,
     XYParams,
-    build_hamiltonian,
     circular_distance,
     discrete_loop_phase,
     ground_energy,
     ground_phase,
     loop_states,
-    lowest_states,
     magnetization_analytic,
     magnetization_ed,
     pancharatnam_phase,
@@ -41,14 +38,18 @@ from xyberry.oracle import (
     hamiltonian_phi_parts,
     parity_diagonal,
     total_sz_diagonal,
-    write_loop_trace_csv,
-    xy_dense_hamiltonian,
 )
 from xyberry.phases import BlochLoopSpec
 
 
 def params(lam, gamma, n, phi=0.0):
     return XYParams(lam=lam, gamma=gamma, n_sites=n, phi=phi)
+
+
+def dense_hamiltonian(n, lam, gamma, phi):
+    """H(phi) = M0 + cos(2 phi) Mc + sin(2 phi) Ms from the oracle's full-matrix parts."""
+    m0, mc, ms = hamiltonian_phi_parts(n, lam, gamma)
+    return m0 + math.cos(2.0 * phi) * mc + math.sin(2.0 * phi) * ms
 
 
 # Test-only references, independent of the oracle's bitwise assembly and of
@@ -125,51 +126,46 @@ class TestAssembly:
     def test_two_site_exchange_spectrum(self):
         # Periodic N=2 visits the single bond twice, so the matrix is the
         # doubled exchange -(XX + YY) with spectrum {-2, 0, 0, 2}.
-        h = xy_dense_hamiltonian(2, 0.0, 0.0)
+        h = dense_hamiltonian(2, 0.0, 0.0, 0.0)
         vals = np.linalg.eigvalsh(h)
         assert vals == pytest.approx([-2.0, 0.0, 0.0, 2.0], abs=1e-12)
 
     def test_hermiticity(self):
-        h = build_hamiltonian(params(0.7, 0.3, 6, phi=0.9))
-        dev = np.max(np.abs(h.matrix - h.matrix.conj().T))
+        h = dense_hamiltonian(6, 0.7, 0.3, 0.9)
+        dev = np.max(np.abs(h - h.conj().T))
         assert dev < 1e-13
 
-    def test_dense_operator_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            DenseOperator(bad, 1)
-
     def test_isospectral_under_rotation(self):
-        h0 = xy_dense_hamiltonian(6, 0.5, 0.5, 0.0)
-        h1 = xy_dense_hamiltonian(6, 0.5, 0.5, 1.234)
+        h0 = dense_hamiltonian(6, 0.5, 0.5, 0.0)
+        h1 = dense_hamiltonian(6, 0.5, 0.5, 1.234)
         v0 = np.linalg.eigvalsh(h0)
         v1 = np.linalg.eigvalsh(h1)
         assert np.max(np.abs(v0 - v1)) < 1e-12
 
     def test_pi_periodicity_entrywise(self):
         for phi in (0.0, 0.4, 2.0):
-            a = xy_dense_hamiltonian(4, 0.8, 0.6, phi)
-            b = xy_dense_hamiltonian(4, 0.8, 0.6, phi + np.pi)
+            a = dense_hamiltonian(4, 0.8, 0.6, phi)
+            b = dense_hamiltonian(4, 0.8, 0.6, phi + np.pi)
             assert np.max(np.abs(a - b)) < 1e-13
 
     def test_conjugation_equals_rotated_couplings(self):
+        # H(phi) = U(phi) H(0) U(phi)^dagger with U(phi) = exp(i phi S^z / 2):
+        # the identity behind the oracle's U(phi) psi(0) readouts.
+        h0 = dense_hamiltonian(4, 0.5, 0.8, 0.0)
         for phi in (0.0, 0.3, 1.1, 2.9):
-            a = xy_dense_hamiltonian(4, 0.5, 0.8, phi, method="conjugation")
-            b = xy_dense_hamiltonian(4, 0.5, 0.8, phi, method="rotated-couplings")
+            u = np.exp(0.5j * phi * total_sz_diagonal(4))
+            a = (u[:, None] * h0) * u.conj()[None, :]
+            b = dense_hamiltonian(4, 0.5, 0.8, phi)
             assert np.max(np.abs(a - b)) < 1e-13
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            xy_dense_hamiltonian(4, 0.5, 0.5, method="sideways")
 
     def test_site_cap(self):
         with pytest.raises(ResourceLimitError):
-            xy_dense_hamiltonian(12, 0.5, 0.5)
+            hamiltonian_phi_parts(12, 0.5, 0.5)
 
     def test_site_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("XYBERRY_MAX_N", "4")
         with pytest.raises(ResourceLimitError):
-            xy_dense_hamiltonian(6, 0.5, 0.5)
+            hamiltonian_phi_parts(6, 0.5, 0.5)
         with pytest.raises(ResourceLimitError):
             ed_ground_energy(params(0.5, 0.5, 6))
         # A raised cap admits N = 12 through the parity-block solve (about
@@ -182,8 +178,8 @@ class TestAssembly:
 
     def test_spectrum_symmetric_under_field_flip(self):
         # Global spin flip about x maps lam -> -lam.
-        a = np.linalg.eigvalsh(xy_dense_hamiltonian(6, 0.7, 0.6))
-        b = np.linalg.eigvalsh(xy_dense_hamiltonian(6, -0.7, 0.6))
+        a = np.linalg.eigvalsh(dense_hamiltonian(6, 0.7, 0.6, 0.0))
+        b = np.linalg.eigvalsh(dense_hamiltonian(6, -0.7, 0.6, 0.0))
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -229,7 +225,7 @@ class TestSectorSpectrum:
         for lam, gamma in draw_noncritical_points(rng, 3):
             phi = float(rng.uniform(0.1, np.pi - 0.1))
             p = params(lam, gamma, n, phi=phi)
-            h = xy_dense_hamiltonian(n, lam, gamma, phi)[np.ix_(idx, idx)]
+            h = dense_hamiltonian(n, lam, gamma, phi)[np.ix_(idx, idx)]
             vals, vecs = eigh(h)
             assert vals[1] - vals[0] > 1e-6, "reference needs a non-degenerate level"
             pair = sector_ground(p, parity)
@@ -369,55 +365,28 @@ class TestMomentumBlocks:
 
 
 class TestLowestStates:
-    def test_diagonal_matrix(self):
-        h = np.diag([3.0, -1.0, 2.0]).astype(complex)
-        pairs = lowest_states(h, 2)
-        assert [p.value for p in pairs] == pytest.approx([-1.0, 2.0])
-        assert abs(pairs[0].vector[1]) == pytest.approx(1.0)
-        # gauge fixing: the dominant component is real positive
-        assert pairs[0].vector[1].real > 0 and abs(pairs[0].vector[1].imag) < 1e-15
-
-    def test_orthonormal_ascending(self):
-        import warnings
-
-        h = build_hamiltonian(params(0.5, 0.5, 4))
-        with warnings.catch_warnings():
-            # the mid-spectrum fourfold zero level is expected here
-            warnings.simplefilter("ignore", DegenerateLevelWarning)
-            pairs = lowest_states(h, 5)
-        vals = [p.value for p in pairs]
-        assert vals == sorted(vals)
-        vecs = np.array([p.vector for p in pairs])
-        gram = vecs.conj() @ vecs.T
-        assert np.max(np.abs(gram - np.eye(5))) < 1e-10
-        for p in pairs:
-            assert np.linalg.norm(h.matrix @ p.vector - p.value * p.vector) < 1e-9
+    """The lowest levels of the full 2^N spectrum, both parity sectors merged."""
 
     def test_global_lowest_matches_closed_form_n6(self):
         # At this point the paired-mode state is the global ground state,
         # so the plain lowest eigenvalue equals the gap-sum energy.
-        from xyberry import ground_energy
-
         p = params(0.5, 0.5, 6)
-        pairs = lowest_states(build_hamiltonian(p), 1)
-        assert pairs[0].value == pytest.approx(ground_energy(p), abs=1e-10)
-
-    def test_count_validation(self):
-        h = build_hamiltonian(params(0.5, 0.5, 4))
-        with pytest.raises(ValueError):
-            lowest_states(h, 0)
-        with pytest.raises(ValueError):
-            lowest_states(h, 17)
+        lowest = np.linalg.eigvalsh(dense_hamiltonian(6, 0.5, 0.5, 0.0))[0]
+        assert lowest == pytest.approx(ground_energy(p), abs=1e-10)
 
     def test_level_crossing_degeneracy_flagged(self):
         # On the gamma = 0 critical segment the two lowest levels actually
         # cross as lam varies; at N=4 the crossing sits at lam = sqrt(2) - 1
         # (the constant paired-sector energy -2*sqrt(2) meets -2 - 2*lam).
-        h = build_hamiltonian(params(math.sqrt(2.0) - 1.0, 0.0, 4))
-        with pytest.warns(DegenerateLevelWarning):
-            pairs = lowest_states(h, 2)
-        assert abs(pairs[0].value - pairs[1].value) < 1e-12
-        assert pairs[0].value == pytest.approx(-2 * math.sqrt(2.0), abs=1e-12)
+        # The two levels are the even and the odd sector's ground states.
+        lam = math.sqrt(2.0) - 1.0
+        vals = np.linalg.eigvalsh(dense_hamiltonian(4, lam, 0.0, 0.0))
+        assert abs(vals[0] - vals[1]) < 1e-12
+        assert vals[0] == pytest.approx(-2 * math.sqrt(2.0), abs=1e-12)
+        for parity in (+1, -1):
+            assert sector_ground(params(lam, 0.0, 4), parity).value == pytest.approx(
+                vals[0], abs=1e-12
+            )
 
 
 class TestSectorGround:
@@ -600,18 +569,6 @@ class TestChainLoop:
         expected = abs(relative_phase_finite(p).wrapped)
         assert abs(measured - expected) < 0.2
 
-    def test_trace_csv(self, tmp_path):
-        trace = loop_states(params(0.5, 0.5, 4), "ground", LoopDiscretization(16))
-        path = tmp_path / "trace.csv"
-        write_loop_trace_csv(trace, path)
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0] == "phi,overlap_re,overlap_im,cumulative_phase"
-        assert len(lines) == 17
-        # final cumulative phase equals the reported loop phase
-        final = float(lines[-1].split(",")[3])
-        r = discrete_loop_phase(params(0.5, 0.5, 4), "ground", LoopDiscretization(16))
-        assert circular_distance(final, r.wrapped) < 1e-9
-
 
 class TestTransportReference:
     @pytest.mark.parametrize("n", [4, 6])
@@ -720,7 +677,7 @@ class TestSzCumulants:
         idx = np.flatnonzero(parity_diagonal(n) == 1)
         sz = total_sz_diagonal(n)[idx]
         for lam, gamma in draw_noncritical_points(rng, 3):
-            _, vecs = eigh(xy_dense_hamiltonian(n, lam, gamma)[np.ix_(idx, idx)])
+            _, vecs = eigh(dense_hamiltonian(n, lam, gamma, 0.0)[np.ix_(idx, idx)])
             prob = np.abs(vecs[:, 0]) ** 2
             raw = [float(np.sum(prob * sz**k)) for k in range(6)]
             # kappa_n from the raw moments by the recursion

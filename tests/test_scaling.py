@@ -17,7 +17,7 @@ from xyberry import (
     step_detect,
 )
 from xyberry import model, scaling
-from xyberry.scaling import write_gap_table_csv, write_step_trace_csv, fit_to_json
+from xyberry.scaling import write_step_trace_csv
 
 
 class TestContinuumMinGap:
@@ -361,23 +361,7 @@ class TestStepDetect:
 
 
 class TestEmitters:
-    def test_gap_table_csv(self, tmp_path):
-        path = tmp_path / "gaps.csv"
-        write_gap_table_csv([[0.5, 0.25], [0.6, 0.2]], path)
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
-        assert lines == ["g,min_gap", "0.5,0.25", "0.6,0.2"]
-
     def test_step_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_step_trace_csv([(0.05, 0.9925)], path)
         assert path.read_text(encoding="utf-8") == "gamma,lambda_star\n0.05,0.9925\n"
-
-    def test_fit_json(self):
-        import json
-
-        fit = fit_exponent(
-            gap_sweep(SweepSpec.approach("lambda", 1.0, 1.0, samples=24, side=-1)), 1.0
-        )
-        payload = json.loads(fit_to_json(fit))
-        assert set(payload) == {"exponent", "intercept", "r_squared", "window"}
-        assert payload["exponent"] == pytest.approx(1.0, abs=0.02)
