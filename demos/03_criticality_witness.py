@@ -9,11 +9,11 @@ while the system keeps a finite gap the whole way around the loop.
 
 import numpy as np
 
-from xyberry import relative_phase_thermo, step_detect
+from xyberry import relative_phase_thermo_arrays, step_detect
 
 gamma = 0.05
 lams = 0.005 * np.arange(401)  # field values 0 .. 2
-trace = np.array([relative_phase_thermo(lam, gamma).value for lam in lams])
+trace = relative_phase_thermo_arrays(lams, gamma)
 
 print(f"relative phase phi_eg(lam) at gamma = {gamma}:")
 for lam in (0.0, 0.5, 0.9, 0.98, 0.995, 1.0, 1.05, 1.5):
@@ -27,7 +27,7 @@ print(f"branch boundary 1 - gamma^2 = {1 - gamma**2:.4f}")
 print("\nthe pi/2-crossing detector tracks the boundary best at small anisotropy:")
 print(f"{'gamma':>7} {'lam*':>9} {'1-gamma^2':>11} {'drift':>8}")
 for g in (0.05, 0.2, 0.5):
-    tr = np.array([relative_phase_thermo(lam, g).value for lam in lams])
+    tr = relative_phase_thermo_arrays(lams, g)
     star = step_detect(lams, tr)
     print(f"{g:7.2f} {star:9.4f} {1 - g * g:11.4f} {1 - g * g - star:8.4f}")
 

@@ -37,7 +37,6 @@ from .model import (
     ground_energy,
     min_gap_mode,
     mode_angles,
-    mode_momenta,
     momentum_grid,
 )
 from .observables import (
@@ -63,7 +62,6 @@ from .phases import (
     BlochLoopSpec,
     PhaseResult,
     circular_distance,
-    excited_phase,
     ground_phase,
     phase_surface,
     relative_phase_finite,
@@ -105,7 +103,6 @@ __all__ = [
     "CriticalityClass",
     "GROUND_ENERGY_PREFACTOR",
     "momentum_grid",
-    "mode_momenta",
     "mode_angles",
     "min_gap_mode",
     "ground_energy",
@@ -119,7 +116,6 @@ __all__ = [
     "spin_half_connection",
     "spin_half_phase",
     "ground_phase",
-    "excited_phase",
     "relative_phase_finite",
     "relative_phase_thermo",
     "relative_phase_thermo_arrays",

@@ -159,6 +159,14 @@ def _parse_sites(text: str) -> list[int]:
     return ns
 
 
+def _parse_one_site(text: str) -> int:
+    """The one chain length of a single-N command; a list is a usage error."""
+    ns = _parse_sites(text)
+    if len(ns) != 1:
+        raise UsageError(f"--n takes one chain length on this command, got {text!r}")
+    return ns[0]
+
+
 _FLAG_SPECS = {
     "phase-surface": {
         "lambda": dict(metavar="MIN:MAX:STEP", help="field grid"),
@@ -267,9 +275,9 @@ def parse_config(argv=None) -> RunConfig:
         if params["tol"] <= 0:
             raise UsageError("critical tolerance must be positive")
         if command == "phase-surface":
-            params["n_sites"] = _parse_sites(raw["n"] or "1000")[0]
+            params["n_sites"] = _parse_one_site(raw["n"] or "1000")
         else:
-            params["n_sites"] = None if raw["n"] is None else _parse_sites(raw["n"])[0]
+            params["n_sites"] = None if raw["n"] is None else _parse_one_site(raw["n"])
         if out is None:
             raise UsageError(f"{command} needs --out")
     elif command == "verify":
@@ -300,7 +308,7 @@ def parse_config(argv=None) -> RunConfig:
         params["samples"] = _parse_number(raw["samples"] or "24", int, "samples")
         if params["samples"] < 8:
             raise UsageError("samples must be >= 8")
-        params["n_sites"] = None if raw["n"] is None else _parse_sites(raw["n"])[0]
+        params["n_sites"] = None if raw["n"] is None else _parse_one_site(raw["n"])
     elif command == "step-trace":
         if raw["gamma"] is None:
             raise UsageError("step-trace needs --gamma values")

@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_CRITICAL_TOL",
     "momentum_grid",
     "grid_points",
-    "mode_momenta",
     "mode_angles",
     "mode_angle_arrays",
     "mode_gap_blocks",
@@ -156,16 +155,18 @@ def grid_points(lam_values, gamma_values):
     return np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
 
 
-def mode_momenta(n_sites: int) -> list[MomentumMode]:
-    """The N/2 positive momentum modes, sorted ascending and strictly inside (0, pi)."""
-    return [MomentumMode(i, float(q)) for i, q in enumerate(momentum_grid(n_sites))]
-
-
 def _mode_components(cos_q, sin_q, lam, gamma):
     """(epsilon, |gamma| sin q, gap) from precomputed cos q and sin q; broadcasts."""
     eps = cos_q - lam
     sines = np.abs(gamma) * sin_q
     return eps, sines, np.hypot(eps, sines)
+
+
+def _point_modes(params: XYParams):
+    """(epsilon, gap) of every mode of ``momentum_grid`` at one point."""
+    q = momentum_grid(params.n_sites)
+    eps, _, gap = _mode_components(np.cos(q), np.sin(q), params.lam, params.gamma)
+    return eps, gap
 
 
 def mode_angle_arrays(q, lam: float, gamma: float):
@@ -229,8 +230,7 @@ def argmin_gap(gaps):
 def min_gap_mode(params: XYParams) -> tuple[MomentumMode, ModeAngles]:
     """The momentum mode with the smallest gap; ties go to the smallest q."""
     q = momentum_grid(params.n_sites)
-    _, gap, _ = mode_angle_arrays(q, params.lam, params.gamma)
-    k0 = argmin_gap(gap)
+    k0 = argmin_gap(_point_modes(params)[1])
     return MomentumMode(k0, float(q[k0])), mode_angles(float(q[k0]), params)
 
 
@@ -239,9 +239,7 @@ def ground_energy(params: XYParams) -> float:
 
     Independent of params.phi: the in-plane rotation is isospectral.
     """
-    q = momentum_grid(params.n_sites)
-    _, gap, _ = mode_angle_arrays(q, params.lam, params.gamma)
-    return -GROUND_ENERGY_PREFACTOR * float(gap.sum())
+    return -GROUND_ENERGY_PREFACTOR * float(_point_modes(params)[1].sum())
 
 
 def classify_criticality(

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DEFAULT_CRITICAL_TOL,
-    XYParams,
-    mode_angle_arrays,
-    momentum_grid,
-)
-from .phases import ground_phase, _require_noncritical
+from .model import DEFAULT_CRITICAL_TOL, XYParams
+from .phases import _point_occupation, ground_phase
 
 __all__ = [
     "CyclicGeneratorSpec",
@@ -55,11 +50,8 @@ def magnetization_analytic(
     convention (occupied mode = spin up, so M_z -> +N in a strong field) is
     calibrated once against the dense oracle.
     """
-    _require_noncritical(params, tol)
-    q = momentum_grid(params.n_sites)
-    eps, gap, _ = mode_angle_arrays(q, params.lam, params.gamma)
-    n_f = float(np.sum(1.0 - eps / gap))
-    return 2.0 * n_f - params.n_sites
+    _, n_f, _ = _point_occupation(params, tol)
+    return 2.0 * float(n_f) - params.n_sites
 
 
 def phase_magnetization_identity(

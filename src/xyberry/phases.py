@@ -19,14 +19,12 @@ from .model import (
     DEFAULT_CRITICAL_TOL,
     Criticality,
     XYParams,
+    _point_modes,
     argmin_gap,
     classify_criticality,
     classify_criticality_arrays,
     grid_points,
-    min_gap_mode,
-    mode_angle_arrays,
     mode_gap_blocks,
-    momentum_grid,
 )
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "spin_half_connection",
     "spin_half_phase",
     "ground_phase",
-    "excited_phase",
     "relative_phase_finite",
     "relative_phase_thermo",
     "relative_phase_thermo_arrays",
@@ -138,6 +135,25 @@ def _require_noncritical(params: XYParams, tol: float):
         )
 
 
+def _occupation(eps, gap):
+    """cos theta_k = eps_k / gap_k and N_f = sum_k (1 - cos theta_k), along the last axis."""
+    cos_theta = eps / gap
+    return cos_theta, np.sum(1.0 - cos_theta, axis=-1)
+
+
+def _frozen_term(cos_theta, gap):
+    """1 - cos theta_k0 per row of (points, modes) arrays, k0 picked by ``argmin_gap``."""
+    k0 = argmin_gap(gap)
+    return 1.0 - cos_theta[np.arange(k0.size), k0]
+
+
+def _point_occupation(params: XYParams, tol: float):
+    """(cos theta, N_f, gap) of one noncritical point; raises on a critical manifold."""
+    _require_noncritical(params, tol)
+    eps, gap = _point_modes(params)
+    return (*_occupation(eps, gap), gap)
+
+
 def ground_phase(params: XYParams, tol: float = DEFAULT_CRITICAL_TOL) -> PhaseResult:
     """Ground-state phase for one phi circuit: sum_k pi (1 - cos theta_k).
 
@@ -147,11 +163,8 @@ def ground_phase(params: XYParams, tol: float = DEFAULT_CRITICAL_TOL) -> PhaseRe
     point, fixes the phase).  Raises on critical manifolds, where the
     degeneracy makes the phase undefined.
     """
-    _require_noncritical(params, tol)
-    q = momentum_grid(params.n_sites)
-    eps, gap, _ = mode_angle_arrays(q, params.lam, params.gamma)
-    cos_theta = eps / gap
-    return PhaseResult.from_value(float(np.pi * np.sum(1.0 - cos_theta)))
+    _, n_f, _ = _point_occupation(params, tol)
+    return PhaseResult.from_value(float(np.pi * n_f))
 
 
 def relative_phase_finite(
@@ -164,10 +177,8 @@ def relative_phase_finite(
     mode's term.  The topological/geometric split is reported on the branch
     |lam| < 1 - gamma^2 where it is meaningful.
     """
-    _require_noncritical(params, tol)
-    _, angles = min_gap_mode(params)
-    cos_theta = angles.epsilon / angles.gap
-    value = -math.pi * (1.0 - cos_theta)
+    cos_theta, _, gap = _point_occupation(params, tol)
+    value = -math.pi * float(_frozen_term(cos_theta[None], gap[None])[0])
     topo = -math.pi if _on_nontrivial_branch(params.lam, params.gamma) else 0.0
     return PhaseResult.from_value(value, topological_part=topo)
 
@@ -188,25 +199,18 @@ def relative_phase_thermo(lam: float, gamma: float) -> PhaseResult:
         -pi + pi * lam * gamma / sqrt((1 - gamma^2)(1 - gamma^2 - lam^2)),
 
     a topological -pi plus a geometric remainder that is odd in lam.  The
-    XX segment gamma = 0, |lam| < 1 is excluded (critical line).
+    XX segment gamma = 0, |lam| < 1 is excluded (critical line).  A view on
+    ``relative_phase_thermo_arrays`` at one point.
     """
-    if gamma == 0.0 and abs(lam) <= 1.0:
-        raise CriticalPointError(_XX_SEGMENT_MESSAGE)
-    if not _on_nontrivial_branch(lam, gamma):
-        return PhaseResult.from_value(0.0)
-    c = 1.0 - gamma * gamma
-    disc = c * (c - lam * lam)
-    # Branch condition |lam| < 1 - gamma^2 < 1 forces c - lam^2 > 0.
-    assert disc > 0.0, "nontrivial branch implies a positive discriminant"
-    geometric = math.pi * lam * gamma / math.sqrt(disc)
-    return PhaseResult.from_value(-math.pi + geometric, topological_part=-math.pi)
+    value = float(relative_phase_thermo_arrays(lam, gamma))
+    topo = -math.pi if _on_nontrivial_branch(lam, gamma) else 0.0
+    return PhaseResult.from_value(value, topological_part=topo)
 
 
 def relative_phase_thermo_arrays(lam, gamma) -> np.ndarray:
-    """``relative_phase_thermo(lam, gamma).value`` over broadcast arrays of points.
+    """The value of ``relative_phase_thermo`` over broadcast arrays of points.
 
-    The scalar's operations in the scalar's order, so each value equals it;
-    raises its CriticalPointError if any point lies on the XX segment.
+    Raises CriticalPointError if any point lies on the XX segment.
     """
     lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
     if np.any((gamma == 0.0) & (np.abs(lam) <= 1.0)):
@@ -217,17 +221,6 @@ def relative_phase_thermo_arrays(lam, gamma) -> np.ndarray:
         disc = c * (c - lam * lam)
         geometric = math.pi * lam * gamma / np.sqrt(np.where(branch, disc, 1.0))
     return np.where(branch, -math.pi + geometric, 0.0)
-
-
-def excited_phase(params: XYParams, tol: float = DEFAULT_CRITICAL_TOL) -> PhaseResult:
-    """Standalone excited-level phase, ground_phase + relative_phase_finite.
-
-    Convention dependent: only the relative phase is fixed by the loop; the
-    absolute excited value inherits the ground-state summation convention.
-    """
-    g = ground_phase(params, tol)
-    r = relative_phase_finite(params, tol)
-    return PhaseResult.from_value(g.value + r.value)
 
 
 PHASE_SURFACE_HEADER = "lambda,gamma,phi_g_raw,phi_g_wrapped,phi_eg,status"
@@ -255,10 +248,9 @@ def phase_surface(
     raw = np.full(lam.size, math.nan)
     phi_eg = np.full(lam.size, math.nan)
     for rows, eps, gap in mode_gap_blocks(lam[idx], gamma[idx], n_sites):
-        cos_theta = eps / gap
-        raw[idx[rows]] = np.pi * np.sum(1.0 - cos_theta, axis=-1)
-        k0 = argmin_gap(gap)
-        phi_eg[idx[rows]] = -np.pi * (1.0 - cos_theta[np.arange(k0.size), k0])
+        cos_theta, n_f = _occupation(eps, gap)
+        raw[idx[rows]] = np.pi * n_f
+        phi_eg[idx[rows]] = -np.pi * _frozen_term(cos_theta, gap)
     status = np.where(ok, "ok", "critical").tolist()
     return list(zip(
         lam.tolist(), gamma.tolist(), raw.tolist(), _wrap_angles(raw).tolist(),

@@ -11,7 +11,9 @@ the continuum one is the closed-form vertex (``continuum_min_gap_arrays``),
 and the finite-N one evaluates a few modes next to the vertex and certifies
 them against the rest (``finite_min_gap_arrays``), reducing a full row of
 ``mode_gap_blocks`` only for points the certificate cannot settle.  The
-scalar ``continuum_min_gap`` and ``finite_min_gap`` are the references.
+scalar ``continuum_min_gap`` and ``finite_min_gap`` are one-point views on
+these array functions; the independent per-point references that the tests
+hold them equal to live in the test suite.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 from .errors import StepDetectionError
 from .model import (
     DEFAULT_CRITICAL_TOL,
+    _mode_components,
     classify_criticality_arrays,
     grid_points,
-    mode_angle_arrays,
     mode_gap_blocks,
     momentum_grid,
 )
@@ -106,34 +108,21 @@ class ExponentFit:
 
 
 def continuum_min_gap(lam: float, gamma: float) -> float:
-    """min over q in [0, pi] of the mode gap, in closed form.
-
-    With x = cos q the squared gap (x - lam)^2 + gamma^2 (1 - x^2) is
-    quadratic in x; the minimizer is lam / (1 - gamma^2) clamped to [-1, 1]
-    when the parabola opens upward, and an endpoint otherwise.
-    """
-    g2 = gamma * gamma
-    candidates = [1.0, -1.0]
-    a = 1.0 - g2
-    if a > 0.0:
-        candidates.append(min(1.0, max(-1.0, lam / a)))
-    best = math.inf
-    for x in candidates:
-        val = (x - lam) ** 2 + g2 * (1.0 - x * x)
-        best = min(best, val)
-    return math.sqrt(max(best, 0.0))
+    """min over q in [0, pi] of the mode gap, in closed form; see the array form."""
+    return float(continuum_min_gap_arrays(lam, gamma))
 
 
 def continuum_min_gap_arrays(lam, gamma) -> np.ndarray:
-    """``continuum_min_gap`` elementwise over broadcast arrays of points.
+    """min over q in [0, pi] of the mode gap, elementwise over broadcast arrays of points.
 
-    The same candidates in the same order (1, -1, then the clamped
-    lam / (1 - gamma^2) where that is positive) and the same arithmetic, so
-    each value equals the scalar function's.  The square goes through
-    ``np.float_power``, which calls C pow as Python's float ``**`` does;
-    ``**`` on arrays squares by multiplication, which differs in the last bit
-    for about one value in a thousand.  An overflowing square raises
-    FloatingPointError, where the scalar function raises OverflowError.
+    With x = cos q the squared gap (x - lam)^2 + gamma^2 (1 - x^2) is
+    quadratic in x; the minimizer is lam / (1 - gamma^2) clamped to [-1, 1]
+    when the parabola opens upward, and an endpoint otherwise.  The
+    candidates are tried in the order 1, -1, clamped vertex.  The square
+    goes through ``np.float_power``, which calls C pow as Python's float
+    ``**`` does; ``**`` on arrays squares by multiplication, which differs
+    in the last bit for about one value in a thousand.  An overflowing
+    square raises OverflowError, as Python's float ``**`` does.
     """
     lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
     g2 = gamma * gamma
@@ -142,18 +131,19 @@ def continuum_min_gap_arrays(lam, gamma) -> np.ndarray:
     clamped = np.clip(lam / np.where(opens_up, a, 1.0), -1.0, 1.0)
     best = np.full(lam.shape, math.inf)
     for x, present in ((1.0, True), (-1.0, True), (clamped, opens_up)):
-        with np.errstate(over="raise"):
-            val = np.float_power(x - lam, 2) + g2 * (1.0 - x * x)
+        try:
+            with np.errstate(over="raise"):
+                val = np.float_power(x - lam, 2) + g2 * (1.0 - x * x)
+        except FloatingPointError as exc:
+            raise OverflowError(str(exc)) from None
         # min(best, val) keeps best unless val < best, NaN included.
         best = np.where(present & (val < best), val, best)
     return np.sqrt(np.maximum(best, 0.0))
 
 
 def finite_min_gap(n_sites: int, lam: float, gamma: float) -> float:
-    """min over the chain's momentum grid of the mode gap."""
-    q = momentum_grid(n_sites)
-    _, gap, _ = mode_angle_arrays(q, lam, gamma)
-    return float(gap.min())
+    """min over the chain's momentum grid of the mode gap; see the array form."""
+    return float(finite_min_gap_arrays(np.array([lam]), np.array([gamma]), n_sites)[0])
 
 
 # Rounding slack of the certificate in finite_min_gap_arrays, derived in its
@@ -165,21 +155,22 @@ _CERT_FLOOR = 2.0**-1000
 
 
 def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
-    """``finite_min_gap`` over equal-length 1-d arrays of points, from a few modes each.
+    """Minimum gap over N's momentum grid at equal-length 1-d arrays of points.
 
-    With x = cos q the squared gap f(x) = (1 - gamma^2) x^2 - 2 lam x +
-    lam^2 + gamma^2 is a quadratic, so the minimizing mode is known up to a
-    few grid steps.  The grid x_k = cos q_k (k = 0 .. M - 1, M = N/2)
-    decreases with k.  Per point:
+    Each point is settled from a few modes.  With x = cos q the squared gap
+    f(x) = (1 - gamma^2) x^2 - 2 lam x + lam^2 + gamma^2 is a quadratic, so
+    the minimizing mode is known up to a few grid steps.  The grid
+    x_k = cos q_k (k = 0 .. M - 1, M = N/2) decreases with k.  Per point:
 
     When a = 1 - gamma^2 > 0 (f convex), with j the count of x_k above the
     vertex lam / a, modes j - 3 .. j + 2 (clipped to the grid) are
     evaluated, and the two outer ones are guards.  Points with a <= 0
     (|gamma| >= 1) are left to the fallback below.
 
-    Each gap is the kernel's own ``hypot(cos_q[k] - lam, |gamma| sin_q[k])``
-    on the one ``cos``/``sin`` of ``momentum_grid(n_sites)``, so it equals
-    the ``mode_gap_blocks`` entry and the minimum equals ``finite_min_gap``.
+    Each gap comes from the mode kernel, ``hypot(cos_q[k] - lam, |gamma|
+    sin_q[k])``, on the one ``cos``/``sin`` of ``momentum_grid(n_sites)``,
+    so it equals the ``mode_gap_blocks`` entry and the minimum equals the
+    full row's.
 
     Certificate.  Every mode left out lies beyond a guard, where by
     convexity the exact f is no smaller than at the guard.  Rounding stands
@@ -219,7 +210,7 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
         above = m_modes - np.searchsorted(cos_q[::-1], vertex, side="right")
         # Columns: low guard, four inner modes, high guard.
         idx = np.clip(above[:, None] + np.arange(-3, 3), 0, m_modes - 1)
-        gaps = np.hypot(cos_q[idx] - lam[:, None], np.abs(gamma)[:, None] * sin_q[idx])
+        _, _, gaps = _mode_components(cos_q[idx], sin_q[idx], lam[:, None], gamma[:, None])
         best = gaps.min(axis=1)
         best2 = best * best
         ok = convex & np.isfinite(best2)

@@ -189,6 +189,9 @@ class TestMainErrorSurface:
             ["phase-surface", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", ","],
             ["gap-map", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", ","],
             ["scaling-fit", "ising", "--n", ","],
+            ["phase-surface", "--lambda", "0:1:0.5", "--gamma", "0.5:1:0.5", "--n", "4,6"],
+            ["gap-map", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", "4,6"],
+            ["scaling-fit", "ising", "--n", "4,6"],
             ["verify", "--n", ",", "--draws", "1", "--steps", "8"],
             ["step-trace", "--gamma", ","],
             ["step-trace", "--gamma", "nan"],

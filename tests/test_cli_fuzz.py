@@ -3,7 +3,9 @@
 Command lines are built from ``cli._FLAG_SPECS``: a subcommand, a subset of
 its flags and ``--config``, and for each flag a token that is malformed, non-finite,
 negative, huge, or a small valid value (chains of at most 8 sites, ranges
-of at most 10 points), so an accepted command line stays cheap to run.
+of at most 10 points), so an accepted command line stays cheap to run.  A
+list of two or more valid chain lengths must be a usage error on the
+commands that take one.
 """
 
 import contextlib
@@ -12,7 +14,7 @@ import json
 import math
 import os
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xyberry import cli
@@ -34,7 +36,7 @@ HUGE = [
 VALID = {
     "lambda": ["0:1:0.25", "-1:1:0.5", "0.5:0.6:0.1", "0:2:0.25", "1.2:1.8:0.1"],
     "gamma": ["0:1:0.25", "-1:1:0.5", "0.2", "0.05,0.5", "0.5:0.6:0.1"],
-    "n": ["4", "6", "8", "4,6"],
+    "n": ["4", "6", "8", "4,6", "6,4,8", "8,8", "4,"],
     "critical-tol": ["1e-9", "0.05"],
     "steps": ["8", "16"],
     "draws": ["1", "2"],
@@ -55,6 +57,9 @@ VALID = {
 }
 
 LATTICE = {"j_a": 1.0, "j_b": 1.0, "j_c": 0.2, "u_ab": 100.0, "omega": 0.5, "delta": 1.0}
+SINGLE_N_COMMANDS = ("phase-surface", "gap-map", "scaling-fit")
+SITE_LISTS = {"--n=4,6", "--n=6,4,8", "--n=8,8"}
+
 # Lattice files whose "j_a" is not a finite number.
 BAD_LATTICE = {"list": [1], "null": None, "nan": math.nan}
 
@@ -80,6 +85,9 @@ def command_lines(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(argv=command_lines())
+@example(
+    argv=["gap-map", "--lambda=0:1:0.25", "--gamma=0:1:0.25", "--n=4,6", "--out={dir}/out.dat"]
+)
 def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))
@@ -97,6 +105,8 @@ def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2), (argv, code)
+    if argv[0] in SINGLE_N_COMMANDS and SITE_LISTS & set(argv):
+        assert code == 2, argv
     if code != 0:
         error = json.loads(stderr.getvalue())
         assert isinstance(error, dict) and "error" in error, (argv, stderr.getvalue())

@@ -11,7 +11,6 @@ from xyberry import (
     CriticalPointError,
     XYParams,
     circular_distance,
-    excited_phase,
     ground_phase,
     min_gap_mode,
     phase_surface,
@@ -29,6 +28,41 @@ from xyberry.phases import PHASE_SURFACE_HEADER, PhaseResult, write_phase_surfac
 
 def params(lam, gamma, n, phi=0.0):
     return XYParams(lam=lam, gamma=gamma, n_sites=n, phi=phi)
+
+
+# Per-point references, independent of the package's shared reduction: the
+# closed forms written out once more in Python floats or on the
+# ``mode_angle_arrays`` row, with the package's operations in its order so
+# that equality is exact.
+
+
+def ground_phase_reference(p: XYParams) -> float:
+    """pi sum_k (1 - cos theta_k) on the ``mode_angle_arrays`` row."""
+    eps, gap, _ = mode_angle_arrays(momentum_grid(p.n_sites), p.lam, p.gamma)
+    return float(np.pi * np.sum(1.0 - eps / gap))
+
+
+def relative_phase_finite_reference(p: XYParams) -> float:
+    """-pi (1 - cos theta_k0) from ``min_gap_mode``'s Bloch angles."""
+    _, angles = min_gap_mode(p)
+    return -math.pi * (1.0 - angles.epsilon / angles.gap)
+
+
+def relative_phase_thermo_reference(lam: float, gamma: float) -> PhaseResult:
+    """The large-N relative phase per point in Python floats, with its split."""
+    if gamma == 0.0 and abs(lam) <= 1.0:
+        raise CriticalPointError(phases._XX_SEGMENT_MESSAGE)
+    if not abs(lam) < 1.0 - gamma * gamma:
+        return PhaseResult.from_value(0.0)
+    c = 1.0 - gamma * gamma
+    geometric = math.pi * lam * gamma / math.sqrt(c * (c - lam * lam))
+    return PhaseResult.from_value(-math.pi + geometric, topological_part=-math.pi)
+
+
+def phase_bits(results) -> np.ndarray:
+    """The float fields of PhaseResults as bit patterns, so -0.0 and NaN compare."""
+    fields = [(r.value, r.wrapped, r.topological_part, r.geometric_part) for r in results]
+    return np.array(fields, dtype=float).view(np.int64)
 
 
 class TestWrapping:
@@ -257,42 +291,49 @@ class TestRelativePhaseThermo:
 
 
 class TestRelativePhaseThermoArrays:
-    """The array pass of step-trace against the scalar, bit for bit."""
+    """The array pass of step-trace and its scalar view against the reference, bit for bit."""
 
-    @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5, -0.3, 0.999, 1.0, 1.5, 1e-200, -1e200])
+    @pytest.mark.parametrize(
+        "gamma",
+        [0.05, 0.2, 0.5, -0.3, 0.999, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+         1.5, 1e-200, -1e200],
+    )
     def test_equals_scalar(self, gamma):
         rng = np.random.default_rng(17)
         lam = np.concatenate([
             0.005 * np.arange(401),
             rng.uniform(-2.0, 2.0, 3000),
             [0.0, -0.0, 1.0, -1.0, 1 - gamma * gamma, -(1 - gamma * gamma), np.nan, np.inf],
+            [1e6, -1e6],
         ])
         got = relative_phase_thermo_arrays(lam, gamma)
-        want = np.array([relative_phase_thermo(l, gamma).value for l in lam.tolist()])
+        want = [relative_phase_thermo_reference(l, gamma) for l in lam.tolist()]
         # Compared as bit patterns, so the sign of zero counts too.
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(got.view(np.int64), phase_bits(want)[:, 0])
+        # The scalar view, with its topological/geometric split on both
+        # branches, on the evenly spaced and edge points.
+        edges = np.concatenate([lam[:401], lam[-10:]]).tolist()
+        views = [relative_phase_thermo(l, gamma) for l in edges]
+        np.testing.assert_array_equal(phase_bits(views), phase_bits(want[:401] + want[-10:]))
 
     def test_broadcasts_over_gamma(self):
         got = relative_phase_thermo_arrays(0.3, np.array([0.2, 0.5, 2.0]))
-        assert got.tolist() == [relative_phase_thermo(0.3, g).value for g in (0.2, 0.5, 2.0)]
+        assert got.tolist() == [
+            relative_phase_thermo_reference(0.3, g).value for g in (0.2, 0.5, 2.0)
+        ]
 
     @pytest.mark.parametrize("lam", [[0.5], [2.0, 1.0], [-1.0], [3.0, -0.0]])
     def test_xx_segment_raises_the_scalar_error(self, lam):
-        with pytest.raises(CriticalPointError) as scalar:
+        with pytest.raises(CriticalPointError) as reference:
+            relative_phase_thermo_reference(lam[-1], 0.0)
+        message = re.escape(str(reference.value))
+        with pytest.raises(CriticalPointError, match=message):
             relative_phase_thermo(lam[-1], 0.0)
-        with pytest.raises(CriticalPointError, match=re.escape(str(scalar.value))):
+        with pytest.raises(CriticalPointError, match=message):
             relative_phase_thermo_arrays(np.array(lam), 0.0)
 
     def test_off_the_xx_segment_at_zero_gamma(self):
         assert relative_phase_thermo_arrays(np.array([1.5, -2.0]), 0.0).tolist() == [0.0, 0.0]
-
-
-class TestExcitedPhase:
-    def test_composition(self):
-        p = params(0.5, 0.5, 6)
-        assert excited_phase(p).value == pytest.approx(
-            ground_phase(p).value + relative_phase_finite(p).value, abs=1e-12
-        )
 
 
 class TestLoopCriticalityWitness:
@@ -341,6 +382,8 @@ class TestPhaseSurface:
             assert status == "ok"
             assert (raw, wrapped) == (g.value, g.wrapped)
             assert phi_eg == relative_phase_finite(p).value
+            assert raw == ground_phase_reference(p)
+            assert phi_eg == relative_phase_finite_reference(p)
 
     @pytest.mark.parametrize("block", [1, 15, 40])
     def test_uneven_blocks_keep_rows(self, monkeypatch, block):

@@ -1,5 +1,7 @@
 """Gap sweeps, exponent fits, step detection."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -18,6 +20,31 @@ from xyberry import (
 )
 from xyberry import model, scaling
 from xyberry.scaling import write_step_trace_csv
+
+
+def continuum_min_gap_reference(lam: float, gamma: float) -> float:
+    """The continuum minimum gap per point in Python floats, the array path's reference.
+
+    With x = cos q the squared gap (x - lam)^2 + gamma^2 (1 - x^2) is
+    quadratic in x; the candidates are the endpoints and, when the parabola
+    opens upward, the vertex lam / (1 - gamma^2) clamped to [-1, 1].
+    """
+    g2 = gamma * gamma
+    candidates = [1.0, -1.0]
+    a = 1.0 - g2
+    if a > 0.0:
+        candidates.append(min(1.0, max(-1.0, lam / a)))
+    best = math.inf
+    for x in candidates:
+        val = (x - lam) ** 2 + g2 * (1.0 - x * x)
+        best = min(best, val)
+    return math.sqrt(max(best, 0.0))
+
+
+def finite_min_gap_reference(n_sites: int, lam: float, gamma: float) -> float:
+    """The minimum of one point's full ``mode_angle_arrays`` row: the vertex search's reference."""
+    _, gap, _ = model.mode_angle_arrays(model.momentum_grid(n_sites), lam, gamma)
+    return float(gap.min())
 
 
 class TestContinuumMinGap:
@@ -52,14 +79,17 @@ class TestContinuumMinGap:
 
 
 class TestContinuumMinGapArrays:
-    """The vectorized continuum gap against the scalar one, with ==."""
+    """The vectorized continuum gap and its scalar view against the reference, with ==."""
 
     @staticmethod
-    def assert_equals_scalar(lam, gamma):
+    def assert_equals_reference(lam, gamma, view=False):
         gaps = continuum_min_gap_arrays(lam, gamma)
-        want = [continuum_min_gap(l, g) for l, g in zip(lam.tolist(), gamma.tolist())]
-        mismatches = np.flatnonzero(gaps != np.array(want))
+        points = list(zip(lam.tolist(), gamma.tolist()))
+        want = np.array([continuum_min_gap_reference(l, g) for l, g in points])
+        mismatches = np.flatnonzero(gaps != want)
         assert mismatches.size == 0, [(lam[i], gamma[i]) for i in mismatches[:5]]
+        if view:
+            assert [continuum_min_gap(l, g) for l, g in points] == want.tolist()
 
     def test_random_grids(self):
         # |gamma| < 1 (interior minimum), |gamma| = 1 (a = 0), |gamma| > 1
@@ -79,23 +109,29 @@ class TestContinuumMinGapArrays:
             rng.choice([-1.0, 1.0], size) * rng.uniform(1, 1e3, size),
             rng.uniform(-2, 2, size),
         ])
-        self.assert_equals_scalar(lam, gamma)
+        self.assert_equals_reference(lam, gamma)
 
     def test_grid_edges(self):
+        # Signed zeros, |gamma| = 1 and one ulp either side of it, lam = +-1e6.
+        ulps = [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
         lam, gamma = model.grid_points(
             [-1e6, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1e6],
-            [-2.0, -1.0, np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0, 3.0],
+            [-2.0, -1.0, -ulps[0], -ulps[1], -0.0, 0.0, *ulps, 1.0, 3.0],
         )
-        self.assert_equals_scalar(lam, gamma)
+        self.assert_equals_reference(lam, gamma, view=True)
 
     def test_broadcasts(self):
         gaps = continuum_min_gap_arrays(np.array([0.5, 1.5]), 0.5)
-        assert gaps.tolist() == [continuum_min_gap(0.5, 0.5), continuum_min_gap(1.5, 0.5)]
+        assert gaps.tolist() == [
+            continuum_min_gap_reference(0.5, 0.5), continuum_min_gap_reference(1.5, 0.5)
+        ]
 
     def test_overflow_raises_like_the_scalar(self):
         with pytest.raises(OverflowError):
+            continuum_min_gap_reference(1e200, 0.5)
+        with pytest.raises(OverflowError):
             continuum_min_gap(1e200, 0.5)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(OverflowError):
             continuum_min_gap_arrays(np.array([0.5, 1e200]), np.array([0.5, 0.5]))
 
 
@@ -168,14 +204,19 @@ class TestFiniteMinGapArrays:
 
     @pytest.mark.parametrize("n_sites", [4, 8, 64, 1000])
     def test_equals_finite_min_gap(self, n_sites):
+        # The planted points hold +-0.0, |gamma| = 1 and 1 - 1 ulp, 1 + 1 ulp,
+        # huge, overflowing and NaN points; the scalar view is checked too.
         rng = np.random.default_rng(n_sites)
         planted_lam, planted_gamma = _planted_points(rng)
-        lam = np.concatenate([rng.uniform(-2, 2, 200), planted_lam])
-        gamma = np.concatenate([rng.uniform(-1.5, 1.5, 200), planted_gamma])
+        lam = np.concatenate([rng.uniform(-2, 2, 200), planted_lam, [1e6, -1e6]])
+        gamma = np.concatenate([rng.uniform(-1.5, 1.5, 200), planted_gamma, [0.5, 0.5]])
+        points = list(zip(lam.tolist(), gamma.tolist()))
         with np.errstate(all="ignore"):
             gaps = finite_min_gap_arrays(lam, gamma, n_sites)
-            want = [finite_min_gap(n_sites, l, g) for l, g in zip(lam.tolist(), gamma.tolist())]
+            want = [finite_min_gap_reference(n_sites, l, g) for l, g in points]
+            views = [finite_min_gap(n_sites, l, g) for l, g in points]
         np.testing.assert_array_equal(gaps, want)
+        np.testing.assert_array_equal(views, want)
 
     def test_exactly_flat_rows_fall_back(self, monkeypatch):
         # lam = 0, |gamma| = 1: every mode's gap is 1 up to rounding, and
@@ -251,9 +292,9 @@ class TestGapSweep:
         for g, gap in gap_sweep(spec):
             lam, gamma = (g, 0.6) if vary == "lambda" else (0.6, g)
             if n_sites is None:
-                assert gap == continuum_min_gap(lam, gamma)
+                assert gap == continuum_min_gap_reference(lam, gamma)
             else:
-                assert gap == finite_min_gap(n_sites, lam, gamma)
+                assert gap == finite_min_gap_reference(n_sites, lam, gamma)
 
     def test_validation(self):
         with pytest.raises(ValueError):
