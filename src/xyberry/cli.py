@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -331,21 +331,24 @@ def parse_config(argv=None) -> RunConfig:
 def _atomic_write(path: str, write) -> None:
     """Create ``path`` atomically: ``write(tmp)`` fills a fresh temporary file.
 
-    The temporary file has a unique name in the target directory, so
-    concurrent runs never share it, and it is removed if anything fails, so
-    a failed run leaves neither a partial artifact nor a stray file.
+    The temporary file takes a new random name in the target directory and
+    is created exclusively, so concurrent runs never share it.  It is
+    created with mode 0o666 and the process umask alone trims that, so the
+    artifact gets the usual mode without the umask ever being changed.  It
+    is removed if anything fails, so a failed run leaves neither a partial
+    artifact nor a stray file.
     """
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
-    )
-    os.close(fd)
+    stem = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.")
+    for _ in range(100):
+        tmp = f"{stem}{os.urandom(6).hex()}.tmp"
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary name beside {path}")
     try:
-        # mkstemp creates the file owner-only; give the artifact the usual mode.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         write(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -536,9 +539,12 @@ def _run_lattice_map(cfg: RunConfig) -> int:
             data = json.load(fh, parse_int=float)  # a huge integer reads as inf
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"unreadable input file {p['input']}: {exc}") from exc
-    known = {"j_a", "j_b", "j_c", "u_ab", "omega", "delta", "phase"}
+    known = {f.name for f in fields(LatticeParams)}
     if not isinstance(data, dict) or not set(data) <= known:
         raise UsageError(f"lattice input keys must be a subset of {sorted(known)}")
+    missing = {f.name for f in fields(LatticeParams) if f.default is MISSING} - set(data)
+    if missing:
+        raise UsageError(f"lattice input misses required keys {sorted(missing)}")
     for key, value in data.items():
         if type(value) is not float or not math.isfinite(value):  # bool and null too
             raise UsageError(f"lattice input {key!r} must be a finite number, got {value!r}")

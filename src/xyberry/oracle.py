@@ -49,6 +49,14 @@ Five structural facts are exploited throughout:
   -pi^3 kappa_3 w^3 / (48 m^2).  Only a degenerate level is stepped around
   the loop, by subspace projection.
 
+Every eigensolve goes through one entry point, ``eigh``.  It calls the
+LAPACK driver scipy.linalg.eigh picks by default (?syevr for real blocks,
+?heevr for complex ones) with the same arguments, so its eigenpairs are
+bit-identical to scipy's, and it keeps the driver's workspace sizes per
+(dtype, dim) instead of querying them on every call.  The blocks are small
+(dim 1-8 at N = 6), and on them scipy's per-call work costs more than
+LAPACK itself.
+
 Dense matrices are capped at N = 10 sites by default; the environment
 variable XYBERRY_MAX_N overrides the cap.
 """
@@ -65,7 +73,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigh
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DegenerateLevelWarning,
@@ -124,14 +132,61 @@ LOOP_LEVELS = 6
 SPECTRUM_CACHE_SIZE = 32
 
 
-def _lowest_eigh(mat: np.ndarray, count: int):
-    """Lowest ``count`` eigenpairs, ascending.
+@functools.lru_cache(maxsize=64)
+def _evr_driver(dtype: np.dtype, dim: int):
+    """The ?syevr (real) or ?heevr (complex) driver, its name and workspace at ``dim``.
 
-    The subset LAPACK driver occasionally reports an internal error on
-    small matrices with tightly clustered eigenvalues; fall back to the
-    full decomposition in that case.  It is used outright where the subset
-    saves nothing: for half the levels or more, and below 17 rows, where
-    call overhead outweighs the eigenvectors left out.
+    The sizes are the driver's own workspace query, which scipy.linalg.eigh
+    repeats on every call; here it runs once per (dtype, dim).
+    """
+    hermitian = dtype.kind == "c"
+    name = "heevr" if hermitian else "syevr"
+    driver, query = get_lapack_funcs((name, name + "_lwork"), dtype=dtype)
+    label = driver.typecode + name
+    *sizes, info = query(n=dim, lower=True)
+    if info != 0:
+        raise LinAlgError(f"LAPACK {label} workspace query failed (info {info})")
+    keys = ("lwork", "lrwork", "liwork") if hermitian else ("lwork", "liwork")
+    return driver, label, {key: int(size.real) for key, size in zip(keys, sizes)}
+
+
+def eigh(a, subset_by_index=None):
+    """Ascending eigenvalues and eigenvectors of a real symmetric or complex
+    Hermitian matrix, read from its lower triangle.
+
+    This is the LAPACK call scipy.linalg.eigh makes by default (?syevr or
+    ?heevr, lower, with vectors), so every eigenpair is bit-identical to
+    scipy's; only scipy's per-call argument handling and workspace query
+    are left out.  ``subset_by_index=[lo, hi]`` asks for levels lo..hi
+    (range 'I') and trims the output to the m levels found.  The input is
+    never overwritten.  A non-finite entry raises ValueError before LAPACK
+    runs, and a nonzero LAPACK ``info`` raises LinAlgError.
+    """
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    driver, label, work = _evr_driver(a.dtype, a.shape[0])
+    if subset_by_index is None:
+        w, v, _, _, info = driver(a, lower=True, **work)
+    else:
+        lo, hi = subset_by_index
+        w, v, m, _, info = driver(a, range="I", il=lo + 1, iu=hi + 1, lower=True, **work)
+        w, v = w[:m], v[:, :m]
+    if info != 0:
+        raise LinAlgError(f"LAPACK {label} failed (info {info})")
+    return w, v
+
+
+def _lowest_eigh(mat: np.ndarray, count: int):
+    """Lowest ``count`` eigenpairs, ascending, from ``eigh``'s ?syevr/?heevr call.
+
+    The pairs are bit-identical to scipy.linalg.eigh's.  The subset driver
+    occasionally reports an internal error on small matrices with tightly
+    clustered eigenvalues; fall back to the full decomposition in that
+    case.  It is used outright for half the levels or more, and below 17
+    rows.  There the subset saves at most about 30 us per block, and
+    moving the threshold would change the last bits of the levels that the
+    artifacts are pinned to.
     """
     dim = mat.shape[0]
     if count < dim // 2 and dim > 16:

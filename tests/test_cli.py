@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -263,6 +264,25 @@ class TestMainErrorSurface:
         assert seen[0] != seen[1] and all(t != str(out) + ".tmp" for t in seen)
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_atomic_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # Flipping the process umask, even briefly, would let a file another
+        # thread creates meanwhile come out world-writable.
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        umask = 0o027
+        old = os.umask(umask)
+        monkeypatch.setattr(os, "umask", no_umask)
+        out = tmp_path / "a.txt"
+        try:
+            cli._atomic_write(str(out), cli._text_writer("new"))
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert out.read_text() == "new"
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert list(tmp_path.iterdir()) == [out]
+
 
 class TestPhaseSurfaceCommand:
     def test_artifact_and_determinism(self, tmp_path, capsys):
@@ -512,6 +532,26 @@ class TestLatticeMapCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.err)["error"] == "ValueError"
         assert captured.out == "" and not out.exists()
+
+    def test_missing_required_keys_are_usage_errors(self, tmp_path, capsys):
+        inp = tmp_path / "lp.json"
+        inp.write_text(json.dumps({"j_a": 1.0}))
+        out = tmp_path / "eff.json"
+        assert main(["lattice-map", "--input", str(inp), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        for key in ("j_b", "j_c", "u_ab", "omega", "delta"):
+            assert key in err["message"]
+        assert "j_a" not in err["message"] and "phase" not in err["message"]
+        assert captured.out == "" and not out.exists()
+
+    def test_phase_is_optional(self, tmp_path, capsys):
+        inp = tmp_path / "lp.json"
+        inp.write_text(json.dumps({"j_a": 1.0, "j_b": 1.0, "j_c": 1.0, "u_ab": 10.0,
+                                   "omega": 0.5, "delta": 1.0}))
+        assert main(["lattice-map", "--input", str(inp)]) == 0
+        assert json.loads(capsys.readouterr().out)["phi"] == 0.0
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["lattice-map", "--input", str(tmp_path / "nope.json")]) == 2

@@ -51,6 +51,7 @@ VALID = {
         "{dir}/lattice_list.json",
         "{dir}/lattice_null.json",
         "{dir}/lattice_nan.json",
+        "{dir}/lattice_partial.json",
     ],
     "out": ["{dir}/out.dat", "{dir}/no/such/dir/out.dat"],
     "config": ["{dir}/config.json", "{dir}/missing.json", "{dir}/broken.json"],
@@ -88,11 +89,13 @@ def command_lines(draw):
 @example(
     argv=["gap-map", "--lambda=0:1:0.25", "--gamma=0:1:0.25", "--n=4,6", "--out={dir}/out.dat"]
 )
+@example(argv=["lattice-map", "--input={dir}/lattice_partial.json"])
 def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))
     for name, value in BAD_LATTICE.items():
         (work / f"lattice_{name}.json").write_text(json.dumps({**LATTICE, "j_a": value}))
+    (work / "lattice_partial.json").write_text(json.dumps({"j_a": 1.0}))
     (work / "broken.json").write_text("{not json")
     (work / "config.json").write_text(json.dumps({"seed": 1}))
     argv = [token.replace("{dir}", str(work)) for token in argv]

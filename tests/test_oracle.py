@@ -364,6 +364,96 @@ class TestMomentumBlocks:
             assert abs(magnetization_ed(p) - want) < VERIFY_MAGNETIZATION_TOL
 
 
+def _hermitian(rng, dim, dtype):
+    a = rng.standard_normal((dim, dim))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    return a + a.conj().T
+
+
+class TestEigensolveBinding:
+    """``oracle.eigh``, the oracle's one eigensolve, against scipy.linalg.eigh."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bit_identical_to_scipy(self, dtype):
+        rng = np.random.default_rng(17 if dtype is float else 18)
+        for dim in range(1, 65):
+            a = _hermitian(rng, dim, dtype)
+            kept = a.copy()
+            top = int(rng.integers(dim))
+            for subset in (None, [0, top]):
+                want_vals, want_vecs = eigh(a, subset_by_index=subset)
+                vals, vecs = oracle.eigh(a, subset_by_index=subset)
+                where = (dim, subset)
+                assert vals.dtype == want_vals.dtype and vecs.dtype == want_vecs.dtype, where
+                assert np.array_equal(vals, want_vals), where
+                assert np.array_equal(vecs, want_vecs), where
+            assert np.array_equal(a, kept), "the input must not be overwritten"
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_input_raises_before_lapack(self, bad, dtype, monkeypatch):
+        def no_lapack(*args):
+            raise AssertionError("LAPACK reached")
+
+        monkeypatch.setattr(oracle, "_evr_driver", no_lapack)
+        a = _hermitian(np.random.default_rng(3), 20, dtype)
+        a[4, 7] = a[7, 4] = bad
+        for subset in (None, [0, 2]):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                oracle.eigh(a, subset_by_index=subset)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_failed_subset_falls_back_to_the_full_solve(self, dtype, monkeypatch):
+        # A nonzero info from the subset driver is a LinAlgError, on which
+        # _lowest_eigh takes the lowest pairs of the full decomposition.
+        real_driver = oracle._evr_driver
+        ranges = []
+
+        def failing_subset(kind, dim):
+            driver, label, work = real_driver(kind, dim)
+
+            def call(a, **kwargs):
+                ranges.append(kwargs.get("range", "A"))
+                *out, info = driver(a, **kwargs)
+                return (*out, 1 if kwargs.get("range") == "I" else info)
+
+            return call, label, work
+
+        monkeypatch.setattr(oracle, "_evr_driver", failing_subset)
+        a = _hermitian(np.random.default_rng(5), 40, dtype)
+        kept = a.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            oracle.eigh(a, subset_by_index=[0, 2])
+        ranges.clear()
+        vals, vecs = oracle._lowest_eigh(a, 3)
+        assert ranges == ["I", "A"]
+        want_vals, want_vecs = eigh(a)
+        assert np.array_equal(vals, want_vals[:3])
+        assert np.array_equal(vecs, want_vecs[:, :3])
+        assert np.array_equal(a, kept)
+        assert vals.flags.owndata and vecs.flags.owndata  # no view pins the full set
+
+    def test_one_call_per_block_and_per_loop_step(self, monkeypatch):
+        # The benchmark's eigensolve span wraps ``oracle.eigh``; this keeps
+        # every eigensolve going through that one name.
+        dims = []
+        binding = oracle.eigh
+
+        def counting(a, *args, **kwargs):
+            dims.append(np.shape(a)[0])
+            return binding(a, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigh", counting)
+        oracle._solve_sector.__wrapped__(6, 0.7, 0.4, +1)
+        blocks = oracle._translation_layout(6, +1).blocks
+        assert len(blocks) == 4
+        assert dims == [block.reps.size for block in blocks]
+        dims.clear()
+        spin_half_loop_phase(1.0, 24)
+        assert dims == [2] * 24
+
+
 class TestLowestStates:
     """The lowest levels of the full 2^N spectrum, both parity sectors merged."""
 
