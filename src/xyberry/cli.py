@@ -7,9 +7,9 @@ temporary file and atomically renamed, so a failing run never leaves a
 partial file behind.  Failures print machine-readable JSON on stderr and
 exit nonzero (2 for usage errors, 1 for runtime errors).
 
-Flags may also be supplied through a JSON config file (``--config``); flags
-given explicitly on the command line override file values, and unknown file
-keys are rejected.
+Flags may also be supplied through a JSON config file (``--config``) of
+strings and finite numbers, checked exactly like flags; explicit flags
+override file values, and unknown file keys are rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,8 +63,6 @@ from .scaling import (
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
-COMMANDS = ("phase-surface", "gap-map", "verify", "scaling-fit", "step-trace", "lattice-map")
-
 # Verification thresholds: discrete-vs-closed-form loop phase, energy and
 # magnetization against the dense oracle.  The identity row is a ratio to a
 # derived bound (see ``_identity_ratio``), so it passes below 1.
@@ -77,8 +75,9 @@ VERIFY_IDENTITY_RATIO = 1.0
 # summary names no point for them.
 VERIFY_LOCATION_FLOOR = 1e-12
 
-# Largest point count one min:max:step range, or verify's --draws, may ask
-# for; checked before the points are allocated.
+# Largest point count one min:max:step range, or one count flag (--draws,
+# --steps, --samples, N/2 for a single --n), may ask for; checked before
+# anything is allocated.
 MAX_RANGE_POINTS = 1_000_000
 
 
@@ -129,81 +128,141 @@ def parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _parse_number(text: str, kind, flag: str):
-    """Convert one flag value with ``kind`` (int or float); it must be finite."""
+def _parse_number(text: str, kind):
+    """One ``kind`` (int or float) value; a float must be finite."""
     try:
         value = kind(text)
     except ValueError as exc:
         expected = "an integer" if kind is int else "a number"
-        raise UsageError(f"--{flag} must be {expected}, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise UsageError(f"--{flag} must be finite, got {text!r}")
+        raise UsageError(f"must be {expected}, got {text!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"must be finite, got {text!r}")
     return value
 
 
-def _parse_list(text: str, kind, flag: str) -> list:
-    """Comma-separated values of one flag, each as ``_parse_number``; at least one."""
-    values = [_parse_number(p, kind, flag) for p in text.split(",") if p != ""]
+def _parse_list(text: str, kind) -> list:
+    """Comma-separated values, each as ``_parse_number``; at least one."""
+    values = [_parse_number(p, kind) for p in text.split(",") if p != ""]
     if not values:
-        raise UsageError(f"--{flag} needs at least one value, got {text!r}")
+        raise UsageError(f"needs at least one value, got {text!r}")
     return values
 
 
+def _count(low: int, high=MAX_RANGE_POINTS):
+    """A converter to one integer from ``low`` to ``high``."""
+    def convert(text: str) -> int:
+        value = _parse_number(text, int)
+        if not low <= value <= high:
+            raise UsageError(f"must be an integer from {low} to {high}, got {text!r}")
+        return value
+    return convert
+
+
+def _positive(text: str) -> float:
+    value = _parse_number(text, float)
+    if value <= 0:
+        raise UsageError(f"must be positive, got {text!r}")
+    return value
+
+
 def _parse_sites(text: str) -> list[int]:
-    ns = _parse_list(text, int, "n")
+    ns = _parse_list(text, int)
     for n in ns:
         if n < 4 or n % 2 != 0:
-            raise UsageError(
-                f"n_sites must be even and >= 4 (momenta pair as (k, -k)), got {n}"
-            )
+            raise UsageError(f"n_sites must be even and >= 4 (momenta pair as (k, -k)), got {n}")
     return ns
 
 
 def _parse_one_site(text: str) -> int:
-    """The one chain length of a single-N command; a list is a usage error."""
+    """The one chain length of a single-N command; N/2 is at most MAX_RANGE_POINTS."""
     ns = _parse_sites(text)
     if len(ns) != 1:
-        raise UsageError(f"--n takes one chain length on this command, got {text!r}")
+        raise UsageError(f"takes one chain length on this command, got {text!r}")
+    if ns[0] // 2 > MAX_RANGE_POINTS:
+        raise UsageError(f"chain length {ns[0]} has more than {MAX_RANGE_POINTS} momentum pairs")
     return ns[0]
 
 
+def _parse_window(text: str) -> tuple[float, float]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise UsageError(f"window must be LO:HI, got {text!r}")
+    lo, hi = (_parse_number(p, float) for p in parts)
+    if not 0 < lo < hi:
+        raise UsageError(f"window must satisfy 0 < LO < HI, got {text!r}")
+    return lo, hi
+
+
+def _parse_approach(text: str) -> str:
+    if text not in ("ising", "xx"):
+        raise UsageError(f"must be ising or xx, got {text!r}")
+    return text
+
+
+def _parse_gammas(text: str) -> list[float]:
+    gammas = _parse_list(text, float)
+    if 0.0 in gammas:
+        raise UsageError("gamma values must be nonzero (XX line is critical)")
+    return gammas
+
+
+_REQUIRED = object()
+
+
+class _Flag(NamedTuple):
+    """One flag: its RunConfig.parameters key (or ``output_path``, ``seed``), converter, and
+    the text an absent flag converts from, ``_REQUIRED``, or None for no value."""
+
+    key: str
+    convert: Callable[[str], object]
+    default: object
+    help: str
+    metavar: Optional[str] = None
+    positional: bool = False
+
+
+# The flags phase-surface and gap-map share.
+_GRID_FLAGS = {
+    "lambda": _Flag("lam_values", parse_range, _REQUIRED, "field grid", "MIN:MAX:STEP"),
+    "gamma": _Flag("gamma_values", parse_range, _REQUIRED, "anisotropy grid", "MIN:MAX:STEP"),
+    "critical-tol": _Flag("tol", _positive, "%g" % DEFAULT_CRITICAL_TOL, "manifold tolerance"),
+    "out": _Flag("output_path", str, _REQUIRED, "output CSV path"),
+}
+# Every flag of every command, by flag name without the leading dashes.
 _FLAG_SPECS = {
     "phase-surface": {
-        "lambda": dict(metavar="MIN:MAX:STEP", help="field grid"),
-        "gamma": dict(metavar="MIN:MAX:STEP", help="anisotropy grid"),
-        "n": dict(help="chain length for the finite-size phases (default 1000)"),
-        "critical-tol": dict(help="manifold membership tolerance (default 1e-9)"),
-        "out": dict(help="output CSV path"),
+        **_GRID_FLAGS,
+        "n": _Flag("n_sites", _parse_one_site, "1000", "chain length for the finite-size phases"),
     },
     "gap-map": {
-        "lambda": dict(metavar="MIN:MAX:STEP", help="field grid"),
-        "gamma": dict(metavar="MIN:MAX:STEP", help="anisotropy grid"),
-        "n": dict(help="chain length; omit for the continuum minimum"),
-        "critical-tol": dict(help="manifold membership tolerance (default 1e-9)"),
-        "out": dict(help="output CSV path"),
+        **_GRID_FLAGS,
+        "n": _Flag("n_sites", _parse_one_site, None, "chain length; omit for the continuum gap"),
     },
     "verify": {
-        "n": dict(metavar="N[,N...]", help="even chain lengths (default 4,6)"),
-        "steps": dict(help="loop discretization steps (default 2000)"),
-        "draws": dict(help="random parameter draws (default 10)"),
-        "seed": dict(help="RNG seed for the draws (default 0)"),
-        "out": dict(help="summary JSON path (optional; summary always printed)"),
+        "n": _Flag("n_sites", _parse_sites, "4,6", "even chain lengths", "N[,N...]"),
+        "steps": _Flag("steps", _count(8), "2000", "loop discretization steps"),
+        "draws": _Flag("draws", _count(1), "10", "random parameter draws"),
+        "seed": _Flag("seed", _count(0, math.inf), "0", "RNG seed for the draws"),
+        "out": _Flag("output_path", str, None, "summary JSON path (summary always printed)"),
     },
     "scaling-fit": {
-        "window": dict(metavar="LO:HI", help="fit window in |g - g_c| (default 1e-3:1e-1)"),
-        "samples": dict(help="sweep samples (default 24)"),
-        "n": dict(help="chain length; omit for continuum sweeps"),
-        "out": dict(help="fit JSON path (optional; JSON always printed)"),
+        "approach": _Flag("approach", _parse_approach, _REQUIRED, "critical approach",
+                          "{ising,xx}", positional=True),
+        "window": _Flag("window", _parse_window, "%g:%g" % DEFAULT_FIT_WINDOW,
+                        "fit window in |g - g_c|", "LO:HI"),
+        "samples": _Flag("samples", _count(8), "24", "sweep samples"),
+        "n": _Flag("n_sites", _parse_one_site, None, "chain length; omit for continuum sweeps"),
+        "out": _Flag("output_path", str, None, "fit JSON path (JSON always printed)"),
     },
     "step-trace": {
-        "gamma": dict(metavar="G[,G...]", help="anisotropy values to trace"),
-        "lambda": dict(metavar="MIN:MAX:STEP", help="field grid (default 0:2:0.005)"),
-        "out": dict(help="output CSV path"),
+        "gamma": _Flag("gammas", _parse_gammas, _REQUIRED, "nonzero anisotropies", "G[,G...]"),
+        "lambda": _GRID_FLAGS["lambda"]._replace(default="0:2:0.005"),
+        "out": _GRID_FLAGS["out"],
     },
     "lattice-map": {
-        "input": dict(help="lattice parameters JSON file"),
-        "threshold": dict(help="Mott-regime threshold (default 0.1)"),
-        "out": dict(help="output JSON path (optional; JSON always printed)"),
+        "input": _Flag("input", str, _REQUIRED, "lattice parameters JSON file"),
+        "threshold": _Flag("threshold", _positive, "0.1", "Mott-regime threshold"),
+        "out": _Flag("output_path", str, None, "output JSON path (JSON always printed)"),
     },
 }
 
@@ -216,116 +275,57 @@ def _build_parser() -> _Parser:
     for command, flags in _FLAG_SPECS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="JSON file of flag values")
-        if command == "scaling-fit":
-            p.add_argument("approach", choices=("ising", "xx"), nargs="?", default=None)
-        for name, kw in flags.items():
-            p.add_argument(f"--{name}", dest=name.replace("-", "_"), default=None, **kw)
+        for name, flag in flags.items():
+            name, kw = (name, {"nargs": "?"}) if flag.positional else (f"--{name}", {"dest": name})
+            note = {_REQUIRED: " (required)", None: ""}.get(flag.default, f" (default {flag.default})")
+            p.add_argument(name, default=None, metavar=flag.metavar, help=flag.help + note, **kw)
     return parser
 
 
-def _merge_config(args: argparse.Namespace, command: str) -> dict:
-    """Fill unset flags from the JSON config file; explicit flags win."""
-    values = {k.replace("-", "_"): None for k in _FLAG_SPECS[command]}
-    if command == "scaling-fit":
-        values["approach"] = None
-    for key, val in vars(args).items():
-        if isinstance(val, list):  # argparse's value for "--flag=--"
-            raise UsageError(f"--{key.replace('_', '-')} needs a value")
-    for key in values:
-        values[key] = getattr(args, key, None)
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"unreadable config file {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, val in file_values.items():
-            dest = key.replace("-", "_")
-            if dest not in values:
-                raise UsageError(f"unknown config key {key!r} for {command}")
-            if values[dest] is None:
-                values[dest] = str(val) if not isinstance(val, str) else val
-    return values
-
-
 def parse_config(argv=None) -> RunConfig:
-    """Parse flags (and optional config file) into a validated RunConfig."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        raise UsageError(f"a command is required: one of {', '.join(COMMANDS)}")
-    command = args.command
-    raw = _merge_config(args, command)
+    """Parse flags (and optional config file) into a validated RunConfig.
 
-    params: dict = {}
-    out = raw.get("out")
-    seed = 0
-    if command in ("phase-surface", "gap-map"):
-        if raw["lambda"] is None or raw["gamma"] is None:
-            raise UsageError(f"{command} needs --lambda and --gamma ranges")
-        params["lam_values"] = parse_range(raw["lambda"])
-        params["gamma_values"] = parse_range(raw["gamma"])
-        params["tol"] = (
-            DEFAULT_CRITICAL_TOL
-            if raw["critical_tol"] is None
-            else _parse_number(raw["critical_tol"], float, "critical-tol")
-        )
-        if params["tol"] <= 0:
-            raise UsageError("critical tolerance must be positive")
-        if command == "phase-surface":
-            params["n_sites"] = _parse_one_site(raw["n"] or "1000")
-        else:
-            params["n_sites"] = None if raw["n"] is None else _parse_one_site(raw["n"])
-        if out is None:
-            raise UsageError(f"{command} needs --out")
-    elif command == "verify":
-        params["n_sites"] = _parse_sites(raw["n"] or "4,6")
-        params["steps"] = _parse_number(raw["steps"] or "2000", int, "steps")
-        params["draws"] = _parse_number(raw["draws"] or "10", int, "draws")
-        if params["steps"] < 8:
-            raise UsageError("steps must be >= 8")
-        if not 1 <= params["draws"] <= MAX_RANGE_POINTS:
-            raise UsageError(f"draws must be between 1 and {MAX_RANGE_POINTS}")
-        seed = _parse_number(raw["seed"] or "0", int, "seed")
-        if seed < 0:
-            raise UsageError("seed must be >= 0")
-    elif command == "scaling-fit":
-        if raw["approach"] is None:
-            raise UsageError("scaling-fit needs an approach: ising or xx")
-        params["approach"] = raw["approach"]
-        window = raw["window"] or f"{DEFAULT_FIT_WINDOW[0]}:{DEFAULT_FIT_WINDOW[1]}"
-        parts = window.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"window must be LO:HI, got {window!r}")
+    Each of the command's ``_FLAG_SPECS`` entries takes its flag, else the
+    config file's value, else its default, through its converter.  The file
+    is a JSON object keyed by flag name whose values, strings or finite
+    numbers, stand for their text.
+    """
+    args = vars(_build_parser().parse_args(argv))
+    command = args["command"]
+    if command is None:
+        raise UsageError(f"a command is required: one of {', '.join(_FLAG_SPECS)}")
+    for name, val in args.items():
+        if isinstance(val, list):  # argparse's value for "--flag=--"
+            raise UsageError(f"--{name} needs a value")
+    specs, from_file = _FLAG_SPECS[command], {}
+    if args["config"] is not None:
         try:
-            params["window"] = (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise UsageError(f"non-numeric window {window!r}") from exc
-        if not 0 < params["window"][0] < params["window"][1] < math.inf:
-            raise UsageError("window must satisfy 0 < LO < HI < inf")
-        params["samples"] = _parse_number(raw["samples"] or "24", int, "samples")
-        if params["samples"] < 8:
-            raise UsageError("samples must be >= 8")
-        params["n_sites"] = None if raw["n"] is None else _parse_one_site(raw["n"])
-    elif command == "step-trace":
-        if raw["gamma"] is None:
-            raise UsageError("step-trace needs --gamma values")
-        params["gammas"] = _parse_list(raw["gamma"], float, "gamma")
-        if any(g == 0.0 for g in params["gammas"]):
-            raise UsageError("step-trace gamma values must be nonzero (XX line is critical)")
-        params["lam_values"] = parse_range(raw["lambda"] or "0:2:0.005")
-        if out is None:
-            raise UsageError("step-trace needs --out")
-    elif command == "lattice-map":
-        if raw["input"] is None:
-            raise UsageError("lattice-map needs --input JSON")
-        params["input"] = raw["input"]
-        params["threshold"] = _parse_number(raw["threshold"] or "0.1", float, "threshold")
-        if params["threshold"] <= 0:
-            raise UsageError("threshold must be positive")
-    return RunConfig(command=command, parameters=params, output_path=out, seed=seed)
+            with open(args["config"], encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise UsageError(f"unreadable config file {args['config']}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError("config file must hold a JSON object")
+        for key, val in data.items():
+            name = key.replace("_", "-")
+            if name not in specs:
+                raise UsageError(f"unknown config key {key!r} for {command}")
+            number = type(val) is int or (type(val) is float and math.isfinite(val))  # no bool
+            if not (number or isinstance(val, str)):
+                raise UsageError(f"config key {key!r} must be a string or a finite number")
+            from_file[name] = str(val)
+    values = {}
+    for name, flag in specs.items():
+        label = name if flag.positional else f"--{name}"
+        text = args[name] if args[name] is not None else from_file.get(name, flag.default)
+        if text is _REQUIRED:
+            raise UsageError(f"{command} needs {label}")
+        try:
+            values[flag.key] = None if text is None else flag.convert(text)
+        except UsageError as exc:
+            raise UsageError(f"{label}: {exc}") from exc
+    fixed = {key: values.pop(key) for key in ("output_path", "seed") if key in values}
+    return RunConfig(command=command, parameters=values, **fixed)
 
 
 def _atomic_write(path: str, write) -> None:
@@ -588,12 +588,7 @@ def _error_json(kind: str, message: str):
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
-    except UsageError as exc:
-        _error_json("usage", str(exc))
-        return 2
-    try:
-        return execute(cfg)
+        return execute(parse_config(argv))
     except UsageError as exc:
         _error_json("usage", str(exc))
         return 2

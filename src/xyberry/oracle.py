@@ -73,7 +73,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DegenerateLevelWarning,
@@ -137,8 +136,12 @@ def _evr_driver(dtype: np.dtype, dim: int):
     """The ?syevr (real) or ?heevr (complex) driver, its name and workspace at ``dim``.
 
     The sizes are the driver's own workspace query, which scipy.linalg.eigh
-    repeats on every call; here it runs once per (dtype, dim).
+    repeats on every call; here it runs once per (dtype, dim).  scipy.linalg
+    is imported here, not at module level, so the closed-form commands never
+    pay for its import.
     """
+    from scipy.linalg import get_lapack_funcs
+
     hermitian = dtype.kind == "c"
     name = "heevr" if hermitian else "syevr"
     driver, query = get_lapack_funcs((name, name + "_lwork"), dtype=dtype)

@@ -1,8 +1,11 @@
 """Command-line surface: parsing, artifacts, determinism, error paths."""
 
+import contextlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +147,30 @@ class TestParseConfig:
             with pytest.raises(UsageError):
                 parse_config(["scaling-fit"])
 
+    def test_count_bounds_are_inclusive(self):
+        # N = 2 * MAX_RANGE_POINTS has MAX_RANGE_POINTS momentum pairs.
+        top = str(MAX_RANGE_POINTS)
+        cfg = parse_config(["scaling-fit", "ising", "--samples", top, "--n", str(2 * MAX_RANGE_POINTS)])
+        assert cfg.parameters["samples"] == MAX_RANGE_POINTS
+        assert cfg.parameters["n_sites"] == 2 * MAX_RANGE_POINTS
+        cfg = parse_config(["verify", "--steps", top, "--draws", top])
+        assert (cfg.parameters["steps"], cfg.parameters["draws"]) == (MAX_RANGE_POINTS, MAX_RANGE_POINTS)
+
+    def test_huge_seed_is_an_integer(self):
+        # Too large for a float, but a valid seed for the generator.
+        assert parse_config(["verify", "--seed", "9" * 400]).seed == int("9" * 400)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000, b'{"n": ' + b"9" * 5000 + b"}"],
+        ids=["not-utf-8", "deep-nesting", "huge-integer"],
+    )
+    def test_undecodable_config_is_a_usage_error(self, content, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_bytes(content)
+        with pytest.raises(UsageError, match="unreadable"):
+            parse_config(["verify", "--config", str(cfgfile)])
+
 
 class TestMainErrorSurface:
     def test_usage_error_json_on_stderr(self, capsys):
@@ -197,6 +224,12 @@ class TestMainErrorSurface:
             ["step-trace", "--gamma", ","],
             ["step-trace", "--gamma", "nan"],
             ["step-trace", "--gamma", "0.5,inf"],
+            ["scaling-fit", "ising", "--samples", "10000000000000"],
+            ["scaling-fit", "ising", "--samples", "1000001"],
+            ["verify", "--steps", "1000001"],
+            ["phase-surface", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", "2000000000"],
+            ["gap-map", "--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--n", "2000002"],
+            ["scaling-fit", "xx", "--n", "2000002"],
         ],
     )
     def test_malformed_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -282,6 +315,126 @@ class TestMainErrorSurface:
         assert out.read_text() == "new"
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
         assert list(tmp_path.iterdir()) == [out]
+
+
+# One valid value per flag of each command, none of them its default.
+FLAG_VALUES = {
+    "phase-surface": {"lambda": "0:2:0.5", "gamma": "0:1:0.5", "critical-tol": "0.01",
+                      "out": "s.csv", "n": "8"},
+    "gap-map": {"lambda": "0:2:0.5", "gamma": "0:1:0.5", "critical-tol": "0.01",
+                "out": "g.csv", "n": "8"},
+    "verify": {"n": "4,8", "steps": "100", "draws": "2", "seed": "3", "out": "v.json"},
+    "scaling-fit": {"approach": "xx", "window": "1e-3:5e-2", "samples": "16", "n": "8",
+                    "out": "f.json"},
+    "step-trace": {"gamma": "0.05,0.2", "lambda": "0:2:0.25", "out": "t.csv"},
+    "lattice-map": {"input": "lp.json", "threshold": "0.5", "out": "e.json"},
+}
+
+
+def _argv(command, values):
+    specs = cli._FLAG_SPECS[command]
+    return [command] + [v if specs[k].positional else f"--{k}={v}" for k, v in values.items()]
+
+
+def _value(cfg, key):
+    return getattr(cfg, key) if key in ("output_path", "seed") else cfg.parameters[key]
+
+
+def _assert_same_config(got, expected):
+    assert (got.command, got.output_path, got.seed) == (
+        expected.command, expected.output_path, expected.seed
+    )
+    assert list(got.parameters) == list(expected.parameters)
+    for key, value in expected.parameters.items():
+        other = got.parameters[key]
+        assert type(other) is type(value), key
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(other, value), key
+        else:
+            assert other == value, key
+
+
+class TestFlagTable:
+    """Every flag of ``cli._FLAG_SPECS``, through argv, the config file and its default."""
+
+    def test_every_flag_has_a_sample_value(self):
+        assert {c: set(v) for c, v in FLAG_VALUES.items()} == {
+            c: set(flags) for c, flags in cli._FLAG_SPECS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "command,name", [(c, name) for c, values in FLAG_VALUES.items() for name in values]
+    )
+    def test_config_value_parses_like_argv(self, command, name, tmp_path):
+        values = FLAG_VALUES[command]
+        expected = parse_config(_argv(command, values))
+        rest = _argv(command, {k: v for k, v in values.items() if k != name})
+        text = values[name]
+        forms = [(name, text), (name.replace("-", "_"), text)]
+        with contextlib.suppress(ValueError):
+            forms.append((name, json.loads(text)))  # "8" as 8, "0.01" as 0.01
+        for key, value in forms:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({key: value}))
+            _assert_same_config(parse_config(rest + ["--config", str(cfgfile)]), expected)
+
+    @pytest.mark.parametrize("command", sorted(FLAG_VALUES))
+    def test_defaults_show_in_help_and_parse_like_explicit_values(
+        self, command, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "400")  # no help text is wrapped
+        with pytest.raises(SystemExit):
+            parse_config([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name, flag in cli._FLAG_SPECS[command].items():
+            label = name if flag.positional else f"--{name}"
+            shown = flag.metavar if flag.positional else f"{label} {flag.metavar or name.upper()}"
+            entry = f"{shown} {flag.help}"
+            rest = {k: v for k, v in FLAG_VALUES[command].items() if k != name}
+            if flag.default is cli._REQUIRED:
+                assert f"{entry} (required)" in text
+                with pytest.raises(UsageError, match=f"{command} needs {label}$"):
+                    parse_config(_argv(command, rest))
+            elif flag.default is None:
+                assert entry in text and f"{entry} (" not in text
+                assert _value(parse_config(_argv(command, rest)), flag.key) is None
+            else:
+                assert f"{entry} (default {flag.default})" in text
+                explicit = parse_config(_argv(command, {**rest, name: flag.default}))
+                _assert_same_config(parse_config(_argv(command, rest)), explicit)
+
+    def test_config_approach_is_checked_like_argv(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"approach": "sideways"}))
+        out = tmp_path / "fit.json"
+        assert main(["scaling-fit", "--config", str(cfgfile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and "sideways" in err["message"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "value", ["null", "true", "false", "[1]", '{"a": 1}', "NaN", "Infinity", "1e400"]
+    )
+    def test_config_values_are_strings_or_finite_numbers(self, value, tmp_path, monkeypatch,
+                                                         capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"lambda": "0:1:0.5", "gamma": "0:1:0.5", "out": %s}' % value)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gap-map", "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and "'out'" in err["message"]
+        assert captured.out == "" and list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # Only the oracle's eigensolve needs scipy.linalg; the closed-form
+        # commands must not pay for importing it.
+        code = "import sys, xyberry.cli; print('scipy.linalg' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestPhaseSurfaceCommand:

@@ -3,9 +3,11 @@
 Command lines are built from ``cli._FLAG_SPECS``: a subcommand, a subset of
 its flags and ``--config``, and for each flag a token that is malformed, non-finite,
 negative, huge, or a small valid value (chains of at most 8 sites, ranges
-of at most 10 points), so an accepted command line stays cheap to run.  A
-list of two or more valid chain lengths must be a usage error on the
-commands that take one.
+of at most 10 points), so an accepted command line stays cheap to run.
+Unless ``--config`` itself is drawn, about half the values go into a config
+file instead of argv, some of them replaced by a JSON value that is not a
+string.  A list of two or more valid chain lengths must be a usage error on
+the commands that take one.
 """
 
 import contextlib
@@ -61,23 +63,35 @@ LATTICE = {"j_a": 1.0, "j_b": 1.0, "j_c": 0.2, "u_ab": 100.0, "omega": 0.5, "del
 SINGLE_N_COMMANDS = ("phase-surface", "gap-map", "scaling-fit")
 SITE_LISTS = {"--n=4,6", "--n=6,4,8", "--n=8,8"}
 
+# Config-file values that are not JSON strings.
+JSON_VALUES = [None, True, False, [4], {"n": 4}, 8, 0.5, -1, 10**30, 1e308, math.nan, math.inf]
+
 # Lattice files whose "j_a" is not a finite number.
 BAD_LATTICE = {"list": [1], "null": None, "nan": math.nan}
 
 
 @st.composite
 def command_lines(draw):
+    """An argv and the values of the config file it names, if any."""
     command = draw(st.sampled_from(sorted(cli._FLAG_SPECS)))
-    argv = [command]
+    specs = cli._FLAG_SPECS[command]
+    drawn = {}
     if command == "scaling-fit":
         approach = draw(st.sampled_from(["ising", "xx", "sideways", None]))
-        argv += [approach] if approach else []
-    flags = draw(st.lists(st.sampled_from(sorted(cli._FLAG_SPECS[command]) + ["config"]),
-                          unique=True))
-    for flag in flags:
-        pool = VALID[flag] + MALFORMED + NON_FINITE + NEGATIVE + HUGE
-        argv.append(f"--{flag}={draw(st.sampled_from(pool))}")
-    return argv
+        if approach:
+            drawn["approach"] = approach
+    flags = [name for name, flag in specs.items() if not flag.positional] + ["config"]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        drawn[flag] = draw(st.sampled_from(VALID[flag] + MALFORMED + NON_FINITE + NEGATIVE + HUGE))
+    argv, config = [command], {}
+    for flag, value in drawn.items():
+        if "config" not in drawn and draw(st.booleans()):
+            config[flag] = draw(st.sampled_from(JSON_VALUES)) if draw(st.integers(0, 3)) == 0 else value
+        else:
+            argv.append(value if flag == "approach" else f"--{flag}={value}")
+    if config:
+        argv.append("--config={dir}/drawn.json")
+    return argv, config
 
 
 @settings(
@@ -85,12 +99,18 @@ def command_lines(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(argv=command_lines())
+@given(line=command_lines())
 @example(
-    argv=["gap-map", "--lambda=0:1:0.25", "--gamma=0:1:0.25", "--n=4,6", "--out={dir}/out.dat"]
+    line=(["gap-map", "--lambda=0:1:0.25", "--gamma=0:1:0.25", "--n=4,6", "--out={dir}/out.dat"],
+          {})
 )
-@example(argv=["lattice-map", "--input={dir}/lattice_partial.json"])
-def test_exit_codes_and_json_errors(tmp_path_factory, argv):
+@example(line=(["lattice-map", "--input={dir}/lattice_partial.json"], {}))
+@example(line=(["scaling-fit", "--config={dir}/drawn.json"], {"approach": "sideways"}))
+@example(
+    line=(["gap-map", "--lambda=0:1:0.25", "--gamma=0:1:0.25", "--config={dir}/drawn.json"],
+          {"out": None})
+)
+def test_exit_codes_and_json_errors(tmp_path_factory, line):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))
     for name, value in BAD_LATTICE.items():
@@ -98,6 +118,10 @@ def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     (work / "lattice_partial.json").write_text(json.dumps({"j_a": 1.0}))
     (work / "broken.json").write_text("{not json")
     (work / "config.json").write_text(json.dumps({"seed": 1}))
+    argv, config = line
+    config = {k: v.replace("{dir}", str(work)) if isinstance(v, str) else v
+              for k, v in config.items()}
+    (work / "drawn.json").write_text(json.dumps(config))
     argv = [token.replace("{dir}", str(work)) for token in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -108,8 +132,8 @@ def test_exit_codes_and_json_errors(tmp_path_factory, argv):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2), (argv, code)
-    if argv[0] in SINGLE_N_COMMANDS and SITE_LISTS & set(argv):
-        assert code == 2, argv
+    if argv[0] in SINGLE_N_COMMANDS and SITE_LISTS & {*argv, f"--n={config.get('n')}"}:
+        assert code == 2, (argv, config)
     if code != 0:
         error = json.loads(stderr.getvalue())
-        assert isinstance(error, dict) and "error" in error, (argv, stderr.getvalue())
+        assert isinstance(error, dict) and "error" in error, (argv, config, stderr.getvalue())
