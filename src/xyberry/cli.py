@@ -28,17 +28,11 @@ import numpy as np
 from . import __version__
 from .errors import XYBerryError
 from .lattice import LatticeParams, effective_xy, mott_regime_check
-from .model import (
-    CRITICALITY_TAGS,
-    DEFAULT_CRITICAL_TOL,
-    Criticality,
-    XYParams,
-    classify_criticality,
-    ground_energy,
-)
+from .model import DEFAULT_CRITICAL_TOL, XYParams, classify_criticality, ground_energy
 from .observables import magnetization_analytic
 from .oracle import (
     LoopDiscretization,
+    check_sites,
     discrete_loop_phase,
     ed_ground_energy,
     magnetization_ed,
@@ -58,6 +52,7 @@ from .scaling import (
     gap_map,
     gap_sweep,
     step_detect,
+    write_gap_map_csv,
     write_step_trace_csv,
 )
 
@@ -366,41 +361,30 @@ def _text_writer(text: str):
     return write
 
 
+def _emit_json(path: Optional[str], payload: dict, allow_nan: bool = True) -> None:
+    """The one JSON emitter: print ``payload`` as sorted, indented JSON, and write
+    the same text to ``path`` when one is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
+    if path:
+        _atomic_write(path, _text_writer(text))
+    print(text, end="")
+
+
 def _run_phase_surface(cfg: RunConfig) -> int:
     p = cfg.parameters
-    rows = phase_surface(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
-    _atomic_write(cfg.output_path, lambda tmp: write_phase_surface_csv(rows, tmp))
-    flagged = sum(1 for r in rows if r[5] == "critical")
-    print(f"wrote {cfg.output_path}: {len(rows)} rows ({flagged} flagged critical)")
+    surface = phase_surface(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
+    _atomic_write(cfg.output_path, lambda tmp: write_phase_surface_csv(surface, tmp))
+    flagged = np.count_nonzero(surface.codes)
+    print(f"wrote {cfg.output_path}: {len(surface)} rows ({flagged} flagged critical)")
     return 0
-
-
-GAP_MAP_HEADER = "lambda,gamma,min_gap,tag,distance,status"
-
-# One %-format per gap-map row for each code of classify_criticality_arrays,
-# with the tag and status text baked in.
-_GAP_MAP_ROWS = tuple(
-    f"%.12g,%.12g,%.12g,{tag.value},%.12g,"
-    + ("ok" if tag is Criticality.NON_CRITICAL else "critical")
-    for tag in CRITICALITY_TAGS
-)
 
 
 def _run_gap_map(cfg: RunConfig) -> int:
     p = cfg.parameters
-    lam, gamma, gap, codes, distance = gap_map(
-        p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"]
-    )
-    lines = [GAP_MAP_HEADER]
-    lines += [
-        _GAP_MAP_ROWS[c] % (l, g, m, d)
-        for c, l, g, m, d in zip(
-            codes.tolist(), lam.tolist(), gamma.tolist(), gap.tolist(), distance.tolist()
-        )
-    ]
-    _atomic_write(cfg.output_path, _text_writer("\n".join(lines) + "\n"))
-    flagged = np.count_nonzero(codes)
-    print(f"wrote {cfg.output_path}: {len(lines) - 1} rows ({flagged} flagged critical)")
+    data = gap_map(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
+    _atomic_write(cfg.output_path, lambda tmp: write_gap_map_csv(data, tmp))
+    flagged = np.count_nonzero(data.codes)
+    print(f"wrote {cfg.output_path}: {len(data)} rows ({flagged} flagged critical)")
     return 0
 
 
@@ -436,6 +420,8 @@ def _identity_ratio(xp: XYParams, steps: int, loop_phase: float, magnetization: 
 
 def _run_verify(cfg: RunConfig) -> int:
     p = cfg.parameters
+    for n in p["n_sites"]:  # the oracle's size cap, before any point is drawn
+        check_sites(n)
     rng = np.random.default_rng(cfg.seed)
     points = draw_noncritical_points(rng, p["draws"])
     loop = LoopDiscretization(p["steps"])
@@ -482,10 +468,7 @@ def _run_verify(cfg: RunConfig) -> int:
     summary["thresholds"] = tol
     failed = [k for k in tol if not worst[k] < tol[k]]
     summary["pass"] = not failed
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, _text_writer(text))
-    print(text, end="")
+    _emit_json(cfg.output_path, summary)
     if failed:
         _error_json("VerificationFailed", f"discrepancy at or above threshold: {', '.join(failed)}")
         return 1
@@ -514,21 +497,17 @@ def _run_scaling_fit(cfg: RunConfig) -> int:
         "samples": p["samples"],
         "n_sites": p["n_sites"],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, _text_writer(text))
-    print(text, end="")
+    _emit_json(cfg.output_path, payload)
     return 0
 
 
 def _run_step_trace(cfg: RunConfig) -> int:
     p = cfg.parameters
-    rows = []
-    for gamma in p["gammas"]:
-        trace = relative_phase_thermo_arrays(p["lam_values"], gamma)
-        rows.append((gamma, step_detect(p["lam_values"], trace)))
-    _atomic_write(cfg.output_path, lambda tmp: write_step_trace_csv(rows, tmp))
-    print(f"wrote {cfg.output_path}: {len(rows)} rows")
+    lams = p["lam_values"]
+    stars = [step_detect(lams, relative_phase_thermo_arrays(lams, g)) for g in p["gammas"]]
+    columns = (p["gammas"], stars)
+    _atomic_write(cfg.output_path, lambda tmp: write_step_trace_csv(columns, tmp))
+    print(f"wrote {cfg.output_path}: {len(stars)} rows")
     return 0
 
 
@@ -560,10 +539,7 @@ def _run_lattice_map(cfg: RunConfig) -> int:
         "mott_regime": {"ok": check.ok, "margin": check.margin, "threshold": check.threshold},
     }
     # An overflowing coupling is a ValueError here, not an Infinity token.
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, _text_writer(text))
-    print(text, end="")
+    _emit_json(cfg.output_path, payload, allow_nan=False)
     return 0
 
 

@@ -56,9 +56,10 @@ GROUND_ENERGY_PREFACTOR = 2.0
 # Default tolerance for critical-manifold membership; CLI-overridable.
 DEFAULT_CRITICAL_TOL = 1e-9
 
-# Elements (grid points x momenta) per block of mode_gap_blocks: 2**14
-# float64 values, 128 KiB per array, which bounds the kernel's memory at any
-# grid size.
+# Elements per block of every block-wise pass over a grid: grid points x
+# momenta in mode_gap_blocks, rows x columns in the CSV writer
+# (``tables.write_csv``).  2**14 values, 128 KiB per float64 or object array,
+# which bounds the memory of both at any grid size.
 MODE_BLOCK_ELEMENTS = 2**14
 
 
@@ -155,24 +156,26 @@ def grid_points(lam_values, gamma_values):
     return np.repeat(lams, gammas.size), np.tile(gammas, lams.size)
 
 
-def _mode_components(cos_q, sin_q, lam, gamma):
-    """(epsilon, |gamma| sin q, gap) from precomputed cos q and sin q; broadcasts."""
+def _mode_components(cos_q, sines, lam):
+    """(epsilon, gap) from cos q, |gamma| sin q and lam; broadcasts.
+
+    The one place the gap is formed: gap = hypot(cos q - lam, |gamma| sin q).
+    """
     eps = cos_q - lam
-    sines = np.abs(gamma) * sin_q
-    return eps, sines, np.hypot(eps, sines)
+    return eps, np.hypot(eps, sines)
 
 
 def _point_modes(params: XYParams):
     """(epsilon, gap) of every mode of ``momentum_grid`` at one point."""
     q = momentum_grid(params.n_sites)
-    eps, _, gap = _mode_components(np.cos(q), np.sin(q), params.lam, params.gamma)
-    return eps, gap
+    return _mode_components(np.cos(q), abs(params.gamma) * np.sin(q), params.lam)
 
 
 def mode_angle_arrays(q, lam: float, gamma: float):
     """Vectorized (epsilon, gap, theta) over an array of momenta."""
     q = np.asarray(q, dtype=float)
-    eps, sines, gap = _mode_components(np.cos(q), np.sin(q), lam, gamma)
+    sines = np.abs(gamma) * np.sin(q)
+    eps, gap = _mode_components(np.cos(q), sines, lam)
     theta = np.arctan2(sines, eps)
     # Both components vanish only at a spectral degeneracy; pick the fixed
     # convention theta = pi/2 there (downstream phases are refused anyway).
@@ -181,23 +184,44 @@ def mode_angle_arrays(q, lam: float, gamma: float):
 
 
 def mode_gap_blocks(lam, gamma, n_sites: int):
-    """(epsilon, gap) over many (lam, gamma) points, one block of points at a time.
+    """(epsilon, gap) over rows of lam against columns of gamma, one tile at a time.
 
-    ``lam`` and ``gamma`` are equal-length 1-d arrays of points.  Yields
-    ``(rows, eps, gap)`` where ``rows`` is the slice of points covered and
-    ``eps``, ``gap`` have shape (points in block, N/2), the momenta of
+    ``lam`` is a 1-d array of R row values.  ``gamma`` is either a 1-d array
+    of C columns that every row shares (the grid lam x gamma, as a phase
+    surface has it), or an (R, C) array of each row's own columns (scattered
+    points are rows of one column).  Yields ``(rows, cols, eps, gap)`` with
+    ``rows`` and ``cols`` the slices covered, ``eps`` of shape
+    (rows, 1, N/2) and ``gap`` of shape (rows, cols, N/2), the momenta of
     ``momentum_grid(n_sites)`` along the last axis.  Each value equals what
     ``mode_angle_arrays`` gives for the same point; theta is not formed.
+
+    A tile holds max(1, MODE_BLOCK_ELEMENTS // (N/2)) points: a whole row
+    of columns and as many rows as fit, else fewer columns and one row.  A
+    point's N/2 modes are never split, because the reductions over them
+    (the N_f sum, ``argmin_gap``) need the whole row; so past N/2 =
+    MODE_BLOCK_ELEMENTS a tile is one point.  Tiles run column block by
+    column block, so |gamma| sin q of shared columns is formed once per
+    column block and cos q - lam once per row of it; per point and mode
+    only the hypot remains.
     """
     q = momentum_grid(n_sites)
     cos_q, sin_q = np.cos(q), np.sin(q)
-    lam = np.asarray(lam, dtype=float)[:, None]
-    gamma = np.asarray(gamma, dtype=float)[:, None]
-    step = max(1, MODE_BLOCK_ELEMENTS // q.size)
-    for start in range(0, lam.shape[0], step):
-        rows = slice(start, start + step)
-        eps, _, gap = _mode_components(cos_q, sin_q, lam[rows], gamma[rows])
-        yield rows, eps, gap
+    lam = np.asarray(lam, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    shared = gamma.ndim == 1
+    points = MODE_BLOCK_ELEMENTS // q.size
+    col_step = max(1, min(gamma.shape[-1], points))
+    row_step = max(1, points // col_step)
+    for c0 in range(0, gamma.shape[-1], col_step):
+        cols = slice(c0, c0 + col_step)
+        if shared:
+            sines = np.abs(gamma[cols, None]) * sin_q
+        for r0 in range(0, lam.size, row_step):
+            rows = slice(r0, r0 + row_step)
+            if not shared:
+                sines = np.abs(gamma[rows, cols, None]) * sin_q
+            eps, gap = _mode_components(cos_q, sines, lam[rows, None, None])
+            yield rows, cols, eps, gap
 
 
 def mode_angles(q: float, params: XYParams) -> ModeAngles:

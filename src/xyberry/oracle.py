@@ -93,6 +93,7 @@ __all__ = [
     "LoopDiscretization",
     "LoopTrace",
     "max_sites",
+    "check_sites",
     "hamiltonian_phi_parts",
     "parity_diagonal",
     "parity_indices",
@@ -215,7 +216,7 @@ def max_sites() -> int:
     return cap
 
 
-def _check_sites(n_sites: int):
+def check_sites(n_sites: int):
     if n_sites < 2 or n_sites % 2 != 0:
         raise ValueError(f"n_sites must be an even integer >= 2, got {n_sites}")
     cap = max_sites()
@@ -243,7 +244,7 @@ def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
     kept as written.  No readout calls this, the package's only full-matrix
     builder: it is the tests' reference and the benchmark tracer's assembly.
     """
-    _check_sites(n_sites)
+    check_sites(n_sites)
     d = 2**n_sites
     states = np.arange(d)
     m0 = np.zeros((d, d), dtype=complex)
@@ -410,7 +411,7 @@ def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
     checked before the cache lookup and before any layout is built, so
     lowering it binds.
     """
-    _check_sites(n_sites)
+    check_sites(n_sites)
     return _solve_sector(n_sites, lam, gamma, parity)
 
 

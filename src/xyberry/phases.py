@@ -23,9 +23,9 @@ from .model import (
     argmin_gap,
     classify_criticality,
     classify_criticality_arrays,
-    grid_points,
     mode_gap_blocks,
 )
+from .tables import STATUS, Cells, grid_cells, write_csv
 
 __all__ = [
     "PhaseResult",
@@ -38,6 +38,7 @@ __all__ = [
     "relative_phase_finite",
     "relative_phase_thermo",
     "relative_phase_thermo_arrays",
+    "PhaseSurface",
     "phase_surface",
     "write_phase_surface_csv",
     "PHASE_SURFACE_HEADER",
@@ -142,9 +143,10 @@ def _occupation(eps, gap):
 
 
 def _frozen_term(cos_theta, gap):
-    """1 - cos theta_k0 per row of (points, modes) arrays, k0 picked by ``argmin_gap``."""
+    """1 - cos theta_k0 per point of (..., modes) arrays, k0 picked by ``argmin_gap``."""
     k0 = argmin_gap(gap)
-    return 1.0 - cos_theta[np.arange(k0.size), k0]
+    rows = cos_theta.reshape(-1, cos_theta.shape[-1])
+    return 1.0 - rows[np.arange(k0.size), k0.ravel()].reshape(k0.shape)
 
 
 def _point_occupation(params: XYParams, tol: float):
@@ -226,36 +228,58 @@ def relative_phase_thermo_arrays(lam, gamma) -> np.ndarray:
 PHASE_SURFACE_HEADER = "lambda,gamma,phi_g_raw,phi_g_wrapped,phi_eg,status"
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseSurface:
+    """The columns of a phase surface over the grid lam_values x gamma_values.
+
+    ``codes`` (the codes of ``classify_criticality_arrays``; 0 is
+    noncritical), ``raw``, ``wrapped`` and ``phi_eg`` hold one entry per
+    grid point in row-major order (lam outer, gamma inner); critical points
+    carry NaN phases.  ``len`` is the point count.
+    """
+
+    lam_values: np.ndarray
+    gamma_values: np.ndarray
+    codes: np.ndarray
+    raw: np.ndarray
+    wrapped: np.ndarray
+    phi_eg: np.ndarray
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+
 def phase_surface(
     lam_values,
     gamma_values,
     n_sites: int,
     tol: float = DEFAULT_CRITICAL_TOL,
-) -> list[tuple[float, float, float, float, float, str]]:
+) -> PhaseSurface:
     """Tabulate (phi_g raw, phi_g wrapped, phi_eg) over a parameter grid.
 
-    Rows are emitted in row-major order (lam outer, gamma inner).  Grid
-    points on a critical manifold are kept, with NaN phases and status
-    'critical', so the table shape is deterministic and nothing is dropped
-    silently.  The grid is classified, reduced over ``mode_gap_blocks`` and
-    wrapped as whole arrays; each row equals the per-point phases exactly.
+    Grid points on a critical manifold are kept, with NaN phases, so the
+    table shape is deterministic and nothing is dropped silently.  The grid
+    is classified as one array and reduced tile by tile over
+    ``mode_gap_blocks``, lam values as rows and gamma values as shared
+    columns; critical points pass through the kernel with their tile and
+    are blanked after.  Each point's phases equal the per-point ones exactly.
     """
-    lam, gamma = grid_points(lam_values, gamma_values)
-    codes, _ = classify_criticality_arrays(lam, gamma, tol)
-    ok = codes == 0
-    # Only noncritical points reach the kernel, where every gap is nonzero.
-    idx = np.flatnonzero(ok)
-    raw = np.full(lam.size, math.nan)
-    phi_eg = np.full(lam.size, math.nan)
-    for rows, eps, gap in mode_gap_blocks(lam[idx], gamma[idx], n_sites):
-        cos_theta, n_f = _occupation(eps, gap)
-        raw[idx[rows]] = np.pi * n_f
-        phi_eg[idx[rows]] = -np.pi * _frozen_term(cos_theta, gap)
-    status = np.where(ok, "ok", "critical").tolist()
-    return list(zip(
-        lam.tolist(), gamma.tolist(), raw.tolist(), _wrap_angles(raw).tolist(),
-        phi_eg.tolist(), status,
-    ))
+    lams = np.asarray(lam_values, dtype=float)
+    gammas = np.asarray(gamma_values, dtype=float)
+    codes, _ = classify_criticality_arrays(lams[:, None], gammas, tol)
+    raw = np.empty(codes.shape)
+    phi_eg = np.empty(codes.shape)
+    # A critical point may have a zero gap; its quotients are discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, cols, eps, gap in mode_gap_blocks(lams, gammas, n_sites):
+            cos_theta, n_f = _occupation(eps, gap)
+            raw[rows, cols] = np.pi * n_f
+            phi_eg[rows, cols] = -np.pi * _frozen_term(cos_theta, gap)
+    critical = codes != 0
+    raw[critical] = math.nan
+    phi_eg[critical] = math.nan
+    raw = raw.ravel()
+    return PhaseSurface(lams, gammas, codes.ravel(), raw, _wrap_angles(raw), phi_eg.ravel())
 
 
 def _wrap_angles(x: np.ndarray) -> np.ndarray:
@@ -271,13 +295,9 @@ def _wrap_angles(x: np.ndarray) -> np.ndarray:
     return np.where(w <= -math.pi, w + two_pi, w)
 
 
-# One %-format per CSV row: '%.12g' % x == format(x, '.12g'), and NaN of
-# either sign prints as 'nan'.
-_SURFACE_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
-
-
-def write_phase_surface_csv(rows, path):
-    """Write phase-surface rows as CSV (12 significant digits, LF, UTF-8)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PHASE_SURFACE_HEADER + "\n")
-        fh.write("".join([_SURFACE_ROW % tuple(row) for row in rows]))
+def write_phase_surface_csv(surface: PhaseSurface, path):
+    """Write a ``PhaseSurface`` as CSV with ``tables.write_csv``."""
+    write_csv(path, PHASE_SURFACE_HEADER, [
+        *grid_cells(surface.lam_values, surface.gamma_values),
+        surface.raw, surface.wrapped, surface.phi_eg, Cells(STATUS, surface.codes),
+    ])

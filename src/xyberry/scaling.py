@@ -33,6 +33,7 @@ from .model import (
     mode_gap_blocks,
     momentum_grid,
 )
+from .tables import STATUS, TAGS, Cells, distinct_cells, grid_cells, write_csv
 
 __all__ = [
     "SweepSpec",
@@ -42,10 +43,13 @@ __all__ = [
     "continuum_min_gap_arrays",
     "finite_min_gap",
     "finite_min_gap_arrays",
+    "GapMap",
     "gap_map",
     "gap_sweep",
     "fit_exponent",
     "step_detect",
+    "GAP_MAP_HEADER",
+    "write_gap_map_csv",
     "write_step_trace_csv",
 ]
 
@@ -195,7 +199,8 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
 
     Points that fail or are not convex (flat rows such as lam ~ 0,
     |gamma| ~ 1; |gamma| >= 1; huge lam or gamma; NaN) are reduced over
-    ``mode_gap_blocks`` as a whole row.
+    their full row of N/2 modes: each is a row of ``mode_gap_blocks`` with
+    one column of its own.
     """
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -210,7 +215,7 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
         above = m_modes - np.searchsorted(cos_q[::-1], vertex, side="right")
         # Columns: low guard, four inner modes, high guard.
         idx = np.clip(above[:, None] + np.arange(-3, 3), 0, m_modes - 1)
-        _, _, gaps = _mode_components(cos_q[idx], sin_q[idx], lam[:, None], gamma[:, None])
+        _, gaps = _mode_components(cos_q[idx], np.abs(gamma[:, None]) * sin_q[idx], lam[:, None])
         best = gaps.min(axis=1)
         best2 = best * best
         ok = convex & np.isfinite(best2)
@@ -220,8 +225,8 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
             ok &= ~left_out | (np.isfinite(margin) & (margin >= _CERT_FLOOR))
     fallback = np.flatnonzero(~ok)
     if fallback.size:
-        for rows, _, gap in mode_gap_blocks(lam[fallback], gamma[fallback], n_sites):
-            best[fallback[rows]] = gap.min(axis=-1)
+        for rows, _, _, gap in mode_gap_blocks(lam[fallback], gamma[fallback, None], n_sites):
+            best[fallback[rows]] = gap.min(axis=-1)[:, 0]
     return best
 
 
@@ -241,18 +246,37 @@ def gap_sweep(spec: SweepSpec) -> np.ndarray:
     return np.column_stack((spec.values, _min_gaps(lam, gamma, spec.n_sites)))
 
 
-def gap_map(lam_values, gamma_values, n_sites: Optional[int] = None,
-            tol: float = DEFAULT_CRITICAL_TOL):
-    """Minimum gap and criticality over a grid: (lam, gamma, gap, codes, distance).
+@dataclass(frozen=True, eq=False)
+class GapMap:
+    """The columns of a criticality map over the grid lam_values x gamma_values.
 
-    Flat arrays in row-major order (lam outer, gamma inner); ``codes`` and
-    ``distance`` come from ``classify_criticality_arrays`` and ``gap`` is
-    the continuum minimum (``n_sites=None``) or the minimum over the chain's
-    momentum grid.  Each entry equals the scalar functions' value.
+    ``gap``, ``codes`` and ``distance`` hold one entry per grid point in
+    row-major order (lam outer, gamma inner); ``len`` is the point count.
     """
-    lam, gamma = grid_points(lam_values, gamma_values)
+
+    lam_values: np.ndarray
+    gamma_values: np.ndarray
+    gap: np.ndarray
+    codes: np.ndarray
+    distance: np.ndarray
+
+    def __len__(self) -> int:
+        return self.gap.size
+
+
+def gap_map(lam_values, gamma_values, n_sites: Optional[int] = None,
+            tol: float = DEFAULT_CRITICAL_TOL) -> GapMap:
+    """Minimum gap and criticality over a grid, as a ``GapMap``.
+
+    ``codes`` and ``distance`` come from ``classify_criticality_arrays`` and
+    ``gap`` is the continuum minimum (``n_sites=None``) or the minimum over
+    the chain's momentum grid.  Each entry equals the scalar functions' value.
+    """
+    lams = np.asarray(lam_values, dtype=float)
+    gammas = np.asarray(gamma_values, dtype=float)
+    lam, gamma = grid_points(lams, gammas)
     codes, distance = classify_criticality_arrays(lam, gamma, tol)
-    return lam, gamma, _min_gaps(lam, gamma, n_sites), codes, distance
+    return GapMap(lams, gammas, _min_gaps(lam, gamma, n_sites), codes, distance)
 
 
 def fit_exponent(
@@ -304,9 +328,18 @@ def step_detect(lam_values, phi_eg_values) -> float:
     return 0.5 * (lam_values[i] + lam_values[i + 1])
 
 
-def write_step_trace_csv(rows, path):
-    """rows: iterable of (gamma, lambda_star)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gamma,lambda_star\n")
-        for gamma, lam_star in rows:
-            fh.write(f"{gamma:.12g},{lam_star:.12g}\n")
+GAP_MAP_HEADER = "lambda,gamma,min_gap,tag,distance,status"
+
+
+def write_gap_map_csv(data: GapMap, path):
+    """Write a ``GapMap`` as CSV with ``tables.write_csv``; each distinct distance
+    is formatted once."""
+    write_csv(path, GAP_MAP_HEADER, [
+        *grid_cells(data.lam_values, data.gamma_values), data.gap,
+        Cells(TAGS, data.codes), distinct_cells(data.distance), Cells(STATUS, data.codes),
+    ])
+
+
+def write_step_trace_csv(columns, path):
+    """Write the (gamma values, lambda_star values) columns as CSV."""
+    write_csv(path, "gamma,lambda_star", list(columns))

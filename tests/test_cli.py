@@ -23,12 +23,15 @@ from xyberry import (
     gap_map,
     ground_phase,
     magnetization_ed,
+    model,
     phases,
     relative_phase_finite,
     scaling,
     sz_cumulants,
+    tables,
 )
 from xyberry.cli import MAX_RANGE_POINTS, main, parse_config, parse_range
+from xyberry.model import grid_points
 from xyberry.cli import UsageError
 
 
@@ -250,14 +253,15 @@ class TestMainErrorSurface:
     )
     def test_memory_error_is_a_runtime_error(self, module, argv, tmp_path, monkeypatch, capsys):
         # A grid within the per-axis cap can still be too large to allocate;
-        # numpy raises a private MemoryError subclass there.
+        # numpy raises a private MemoryError subclass there.  Classifying the
+        # grid is the first whole-grid array either command makes.
         class ArrayMemoryError(MemoryError):
             pass
 
-        def no_memory(lam_values, gamma_values):
+        def no_memory(*args):
             raise ArrayMemoryError("Unable to allocate 1.16 TiB for an array")
 
-        monkeypatch.setattr(module, "grid_points", no_memory)
+        monkeypatch.setattr(module, "classify_criticality_arrays", no_memory)
         out = tmp_path / "g.csv"
         grid = ["--lambda", "0:1:0.5", "--gamma", "0:1:0.5", "--out", str(out)]
         assert main(argv + grid) == 1
@@ -279,6 +283,38 @@ class TestMainErrorSurface:
         argv = ["phase-surface", "--lambda", "0.5:0.6:0.1", "--gamma", "0.5:0.6:0.1", "--n", "8"]
         assert main(argv + ["--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), MemoryError("no room")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase-surface", "--lambda", "0.5:0.8:0.1", "--gamma", "0.5:0.6:0.1", "--n", "8"],
+            ["gap-map", "--lambda", "0.5:0.8:0.1", "--gamma", "0.5:0.6:0.1"],
+            ["gap-map", "--lambda", "0.5:0.8:0.1", "--gamma", "0.5:0.6:0.1", "--n", "8"],
+            ["step-trace", "--gamma", "0.05,0.2,0.5", "--lambda", "0:2:0.25"],
+        ],
+    )
+    def test_failure_after_the_first_block_leaves_no_files(
+        self, argv, error, tmp_path, monkeypatch, capsys
+    ):
+        # Four cells a block: one row of the six-column grids, two of the
+        # step trace's two columns, so every artifact takes two blocks or more.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 4)
+        format_rows, blocks = tables._format_rows, []
+
+        def fail_after_first(*args):
+            if blocks:
+                raise error
+            blocks.append(format_rows(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(tables, "_format_rows", fail_after_first)
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": type(error).__name__, "message": str(error)
+        }
+        assert len(blocks) == 1 and blocks[0]
         assert list(tmp_path.iterdir()) == []
 
     def test_atomic_write_uses_a_fresh_temporary_file(self, tmp_path):
@@ -487,8 +523,10 @@ class TestGapMapCommand:
     def test_finite_size_rows_equal_pointwise_min_gap(self, tmp_path):
         # The unformatted gap column, so the comparison is exact, not to 12 digits.
         lams, gammas = parse_range("-1.25:1.5:0.25"), parse_range("-0.5:1:0.25")
-        lam, gamma, gap, _, _ = gap_map(lams, gammas, 8)
-        assert len(gap) == 11 * 6
+        data = gap_map(lams, gammas, 8)
+        lam, gamma = grid_points(data.lam_values, data.gamma_values)
+        gap = data.gap
+        assert len(data) == len(gap) == 11 * 6
         for l, g, m in zip(lam.tolist(), gamma.tolist(), gap.tolist()):
             assert m == finite_min_gap(8, l, g)
         out = tmp_path / "g.csv"
@@ -546,7 +584,7 @@ class TestGridArtifactsAgainstScalarFunctions:
 
 
 class TestRowFormatting:
-    """One %-format per row prints each number as format(x, '.12g') does."""
+    """The CSV row formatter prints each number as format(x, '.12g') does."""
 
     @staticmethod
     def values():
@@ -560,24 +598,43 @@ class TestRowFormatting:
     def expected(x) -> str:
         return "nan" if math.isnan(x) else format(x, ".12g")
 
-    def test_phase_surface_rows(self, tmp_path):
+    def columns(self):
+        """A grid of every value by three of them, and three shuffled columns."""
         values = self.values()
-        rows = [tuple(values[i:i + 5]) + ("ok",) for i in range(len(values) - 4)]
-        path = tmp_path / "s.csv"
-        phases.write_phase_surface_csv(rows, path)
-        lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
-        assert lines == [",".join(map(self.expected, row[:5])) + ",ok" for row in rows]
+        lam_values, gamma_values = np.array(values), np.array(values[:3])
+        lam, gamma = grid_points(lam_values, gamma_values)
+        rng = np.random.default_rng(13)
+        c1, c2, c3 = (rng.permutation(np.concatenate([lam, lam])[:lam.size]) for _ in range(3))
+        codes = (np.arange(lam.size) % 3).astype(np.int8)
+        return lam_values, gamma_values, lam, gamma, c1, c2, c3, codes
 
-    def test_gap_map_rows(self):
-        values = self.values()
-        for code, row_format in enumerate(cli._GAP_MAP_ROWS):
-            tag = cli.CRITICALITY_TAGS[code]
-            status = "ok" if code == 0 else "critical"
-            for i in range(len(values) - 3):
-                l, g, m, d = values[i:i + 4]
-                want = ",".join(map(self.expected, (l, g, m)))
-                want += f",{tag.value},{self.expected(d)},{status}"
-                assert row_format % (l, g, m, d) == want
+    def test_phase_surface_rows(self, tmp_path):
+        lam_values, gamma_values, lam, gamma, raw, wrapped, phi_eg, codes = self.columns()
+        surface = phases.PhaseSurface(lam_values, gamma_values, codes, raw, wrapped, phi_eg)
+        path = tmp_path / "s.csv"
+        phases.write_phase_surface_csv(surface, path)
+        lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
+        status = ["ok", "critical", "critical"]
+        assert lines == [
+            ",".join(map(self.expected, row[:5])) + "," + status[row[5]]
+            for row in zip(lam, gamma, raw, wrapped, phi_eg, codes.tolist())
+        ]
+
+    def test_gap_map_rows(self, tmp_path):
+        # The distance column repeats values, -0.0 and 0.0 and both NaN signs.
+        lam_values, gamma_values, lam, gamma, gap, distance, _, codes = self.columns()
+        distance = np.concatenate([distance[:50], distance[:50], distance[100:]])
+        path = tmp_path / "g.csv"
+        scaling.write_gap_map_csv(
+            scaling.GapMap(lam_values, gamma_values, gap, codes, distance), path
+        )
+        lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
+        want = []
+        for l, g, m, c, d in zip(lam, gamma, gap, codes.tolist(), distance):
+            tag = model.CRITICALITY_TAGS[c].value
+            status = "ok" if c == 0 else "critical"
+            want.append(",".join(map(self.expected, (l, g, m))) + f",{tag},{self.expected(d)},{status}")
+        assert lines == want
 
 
 class TestScalingFitCommand:
@@ -599,6 +656,27 @@ class TestScalingFitCommand:
 
     def test_missing_approach(self, capsys):
         assert main(["scaling-fit"]) == 2
+
+
+class TestJsonEmitter:
+    """Every JSON product prints and writes the same sorted, indented text."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "4", "--draws", "1", "--steps", "100"],
+            ["scaling-fit", "xx", "--samples", "16"],
+            ["lattice-map", "--input", "lattice.json"],
+        ],
+    )
+    def test_file_equals_stdout(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lattice.json").write_text('{"j_a": 1.0, "j_b": 0.7, "j_c": 0.2, '
+                                               '"u_ab": 8.0, "omega": 0.5, "delta": 0.1}')
+        assert main(argv + ["--out", "out.json"]) == 0
+        text = (tmp_path / "out.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == text
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestStepTraceCommand:
@@ -737,6 +815,21 @@ class TestVerifyCommand:
                 continue
             assert [at["lambda"], at["gamma"]] in payload["points"]
             assert payload["per_n"][str(at["n"])][key] == worst
+
+    @pytest.mark.parametrize("n", ["4,12", "10,12", "12,4"])
+    def test_cap_is_checked_before_the_first_point(self, n, monkeypatch, capsys):
+        monkeypatch.delenv("XYBERRY_MAX_N", raising=False)
+        calls = []
+        monkeypatch.setattr(cli, "discrete_loop_phase", lambda *args: calls.append(args))
+        assert main(["verify", "--n", n, "--draws", "1", "--steps", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ResourceLimitError",
+            "message": "n_sites=12 exceeds the dense-matrix cap of 10 "
+                       "(set XYBERRY_MAX_N to raise it)",
+        }
+        assert calls == []
 
     def test_twelve_sites_under_a_raised_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("XYBERRY_MAX_N", "12")

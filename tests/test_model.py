@@ -237,22 +237,51 @@ class TestArgminGap:
 
 
 class TestModeGapBlocks:
+    LAM = np.array([0.0, 0.4, -1.2, 1.0, 2.5, -0.3, 0.9])
+    GAMMA = np.array([0.5, -0.8, 0.0, 1.0, 0.3, -1.4, 0.05])
+
+    @staticmethod
+    def covered(lam, gamma, n_sites):
+        """Each tile's (row, column) points against the pointwise kernel; the points seen."""
+        seen = []
+        for rows, cols, eps, gap in mode_gap_blocks(lam, gamma, n_sites):
+            row_ids, col_ids = range(len(lam))[rows], range(gamma.shape[-1])[cols]
+            assert eps.shape == (len(row_ids), 1, n_sites // 2)
+            assert gap.shape == (len(row_ids), len(col_ids), n_sites // 2)
+            assert gap.size <= max(model.MODE_BLOCK_ELEMENTS, n_sites // 2)
+            for i, r in enumerate(row_ids):
+                for j, c in enumerate(col_ids):
+                    g = gamma[c] if gamma.ndim == 1 else gamma[r, c]
+                    e1, g1, _ = mode_angle_arrays(momentum_grid(n_sites), lam[r], g)
+                    assert np.array_equal(eps[i, 0], e1) and np.array_equal(gap[i, j], g1)
+                    seen.append((r, c))
+        return sorted(seen)
+
     @pytest.mark.parametrize("block", [1, 7, 2**14])
     def test_matches_pointwise_kernel_exactly(self, monkeypatch, block):
+        # Scattered points: each a row with one column of its own.
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
-        lam = np.array([0.0, 0.4, -1.2, 1.0, 2.5, -0.3, 0.9])
-        gamma = np.array([0.5, -0.8, 0.0, 1.0, 0.3, -1.4, 0.05])
-        seen = []
-        for rows, eps, gap in mode_gap_blocks(lam, gamma, 10):
-            assert eps.shape == gap.shape == (len(lam[rows]), 5)
-            for i, (l, g) in enumerate(zip(lam[rows], gamma[rows])):
-                e1, g1, _ = mode_angle_arrays(momentum_grid(10), l, g)
-                assert np.array_equal(eps[i], e1) and np.array_equal(gap[i], g1)
-            seen.extend(range(len(lam))[rows])
-        assert seen == list(range(len(lam)))
+        seen = self.covered(self.LAM, self.GAMMA[:, None], 10)
+        assert seen == [(r, 0) for r in range(len(self.LAM))]
+
+    @pytest.mark.parametrize("block", [1, 7, 10, 15, 36, 2**14])
+    def test_grid_tiles_match_pointwise_kernel_exactly(self, monkeypatch, block):
+        # Shared columns: 5 modes a point, so tiles of 1, 2, 3 columns, one
+        # whole row of 7, or several rows; 7 columns divide by none but 1.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
+        seen = self.covered(self.LAM, self.GAMMA, 10)
+        assert seen == [(r, c) for r in range(7) for c in range(7)]
+
+    def test_more_modes_than_block_elements(self, monkeypatch):
+        # N/2 = 10 modes over a bound of 8: one point per tile, never split.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
+        seen = self.covered(self.LAM[:3], self.GAMMA[:4], 20)
+        assert seen == [(r, c) for r in range(3) for c in range(4)]
 
     def test_empty_input_yields_nothing(self):
         assert list(mode_gap_blocks(np.array([]), np.array([]), 8)) == []
+        assert list(mode_gap_blocks(np.array([]), np.array([0.5]), 8)) == []
+        assert list(mode_gap_blocks(np.array([]), np.empty((0, 1)), 8)) == []
 
 
 class TestGroundEnergy:

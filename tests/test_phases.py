@@ -22,8 +22,9 @@ from xyberry import (
     wrap_angle,
 )
 from xyberry import model, phases
-from xyberry.model import mode_angle_arrays, momentum_grid
+from xyberry.model import grid_points, mode_angle_arrays, momentum_grid
 from xyberry.phases import PHASE_SURFACE_HEADER, PhaseResult, write_phase_surface_csv
+from grid_reference import phase_surface_reference, write_phase_surface_reference
 
 
 def params(lam, gamma, n, phi=0.0):
@@ -57,6 +58,14 @@ def relative_phase_thermo_reference(lam: float, gamma: float) -> PhaseResult:
     c = 1.0 - gamma * gamma
     geometric = math.pi * lam * gamma / math.sqrt(c * (c - lam * lam))
     return PhaseResult.from_value(-math.pi + geometric, topological_part=-math.pi)
+
+
+def surface_rows(surface):
+    """A ``PhaseSurface`` as rows (lam, gamma, raw, wrapped, phi_eg, status)."""
+    lam, gamma = grid_points(surface.lam_values, surface.gamma_values)
+    status = ["ok" if c == 0 else "critical" for c in surface.codes.tolist()]
+    return list(zip(lam.tolist(), gamma.tolist(), surface.raw.tolist(),
+                    surface.wrapped.tolist(), surface.phi_eg.tolist(), status))
 
 
 def phase_bits(results) -> np.ndarray:
@@ -350,8 +359,9 @@ class TestPhaseSurface:
     def test_rows_match_pointwise_calls(self):
         # lam = 0 exercises the exact-tie branch of the frozen-mode choice
         lams, gammas = [0.0, 0.4, 1.6], [0.3, 0.9]
-        rows = phase_surface(lams, gammas, 8)
-        assert len(rows) == 6
+        surface = phase_surface(lams, gammas, 8)
+        assert len(surface) == 6
+        rows = surface_rows(surface)
         for lam, gamma, raw, wrapped, phi_eg, status in rows:
             assert status == "ok"
             p = params(lam, gamma, 8)
@@ -367,7 +377,7 @@ class TestPhaseSurface:
 
     @pytest.mark.parametrize("n", [4, 6, 10, 1000])
     def test_rows_equal_pointwise_phases_exactly(self, n):
-        rows = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, n)
+        rows = surface_rows(phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, n))
         assert len(rows) == len(self.GRID_LAMS) * len(self.GRID_GAMMAS)
         statuses = {r[5] for r in rows}
         assert statuses == {"ok", "critical"}
@@ -385,24 +395,33 @@ class TestPhaseSurface:
             assert raw == ground_phase_reference(p)
             assert phi_eg == relative_phase_finite_reference(p)
 
-    @pytest.mark.parametrize("block", [1, 15, 40])
-    def test_uneven_blocks_keep_rows(self, monkeypatch, block):
-        # 15 and 40 elements hold 3 and 8 points of 5 modes: neither divides
-        # the 22 noncritical points, so the last block is short.
-        expected = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, 10)
+    @pytest.mark.parametrize("block", [1, 15, 40, 10, 35, 50])
+    def test_uneven_blocks_keep_rows(self, monkeypatch, block, tmp_path):
+        # At N = 10 a point has 5 modes, so a tile holds block // 5 points of
+        # the 7 x 5 grid: 3 or 2 columns (neither divides 5, so the last
+        # column block is short), 8 or 7 points (one whole row of 5), or 10
+        # (two rows; the last tile has one of the 7).  The writer's blocks of
+        # block // 6 rows split the 35 rows unevenly too.  The bytes equal the
+        # point-block reference's, written row by row.
+        expected = surface_rows(phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, 10))
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
-        rows = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, 10)
+        surface = phase_surface(self.GRID_LAMS, self.GRID_GAMMAS, 10)
+        rows = surface_rows(surface)
         assert [r[:2] + r[5:] for r in rows] == [r[:2] + r[5:] for r in expected]
         assert np.array_equal(
             np.array([r[2:5] for r in rows]), np.array([r[2:5] for r in expected]), equal_nan=True
         )
+        write_phase_surface_csv(surface, tmp_path / "s.csv")
+        reference = phase_surface_reference(self.GRID_LAMS, self.GRID_GAMMAS, 10)
+        write_phase_surface_reference(reference, tmp_path / "r.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
     def test_all_critical_grid(self):
-        rows = phase_surface([1.0, -1.0], [0.0, 0.7], 8)
+        rows = surface_rows(phase_surface([1.0, -1.0], [0.0, 0.7], 8))
         assert [r[5] for r in rows] == ["critical"] * 4
 
     def test_row_major_order(self):
-        rows = phase_surface([0.1, 0.2], [0.5, 0.6], 8)
+        rows = surface_rows(phase_surface([0.1, 0.2], [0.5, 0.6], 8))
         assert [(r[0], r[1]) for r in rows] == [
             (0.1, 0.5),
             (0.1, 0.6),
@@ -411,7 +430,7 @@ class TestPhaseSurface:
         ]
 
     def test_critical_rows_flagged_not_dropped(self):
-        rows = phase_surface([1.0], [0.0, 0.5], 8)
+        rows = surface_rows(phase_surface([1.0], [0.0, 0.5], 8))
         assert len(rows) == 2
         for row in rows:
             assert row[5] == "critical"
@@ -419,7 +438,7 @@ class TestPhaseSurface:
 
     def test_step_along_narrow_anisotropy_row(self):
         lams = np.arange(0.1, 2.0, 0.1)
-        rows = phase_surface(lams, [0.05], 400)
+        rows = surface_rows(phase_surface(lams, [0.05], 400))
         phi_eg = {round(r[0], 2): r[4] for r in rows}
         assert abs(phi_eg[0.5] + np.pi) < 0.2
         assert abs(phi_eg[1.5] + 2 * np.pi) < 0.2  # raw value near a full turn

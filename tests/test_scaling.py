@@ -20,6 +20,7 @@ from xyberry import (
 )
 from xyberry import model, scaling
 from xyberry.scaling import write_step_trace_csv
+from grid_reference import mode_gap_blocks_reference
 
 
 def continuum_min_gap_reference(lam: float, gamma: float) -> float:
@@ -136,9 +137,9 @@ class TestContinuumMinGapArrays:
 
 
 def _kernel_min_gaps(lam, gamma, n_sites):
-    """The reference: each point's minimum over its full row of mode_gap_blocks."""
+    """The reference: each point's minimum over its full row of the point-block kernel."""
     out = np.empty(len(lam))
-    for rows, _, gap in model.mode_gap_blocks(lam, gamma, n_sites):
+    for rows, _, gap in mode_gap_blocks_reference(lam, gamma, n_sites):
         out[rows] = gap.min(axis=-1)
     return out
 
@@ -404,5 +405,5 @@ class TestStepDetect:
 class TestEmitters:
     def test_step_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_step_trace_csv([(0.05, 0.9925)], path)
+        write_step_trace_csv(([0.05], [0.9925]), path)
         assert path.read_text(encoding="utf-8") == "gamma,lambda_star\n0.05,0.9925\n"
