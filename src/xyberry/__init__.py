@@ -29,14 +29,10 @@ from .model import (
     GROUND_ENERGY_PREFACTOR,
     Criticality,
     CriticalityClass,
-    ModeAngles,
-    MomentumMode,
     XYParams,
     classify_criticality,
     classify_criticality_arrays,
     ground_energy,
-    min_gap_mode,
-    mode_angles,
     momentum_grid,
 )
 from .observables import (
@@ -97,14 +93,10 @@ __all__ = [
     "DegenerateLevelWarning",
     # model
     "XYParams",
-    "MomentumMode",
-    "ModeAngles",
     "Criticality",
     "CriticalityClass",
     "GROUND_ENERGY_PREFACTOR",
     "momentum_grid",
-    "mode_angles",
-    "min_gap_mode",
     "ground_energy",
     "classify_criticality",
     "classify_criticality_arrays",

@@ -14,8 +14,10 @@ with q on the half-odd-integer grid q_m = 2 pi (m + 1/2) / N.  That grid
 periodic chain's paired-mode ground state for even N; the choice is pinned
 by the dense-diagonalization oracle in the test suite.
 
-Everything here is pure and deterministic; sweeps can be parallelized
-externally without coordination.
+Everything here is pure and deterministic.  ``mode_tiles`` plans a grid
+as disjoint tiles whose values depend on nothing but the tile, so a caller
+may evaluate them in any order, on any thread (``phases.phase_surface``
+does), and get the same bits.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import numpy as np
 
 __all__ = [
     "XYParams",
-    "MomentumMode",
-    "ModeAngles",
     "Criticality",
     "CriticalityClass",
     "CRITICALITY_TAGS",
@@ -37,11 +37,10 @@ __all__ = [
     "DEFAULT_CRITICAL_TOL",
     "momentum_grid",
     "grid_points",
-    "mode_angles",
     "mode_angle_arrays",
+    "mode_tiles",
     "mode_gap_blocks",
     "argmin_gap",
-    "min_gap_mode",
     "ground_energy",
     "classify_criticality",
     "classify_criticality_arrays",
@@ -94,27 +93,6 @@ class XYParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "phi", float(self.phi) % math.pi)
-
-
-@dataclass(frozen=True)
-class MomentumMode:
-    """One positive momentum q = 2 pi (index + 1/2) / N, q in (0, pi)."""
-
-    index: int
-    q: float
-
-
-@dataclass(frozen=True)
-class ModeAngles:
-    """Bloch-vector data of a single (k, -k) pair.
-
-    ``gap`` is the pair's excitation energy scale; ``theta`` in [0, pi] is
-    the polar angle with cos(theta) * gap = epsilon.
-    """
-
-    epsilon: float
-    gap: float
-    theta: float
 
 
 class Criticality(Enum):
@@ -183,6 +161,34 @@ def mode_angle_arrays(q, lam: float, gamma: float):
     return eps, gap, theta
 
 
+def mode_tiles(lam, gamma, n_sites: int):
+    """Plan the tiles of ``mode_gap_blocks``: yields ``(rows, cols, args)``, lazily.
+
+    ``_mode_components(*args)`` evaluates a tile's (epsilon, gap); the plan
+    itself forms only |gamma| sin q of each column block (of each tile, for
+    per-row columns) and views of lam, so walking it is cheap next to the
+    evaluation.  Tiles of shared columns share one ``args[1]`` per column
+    block.  Arguments and tiling are those of ``mode_gap_blocks``.
+    """
+    q = momentum_grid(n_sites)
+    cos_q, sin_q = np.cos(q), np.sin(q)
+    lam = np.asarray(lam, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    shared = gamma.ndim == 1
+    points = MODE_BLOCK_ELEMENTS // q.size
+    col_step = max(1, min(gamma.shape[-1], points))
+    row_step = max(1, points // col_step)
+    for c0 in range(0, gamma.shape[-1], col_step):
+        cols = slice(c0, c0 + col_step)
+        if shared:
+            sines = np.abs(gamma[cols, None]) * sin_q
+        for r0 in range(0, lam.size, row_step):
+            rows = slice(r0, r0 + row_step)
+            if not shared:
+                sines = np.abs(gamma[rows, cols, None]) * sin_q
+            yield rows, cols, (cos_q, sines, lam[rows, None, None])
+
+
 def mode_gap_blocks(lam, gamma, n_sites: int):
     """(epsilon, gap) over rows of lam against columns of gamma, one tile at a time.
 
@@ -202,38 +208,11 @@ def mode_gap_blocks(lam, gamma, n_sites: int):
     MODE_BLOCK_ELEMENTS a tile is one point.  Tiles run column block by
     column block, so |gamma| sin q of shared columns is formed once per
     column block and cos q - lam once per row of it; per point and mode
-    only the hypot remains.
+    only the hypot remains.  ``mode_tiles`` is the plan, for callers that
+    evaluate the tiles themselves.
     """
-    q = momentum_grid(n_sites)
-    cos_q, sin_q = np.cos(q), np.sin(q)
-    lam = np.asarray(lam, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    shared = gamma.ndim == 1
-    points = MODE_BLOCK_ELEMENTS // q.size
-    col_step = max(1, min(gamma.shape[-1], points))
-    row_step = max(1, points // col_step)
-    for c0 in range(0, gamma.shape[-1], col_step):
-        cols = slice(c0, c0 + col_step)
-        if shared:
-            sines = np.abs(gamma[cols, None]) * sin_q
-        for r0 in range(0, lam.size, row_step):
-            rows = slice(r0, r0 + row_step)
-            if not shared:
-                sines = np.abs(gamma[rows, cols, None]) * sin_q
-            eps, gap = _mode_components(cos_q, sines, lam[rows, None, None])
-            yield rows, cols, eps, gap
-
-
-def mode_angles(q: float, params: XYParams) -> ModeAngles:
-    """Bloch angles of the pair at momentum q in (0, pi).
-
-    The polar angle uses |gamma|, keeping theta in [0, pi]; cos(theta) and
-    every derived phase are even in gamma either way.
-    """
-    if not 0.0 < q < np.pi:
-        raise ValueError(f"momentum must lie strictly inside (0, pi), got {q}")
-    eps, gap, theta = mode_angle_arrays(q, params.lam, params.gamma)
-    return ModeAngles(float(eps), float(gap), float(theta))
+    for rows, cols, args in mode_tiles(lam, gamma, n_sites):
+        yield rows, cols, *_mode_components(*args)
 
 
 def argmin_gap(gaps):
@@ -249,13 +228,6 @@ def argmin_gap(gaps):
     tol = 1e-12 * (1.0 + np.abs(gmin))
     k = np.argmax(gaps <= gmin + tol, axis=-1)
     return int(k) if gaps.ndim == 1 else k
-
-
-def min_gap_mode(params: XYParams) -> tuple[MomentumMode, ModeAngles]:
-    """The momentum mode with the smallest gap; ties go to the smallest q."""
-    q = momentum_grid(params.n_sites)
-    k0 = argmin_gap(_point_modes(params)[1])
-    return MomentumMode(k0, float(q[k0])), mode_angles(float(q[k0]), params)
 
 
 def ground_energy(params: XYParams) -> float:

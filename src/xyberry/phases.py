@@ -9,7 +9,10 @@ while only the wrapped value is physical modulo 2 pi.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +22,12 @@ from .model import (
     DEFAULT_CRITICAL_TOL,
     Criticality,
     XYParams,
+    _mode_components,
     _point_modes,
     argmin_gap,
     classify_criticality,
     classify_criticality_arrays,
-    mode_gap_blocks,
+    mode_tiles,
 )
 from .tables import STATUS, Cells, grid_cells, write_csv
 
@@ -259,27 +263,94 @@ def phase_surface(
 
     Grid points on a critical manifold are kept, with NaN phases, so the
     table shape is deterministic and nothing is dropped silently.  The grid
-    is classified as one array and reduced tile by tile over
-    ``mode_gap_blocks``, lam values as rows and gamma values as shared
+    is classified as one array and reduced tile by tile over the
+    ``mode_tiles`` plan, lam values as rows and gamma values as shared
     columns; critical points pass through the kernel with their tile and
-    are blanked after.  Each point's phases equal the per-point ones exactly.
+    are blanked after.  The tiles are evaluated on as many threads as the
+    process has CPUs (see ``_run_tiles``).  Each tile fills its own block
+    of the grid and every reduction runs along one point's modes, so the
+    result is the same bits on any number of CPUs, and each point's phases
+    equal the per-point ones exactly.
     """
     lams = np.asarray(lam_values, dtype=float)
     gammas = np.asarray(gamma_values, dtype=float)
     codes, _ = classify_criticality_arrays(lams[:, None], gammas, tol)
     raw = np.empty(codes.shape)
     phi_eg = np.empty(codes.shape)
-    # A critical point may have a zero gap; its quotients are discarded.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, cols, eps, gap in mode_gap_blocks(lams, gammas, n_sites):
-            cos_theta, n_f = _occupation(eps, gap)
-            raw[rows, cols] = np.pi * n_f
-            phi_eg[rows, cols] = -np.pi * _frozen_term(cos_theta, gap)
+
+    def reduce_tile(rows, cols, args):
+        eps, gap = _mode_components(*args)
+        cos_theta, n_f = _occupation(eps, gap)
+        raw[rows, cols] = np.pi * n_f
+        phi_eg[rows, cols] = -np.pi * _frozen_term(cos_theta, gap)
+
+    _run_tiles(reduce_tile, mode_tiles(lams, gammas, n_sites))
     critical = codes != 0
     raw[critical] = math.nan
     phi_eg[critical] = math.nan
     raw = raw.ravel()
     return PhaseSurface(lams, gammas, codes.ravel(), raw, _wrap_angles(raw), phi_eg.ravel())
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_tiles(work, tiles):
+    """Call ``work(*tile)`` for every tile, on min(usable CPUs, tiles) threads.
+
+    The calling thread is one of them; with one CPU or one tile no thread is
+    started.  Each thread takes the next tile from the shared plan under a
+    lock, one at a time, so a thread that the host slows down holds back
+    one tile, not a fixed share.  numpy releases the interpreter lock in the
+    mode kernel and the reductions, which is where the threads overlap.  The
+    first exception from any tile stops the handout; it is raised here once
+    every thread has been joined.  ``work`` must call nothing that
+    ``benchmarks/tracer.py`` wraps: the tracer's span stack is not
+    thread-safe.
+    """
+    tiles = iter(tiles)
+    # Up to one tile per CPU, taken ahead, sets the thread count without
+    # walking the whole plan.
+    head = list(itertools.islice(tiles, _usable_cpus()))
+    tiles = itertools.chain(head, tiles)
+    lock = threading.Lock()
+    errors = []
+
+    def drain():
+        # errstate is per thread.  A critical point may have a zero gap;
+        # its quotients are discarded.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                while True:
+                    with lock:
+                        tile = None if errors else next(tiles, None)
+                    if tile is None:
+                        return
+                    work(*tile)
+            except BaseException as exc:  # raised again by the caller
+                with lock:
+                    errors.append(exc)
+
+    helpers = [threading.Thread(target=drain) for _ in head[1:]]
+    try:
+        for thread in helpers:
+            thread.start()
+        drain()
+    finally:
+        # However the caller leaves (a thread that would not start, an
+        # interrupt), the helpers take no further tile and are joined.
+        with lock:
+            tiles = iter(())
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _wrap_angles(x: np.ndarray) -> np.ndarray:

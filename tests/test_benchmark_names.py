@@ -4,15 +4,20 @@
 with ``getattr``, and ``benchmarks/workloads.py`` calls package functions
 and reads package constants.  Deleting or renaming one of them breaks a
 benchmark run while every other test still passes, and the harness's own
-self-test is too slow for this suite.  The files are read and executed from
-source, never imported from their directory, so nothing is written there.
+self-test is too slow for this suite.  The tracer's spans are not
+thread-safe, so the phase surface's worker threads must reach none of them.
+The files are read and executed from source, never imported from their
+directory, so nothing is written there.
 """
 
 import ast
 import importlib
+import os
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -53,3 +58,20 @@ def test_workload_names_resolve():
             module = packages.get(node.value.id)
             if module is not None and getattr(workloads, node.value.id) is module:
                 assert hasattr(module, node.attr), f"{node.value.id}.{node.attr}"
+
+
+def test_surface_threads_reach_no_traced_name(monkeypatch):
+    # The tracer's span stack is shared and not thread-safe, so the tiles
+    # that phase_surface hands to its threads may call no traced function.
+    from xyberry import model, phases
+
+    monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    lam, gamma = np.linspace(-2.0, 2.0, 21), np.linspace(0.0, 1.5, 16)
+    with _load("tracer.py").Tracer() as tracer:
+        phases.phase_surface(lam, gamma, 20)
+    stats = tracer.stats
+    assert stats["phases.phase_surface"].counts["points"] == lam.size * gamma.size
+    assert {name: stat.calls for name, stat in stats.items() if stat.calls} == {
+        "phases.phase_surface": 1
+    }

@@ -13,12 +13,11 @@ from xyberry import (
     classify_criticality_arrays,
     ed_ground_energy,
     ground_energy,
-    min_gap_mode,
-    mode_angles,
     momentum_grid,
 )
 from xyberry import model
 from xyberry.model import CRITICALITY_TAGS, argmin_gap, mode_angle_arrays, mode_gap_blocks
+from mode_reference import min_gap_mode, mode_angles
 
 
 def params(lam, gamma, n, phi=0.0):

@@ -1,7 +1,13 @@
 """Closed-form loop phases and the phase-surface tabulation."""
 
+import json
 import math
+import os
 import re
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +18,6 @@ from xyberry import (
     XYParams,
     circular_distance,
     ground_phase,
-    min_gap_mode,
     phase_surface,
     relative_phase_finite,
     relative_phase_thermo,
@@ -22,9 +27,11 @@ from xyberry import (
     wrap_angle,
 )
 from xyberry import model, phases
+from xyberry.cli import main
 from xyberry.model import grid_points, mode_angle_arrays, momentum_grid
 from xyberry.phases import PHASE_SURFACE_HEADER, PhaseResult, write_phase_surface_csv
 from grid_reference import phase_surface_reference, write_phase_surface_reference
+from mode_reference import min_gap_mode
 
 
 def params(lam, gamma, n, phi=0.0):
@@ -456,3 +463,156 @@ class TestPhaseSurface:
         # 12 significant digits
         raw = float(lines[2].split(",")[2])
         assert f"{raw:.12g}" in lines[2]
+
+
+def use_cpus(monkeypatch, count):
+    """Make the process's affinity mask hold ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def float_bits(columns) -> np.ndarray:
+    return np.array(columns, dtype=float).view(np.int64)
+
+
+class TestSurfaceThreads:
+    """The surface's tiles on 1 to 8 threads: the same bits, and a clean failure."""
+
+    # (lam values, gamma values, N, MODE_BLOCK_ELEMENTS or None for the default)
+    GRIDS = {
+        "one point": ([0.3], [0.7], 8, None),
+        # 6 modes, 4 points a tile: one tile per row, 3 tiles.
+        "fewer tiles than threads": ([0.2, 0.5, 1.4], [0.3, 0.6, 0.9, 1.2], 12, 24),
+        "all critical": ([1.0, -1.0, 1.0, -1.0], [0.0, 0.7, 1.3], 8, 12),
+        # 2 points a tile: each row in two column blocks; lam = 0 rows tie.
+        "lambda = 0 tie rows": ([0.0, 0.4, 0.0, -1.6], [0.5, 0.9, -0.7], 8, 8),
+        # Critical rows at lam = -1 and 1; two column blocks, 18 tiles.
+        "negative gamma": (np.linspace(-2.0, 2.0, 9), -np.linspace(0.1, 1.5, 6), 16, 40),
+        # 10 modes over a bound of 8: one point a tile.
+        "more modes than block": ([0.3, 1.2, -0.8], [0.5, -1.1], 20, 8),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_bits_equal_the_reference_on_any_cpu_count(
+        self, monkeypatch, thread_starts, grid, cpus
+    ):
+        lams, gammas, n_sites, block = self.GRIDS[grid]
+        if block is not None:
+            monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
+        tiles = len(list(model.mode_tiles(np.asarray(lams), np.asarray(gammas), n_sites)))
+        use_cpus(monkeypatch, cpus)
+        surface = phase_surface(lams, gammas, n_sites)
+        assert len(thread_starts) == min(cpus, tiles) - 1
+        reference = phase_surface_reference(lams, gammas, n_sites)
+        assert [r[:2] + r[5:] for r in surface_rows(surface)] == [
+            r[:2] + r[5:] for r in reference
+        ]
+        got = float_bits([surface.raw, surface.wrapped, surface.phi_eg])
+        assert np.array_equal(got, float_bits([[r[i] for r in reference] for i in (2, 3, 4)]))
+
+    def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_starts):
+        # 8 threads on this machine's cores, switching every microsecond,
+        # over 720 one-point tiles, and a plan that lets the interpreter
+        # lock go between two tiles: a tile taken twice or lost, or a plan
+        # advanced by two threads at once, shows in the bits.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 6)
+        use_cpus(monkeypatch, 8)
+        plan = phases.mode_tiles
+
+        def yielding_plan(*args):
+            for tile in plan(*args):
+                time.sleep(0)
+                yield tile
+
+        monkeypatch.setattr(phases, "mode_tiles", yielding_plan)
+        lams, gammas = np.linspace(-2.0, 2.0, 240), [-0.9, 0.0, 0.6]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            surface = phase_surface(lams, gammas, 12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(thread_starts) == 7
+        assert not any(thread.is_alive() for thread in thread_starts)
+        reference = phase_surface_reference(lams, gammas, 12)
+        got = float_bits([surface.raw, surface.wrapped, surface.phi_eg])
+        assert np.array_equal(got, float_bits([[r[i] for r in reference] for i in (2, 3, 4)]))
+
+    def test_cpu_count_stands_in_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert phases._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert phases._usable_cpus() == 3
+
+    @staticmethod
+    def fail_on_call(monkeypatch, call, error):
+        """Make the surface's mode kernel raise ``error`` on its ``call``-th tile."""
+        calls, lock, kernel = [], threading.Lock(), phases._mode_components
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == call:
+                    raise error
+            return kernel(*args)
+
+        monkeypatch.setattr(phases, "_mode_components", failing)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_tile_error_is_raised_after_every_thread_stops(self, monkeypatch, cpus):
+        # 40 rows, one tile each.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
+        use_cpus(monkeypatch, cpus)
+        baseline = threading.active_count()
+        calls = self.fail_on_call(monkeypatch, 3, MemoryError("tile 3"))
+        with pytest.raises(MemoryError, match="tile 3"):
+            phase_surface(np.linspace(0.1, 2.0, 40), [0.5, 0.9], 8)
+        assert threading.active_count() == baseline
+        # Each other thread finishes at most the tile it holds, then stops.
+        assert 3 <= len(calls) <= 3 + cpus - 1
+
+    def test_cli_tile_error_exits_one_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
+        use_cpus(monkeypatch, 2)
+        self.fail_on_call(monkeypatch, 5, MemoryError("no room"))
+        argv = ["phase-surface", "--lambda", "0:2:0.1", "--gamma", "0.1:1:0.3", "--n", "8"]
+        assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "MemoryError", "message": "no room"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_gaps_warn_in_no_thread(self, monkeypatch):
+        # Each row holds (cos q_0, 0), on the XX segment, whose first mode
+        # has eps = 0 and gap = 0: 0/0 in every tile.  A short sleep in the
+        # kernel lets each thread take tiles.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
+        use_cpus(monkeypatch, 2)
+        lam0 = float(np.cos(momentum_grid(8)[0]))
+        workers, kernel = set(), phases._mode_components
+
+        def slow(*args):
+            workers.add(threading.get_ident())
+            time.sleep(0.001)
+            return kernel(*args)
+
+        monkeypatch.setattr(phases, "_mode_components", slow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surface = phase_surface([lam0] * 8, [0.0, 0.5], 8)
+        assert len(workers) == 2
+        assert [c != 0 for c in surface.codes.tolist()] == [True, False] * 8
+        assert not np.isnan(surface.raw[1::2]).any()
