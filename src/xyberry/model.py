@@ -14,10 +14,10 @@ with q on the half-odd-integer grid q_m = 2 pi (m + 1/2) / N.  That grid
 periodic chain's paired-mode ground state for even N; the choice is pinned
 by the dense-diagonalization oracle in the test suite.
 
-Everything here is pure and deterministic.  ``mode_tiles`` plans a grid
-as disjoint tiles whose values depend on nothing but the tile, so a caller
-may evaluate them in any order, on any thread (``phases.phase_surface``
-does), and get the same bits.
+Everything here is pure and deterministic.  ``mode_gap_blocks`` covers a
+grid with disjoint tiles whose values depend on nothing but the tile, so
+they may be evaluated in any order, on any thread (``phases.phase_surface``
+does), with the same bits.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "momentum_grid",
     "grid_points",
     "mode_angle_arrays",
-    "mode_tiles",
     "mode_gap_blocks",
     "argmin_gap",
     "ground_energy",
@@ -161,7 +160,7 @@ def mode_angle_arrays(q, lam: float, gamma: float):
     return eps, gap, theta
 
 
-def mode_tiles(lam, gamma, n_sites: int):
+def _mode_tiles(lam, gamma, n_sites: int):
     """Plan the tiles of ``mode_gap_blocks``: yields ``(rows, cols, args)``, lazily.
 
     ``_mode_components(*args)`` evaluates a tile's (epsilon, gap); the plan
@@ -208,10 +207,10 @@ def mode_gap_blocks(lam, gamma, n_sites: int):
     MODE_BLOCK_ELEMENTS a tile is one point.  Tiles run column block by
     column block, so |gamma| sin q of shared columns is formed once per
     column block and cos q - lam once per row of it; per point and mode
-    only the hypot remains.  ``mode_tiles`` is the plan, for callers that
+    only the hypot remains.  ``_mode_tiles`` is the plan, for callers that
     evaluate the tiles themselves.
     """
-    for rows, cols, args in mode_tiles(lam, gamma, n_sites):
+    for rows, cols, args in _mode_tiles(lam, gamma, n_sites):
         yield rows, cols, *_mode_components(*args)
 
 
@@ -223,10 +222,14 @@ def argmin_gap(gaps):
     tolerance of the minimum rather than raw argmin over floating-point
     values.  Returns an int for 1-d input and an index array otherwise.
     """
+    # The reductions are called as ufunc and ndarray methods, not through
+    # the np.min/np.argmax wrappers: the surface runs this once per tile on
+    # every thread, and the wrappers' Python is time under the interpreter
+    # lock.  Same reductions, same bits.
     gaps = np.asarray(gaps, dtype=float)
-    gmin = gaps.min(axis=-1, keepdims=True)
+    gmin = np.minimum.reduce(gaps, axis=-1, keepdims=True)
     tol = 1e-12 * (1.0 + np.abs(gmin))
-    k = np.argmax(gaps <= gmin + tol, axis=-1)
+    k = (gaps <= gmin + tol).argmax(axis=-1)
     return int(k) if gaps.ndim == 1 else k
 
 

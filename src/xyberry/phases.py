@@ -23,11 +23,11 @@ from .model import (
     Criticality,
     XYParams,
     _mode_components,
+    _mode_tiles,
     _point_modes,
     argmin_gap,
     classify_criticality,
     classify_criticality_arrays,
-    mode_tiles,
 )
 from .tables import STATUS, Cells, grid_cells, write_csv
 
@@ -143,7 +143,7 @@ def _require_noncritical(params: XYParams, tol: float):
 def _occupation(eps, gap):
     """cos theta_k = eps_k / gap_k and N_f = sum_k (1 - cos theta_k), along the last axis."""
     cos_theta = eps / gap
-    return cos_theta, np.sum(1.0 - cos_theta, axis=-1)
+    return cos_theta, np.add.reduce(1.0 - cos_theta, axis=-1)
 
 
 def _frozen_term(cos_theta, gap):
@@ -264,13 +264,13 @@ def phase_surface(
     Grid points on a critical manifold are kept, with NaN phases, so the
     table shape is deterministic and nothing is dropped silently.  The grid
     is classified as one array and reduced tile by tile over the
-    ``mode_tiles`` plan, lam values as rows and gamma values as shared
+    ``mode_gap_blocks`` tiles, lam values as rows and gamma values as shared
     columns; critical points pass through the kernel with their tile and
-    are blanked after.  The tiles are evaluated on as many threads as the
-    process has CPUs (see ``_run_tiles``).  Each tile fills its own block
-    of the grid and every reduction runs along one point's modes, so the
-    result is the same bits on any number of CPUs, and each point's phases
-    equal the per-point ones exactly.
+    are blanked after.  The tiles are evaluated on up to two threads, one
+    per CPU the process may use (see ``_run_tiles``).  Each tile fills its
+    own block of the grid and every reduction runs along one point's modes,
+    so the result is the same bits on any number of CPUs, and each point's
+    phases equal the per-point ones exactly.
     """
     lams = np.asarray(lam_values, dtype=float)
     gammas = np.asarray(gamma_values, dtype=float)
@@ -284,12 +284,19 @@ def phase_surface(
         raw[rows, cols] = np.pi * n_f
         phi_eg[rows, cols] = -np.pi * _frozen_term(cos_theta, gap)
 
-    _run_tiles(reduce_tile, mode_tiles(lams, gammas, n_sites))
+    _run_tiles(reduce_tile, _mode_tiles(lams, gammas, n_sites))
     critical = codes != 0
     raw[critical] = math.nan
     phi_eg[critical] = math.nan
     raw = raw.ravel()
     return PhaseSurface(lams, gammas, codes.ravel(), raw, _wrap_angles(raw), phi_eg.ravel())
+
+
+# Threads of one surface at most, the caller's among them.  Only a 2-CPU
+# host has been measured: two threads beat one there, and more threads than
+# CPUs lost to hand-offs of the interpreter lock.  How more threads fare on
+# more CPUs is unmeasured, so the cap stays at two until it is.
+_TILE_THREADS = 2
 
 
 def _usable_cpus() -> int:
@@ -301,7 +308,7 @@ def _usable_cpus() -> int:
 
 
 def _run_tiles(work, tiles):
-    """Call ``work(*tile)`` for every tile, on min(usable CPUs, tiles) threads.
+    """Call ``work(*tile)`` for every tile, on min(2, usable CPUs, tiles) threads.
 
     The calling thread is one of them; with one CPU or one tile no thread is
     started.  Each thread takes the next tile from the shared plan under a
@@ -314,9 +321,9 @@ def _run_tiles(work, tiles):
     thread-safe.
     """
     tiles = iter(tiles)
-    # Up to one tile per CPU, taken ahead, sets the thread count without
+    # One tile per thread, taken ahead, sets the thread count without
     # walking the whole plan.
-    head = list(itertools.islice(tiles, _usable_cpus()))
+    head = list(itertools.islice(tiles, min(_TILE_THREADS, _usable_cpus())))
     tiles = itertools.chain(head, tiles)
     lock = threading.Lock()
     errors = []

@@ -488,7 +488,7 @@ def float_bits(columns) -> np.ndarray:
 
 
 class TestSurfaceThreads:
-    """The surface's tiles on 1 to 8 threads: the same bits, and a clean failure."""
+    """The surface's tiles on 1 to 8 CPUs: the same bits, and a clean failure."""
 
     # (lam values, gamma values, N, MODE_BLOCK_ELEMENTS or None for the default)
     GRIDS = {
@@ -512,10 +512,12 @@ class TestSurfaceThreads:
         lams, gammas, n_sites, block = self.GRIDS[grid]
         if block is not None:
             monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
-        tiles = len(list(model.mode_tiles(np.asarray(lams), np.asarray(gammas), n_sites)))
+        tiles = len(list(model._mode_tiles(np.asarray(lams), np.asarray(gammas), n_sites)))
         use_cpus(monkeypatch, cpus)
         surface = phase_surface(lams, gammas, n_sites)
-        assert len(thread_starts) == min(cpus, tiles) - 1
+        # Two threads at most, the caller's among them, and never more
+        # than CPUs or tiles.
+        assert len(thread_starts) == min(2, cpus, tiles) - 1
         reference = phase_surface_reference(lams, gammas, n_sites)
         assert [r[:2] + r[5:] for r in surface_rows(surface)] == [
             r[:2] + r[5:] for r in reference
@@ -524,20 +526,21 @@ class TestSurfaceThreads:
         assert np.array_equal(got, float_bits([[r[i] for r in reference] for i in (2, 3, 4)]))
 
     def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_starts):
-        # 8 threads on this machine's cores, switching every microsecond,
-        # over 720 one-point tiles, and a plan that lets the interpreter
-        # lock go between two tiles: a tile taken twice or lost, or a plan
-        # advanced by two threads at once, shows in the bits.
+        # The handout with the thread cap lifted to 8, switching every
+        # microsecond, over 720 one-point tiles, and a plan that lets the
+        # interpreter lock go between two tiles: a tile taken twice or
+        # lost, or a plan advanced by two threads at once, shows in the bits.
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 6)
+        monkeypatch.setattr(phases, "_TILE_THREADS", 8)
         use_cpus(monkeypatch, 8)
-        plan = phases.mode_tiles
+        plan = phases._mode_tiles
 
         def yielding_plan(*args):
             for tile in plan(*args):
                 time.sleep(0)
                 yield tile
 
-        monkeypatch.setattr(phases, "mode_tiles", yielding_plan)
+        monkeypatch.setattr(phases, "_mode_tiles", yielding_plan)
         lams, gammas = np.linspace(-2.0, 2.0, 240), [-0.9, 0.0, 0.6]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -573,18 +576,43 @@ class TestSurfaceThreads:
         monkeypatch.setattr(phases, "_mode_components", failing)
         return calls
 
-    @pytest.mark.parametrize("cpus", [2, 4])
-    def test_tile_error_is_raised_after_every_thread_stops(self, monkeypatch, cpus):
-        # 40 rows, one tile each.
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_tile_error_is_raised_after_every_thread_stops(self, monkeypatch, threads):
+        # 40 rows, one tile each.  The first helper thread to reach the
+        # kernel raises.  Every other kernel call waits until that thread
+        # has recorded its error and ended, so each other thread can finish
+        # the one tile it holds and then must stop: no timing decides it.
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
-        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(phases, "_TILE_THREADS", threads)
+        use_cpus(monkeypatch, threads)
         baseline = threading.active_count()
-        calls = self.fail_on_call(monkeypatch, 3, MemoryError("tile 3"))
-        with pytest.raises(MemoryError, match="tile 3"):
+        caller, kernel = threading.get_ident(), phases._mode_components
+        lock, failed, calls = threading.Lock(), threading.Event(), []
+        failer = []
+
+        def failing(*args):
+            with lock:
+                calls.append(threading.get_ident())
+                fail = threading.get_ident() != caller and not failed.is_set()
+                if fail:
+                    failer.append(threading.current_thread())
+                    failed.set()
+            if fail:
+                raise MemoryError("helper tile")
+            assert failed.wait(10.0), "no helper thread reached the kernel"
+            failer[0].join(10.0)
+            assert not failer[0].is_alive()
+            return kernel(*args)
+
+        monkeypatch.setattr(phases, "_mode_components", failing)
+        with pytest.raises(MemoryError, match="helper tile"):
             phase_surface(np.linspace(0.1, 2.0, 40), [0.5, 0.9], 8)
         assert threading.active_count() == baseline
-        # Each other thread finishes at most the tile it holds, then stops.
-        assert 3 <= len(calls) <= 3 + cpus - 1
+        # The failing thread made one call; each other thread at most one
+        # (none if the error was recorded before it took a tile).
+        assert calls.count(failer[0].ident) == 1
+        assert 1 <= len(calls) <= threads
+        assert all(calls.count(ident) == 1 for ident in calls)
 
     def test_cli_tile_error_exits_one_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
@@ -597,19 +625,24 @@ class TestSurfaceThreads:
 
     def test_zero_gaps_warn_in_no_thread(self, monkeypatch):
         # Each row holds (cos q_0, 0), on the XX segment, whose first mode
-        # has eps = 0 and gap = 0: 0/0 in every tile.  A short sleep in the
-        # kernel lets each thread take tiles.
+        # has eps = 0 and gap = 0: 0/0 in every tile.  The caller's first
+        # tile waits until the helper thread has taken one, so both
+        # threads divide by zero.
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
         use_cpus(monkeypatch, 2)
         lam0 = float(np.cos(momentum_grid(8)[0]))
-        workers, kernel = set(), phases._mode_components
+        caller, kernel = threading.get_ident(), phases._mode_components
+        workers, helper_in = set(), threading.Event()
 
-        def slow(*args):
+        def gated(*args):
             workers.add(threading.get_ident())
-            time.sleep(0.001)
+            if threading.get_ident() == caller:
+                assert helper_in.wait(10.0), "the helper thread took no tile"
+            else:
+                helper_in.set()
             return kernel(*args)
 
-        monkeypatch.setattr(phases, "_mode_components", slow)
+        monkeypatch.setattr(phases, "_mode_components", gated)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             surface = phase_surface([lam0] * 8, [0.0, 0.5], 8)
