@@ -165,6 +165,8 @@ def _parse_sites(text: str) -> list[int]:
     for n in ns:
         if n < 4 or n % 2 != 0:
             raise UsageError(f"n_sites must be even and >= 4 (momenta pair as (k, -k)), got {n}")
+    if len(set(ns)) != len(ns):  # verify would solve every point twice
+        raise UsageError(f"a chain length is repeated in {text!r}")
     return ns
 
 

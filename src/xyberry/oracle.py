@@ -35,9 +35,16 @@ Five structural facts are exploited throughout:
   levels are expanded back to parity-block coordinates, so the vectors are
   complex.  The orbits and each block's sparsity pattern are built once
   per (N, parity) and cached; a point only scales three coefficient
-  arrays by (lam, gamma, 1) and solves N/2 + 1 small blocks.  Everything
-  here works on spin states, never on the fermion momentum grid of the
-  closed forms.
+  arrays by (lam, gamma, 1) and solves the N/2 + 1 small blocks in m
+  order.  Once LOOP_LEVELS levels are known, a block of more than 16 rows
+  is first tested by a Cholesky factorization of H_k - (tau + delta) I,
+  tau the LOOP_LEVELS-th lowest level so far: by Sylvester's law of
+  inertia it succeeds only if every level of H_k lies above tau + delta,
+  and then the block holds none of the lowest levels and is not solved
+  (about half the blocks at N = 10).  The margin delta covers rounding in
+  the factorization and in the eigensolve, so the levels kept and their
+  bits are those of solving every block.  Everything here works on spin
+  states, never on the fermion momentum grid of the closed forms.
 * So the overlap product has a closed form.  Over m = steps * windings
   segments every overlap but the closing one is the characteristic
   function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at delta = pi w / m
@@ -127,6 +134,13 @@ DEGENERACY_TOL = 1e-8
 # degenerate cluster and the nearest level above it.
 LOOP_LEVELS = 6
 
+# Blocks of at most this many rows are solved whole (see ``_lowest_eigh``)
+# and never tested by the Cholesky certificate of ``_holds_no_level_below``.
+_SMALL_BLOCK_ROWS = 16
+
+# Unit roundoff of float64 and complex128 arithmetic.
+_UNIT_ROUNDOFF = 2.0**-53
+
 # Parity-block solves memoized by ``_sector_spectrum``: a verify point reads
 # one three times (loop, energy, magnetization).  About 50 KB each at N = 10.
 SPECTRUM_CACHE_SIZE = 32
@@ -187,19 +201,71 @@ def _lowest_eigh(mat: np.ndarray, count: int):
     The pairs are bit-identical to scipy.linalg.eigh's.  The subset driver
     occasionally reports an internal error on small matrices with tightly
     clustered eigenvalues; fall back to the full decomposition in that
-    case.  It is used outright for half the levels or more, and below 17
-    rows.  There the subset saves at most about 30 us per block, and
-    moving the threshold would change the last bits of the levels that the
-    artifacts are pinned to.
+    case.  It is used outright for half the levels or more, and on blocks
+    of at most ``_SMALL_BLOCK_ROWS`` = 16 rows, which the Cholesky
+    certificate of ``_solve_sector`` skips too.  There the subset saves at
+    most about 30 us per block, and moving the threshold would change the
+    last bits of the levels that the artifacts are pinned to.
     """
     dim = mat.shape[0]
-    if count < dim // 2 and dim > 16:
+    if count < dim // 2 and dim > _SMALL_BLOCK_ROWS:
         try:
             return eigh(mat, subset_by_index=[0, count - 1])
         except LinAlgError:
             pass
     vals, vecs = eigh(mat)
     return vals[:count].copy(), vecs[:, :count].copy()  # no view pins the full set
+
+
+@functools.lru_cache(maxsize=4)
+def _potrf(dtype: np.dtype):
+    """LAPACK's Cholesky factorization ?potrf for ``dtype``, looked up once."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf",), dtype=dtype)[0]
+
+
+def _holds_no_level_below(h: np.ndarray, tau: float, scale: float) -> bool:
+    """True only if every level ``eigh`` computes for ``h`` lies above ``tau``.
+
+    ``h`` is a finite real symmetric or complex Hermitian matrix of order n
+    with ||h||_2 <= ``scale``.  The test is a Cholesky factorization
+    (?potrf) of A = h - s I, s = fl(tau + delta), on a copy; by Sylvester's
+    law of inertia it exists only if every eigenvalue of h exceeds s.  The
+    margin is delta = 8 n^2 u (scale + |tau|), u = 2^-53, and it covers
+    every rounding between that test and the levels ``eigh`` would return:
+
+    * the shift: s >= tau + delta - u |tau + delta|, and subtracting s on
+      the diagonal perturbs A by a diagonal D with ||D||_2 <= u (scale + |s|);
+    * the factorization: if it runs to completion, the computed factor R
+      has a positive diagonal and R^* R = A + E with |E| <= g |R^*| |R|,
+      g = gamma_{n+1} = (n+1) u / (1 - (n+1) u) (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., Thm 10.5); complex
+      arithmetic at most doubles g (ibid., section 3.6).  Since
+      ||E||_2 <= 2g ||R||_F^2 and ||R||_F^2 = tr(A + E) <= n (scale + |s|)
+      / (1 - 2g), ||E||_2 <= 3 n^2 u (scale + |s|) for n >= 3.  A + E =
+      R^* R is positive definite, so by Weyl lambda_min(h) > s - ||E||_2 -
+      ||D||_2;
+    * the eigensolve: ?syevr/?heevr are backward stable, so each computed
+      level is within p(n) u ||h||_2 of an exact one (LAPACK Users' Guide,
+      section 4.7.1); the Householder tridiagonalization bounds p(n) by a
+      small multiple of n^2 (Higham, section 19.3), taken here as 3 n^2.
+
+    With |s| <= |tau| + 2 delta these add to at most (6 n^2 + 2) u (scale +
+    |tau|) (1 + 16 n^2 u), which is below delta for 3 <= n <= 10^5, so each
+    computed level of h exceeds tau.  A non-finite ``h`` is never
+    certified: LAPACK can factor a matrix that holds an infinity, and
+    ``eigh`` must be left to reject it.
+    """
+    dim = h.shape[0]
+    if not np.isfinite(h).all():
+        return False
+    shift = tau + 8.0 * dim * dim * _UNIT_ROUNDOFF * (scale + abs(tau))
+    shifted = h.copy()
+    shifted.flat[:: dim + 1] -= shift
+    # The Fortran-ordered view is the transpose, conj(A): the same levels.
+    _, info = _potrf(h.dtype)(shifted.T, lower=True, clean=False, overwrite_a=True)
+    return info == 0
 
 
 def max_sites() -> int:
@@ -420,11 +486,20 @@ def _solve_sector(n_sites, lam, gamma, parity):
     layout = _translation_layout(n_sites, parity)
     count = min(LOOP_LEVELS, layout.states.size)
     weights = np.array([-lam, -gamma, -1.0])
+    # Each of the N bonds has norm at most |gamma| + 1 and the field |lam|
+    # per site, so this bounds ||H(0)||_2 and that of each block of it.
+    scale = n_sites * (abs(lam) + abs(gamma) + 1.0)
     values, levels = [], []  # levels: (block, eigenvectors, column, conjugate)
     for block in layout.blocks:
         dim = block.reps.size
         h = np.zeros((dim, dim), dtype=block.coef.dtype)
         h.flat[block.pos] = weights @ block.coef
+        if dim > _SMALL_BLOCK_ROWS and len(levels) >= count:
+            # A block with no level at or below the count-th lowest so far
+            # (a +-k level counted twice) adds nothing to the stable argsort.
+            tau = float(np.partition(np.concatenate(values), count - 1)[count - 1])
+            if _holds_no_level_below(h, tau, scale):
+                continue
         # H is real and T a real permutation, so H(-k) = conj H(k): each level
         # of a complex block is also a level of -k, with the conjugate
         # vector, and half the count suffices there.
@@ -467,7 +542,8 @@ def sector_ground(params: XYParams, parity: int = +1) -> EigenPair:
 
 def ed_ground_energy(params: XYParams) -> float:
     """Energy of the even-sector ground state (the paired-mode vacuum)."""
-    return sector_ground(params, +1).value
+    vals, _, _, _ = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
+    return float(vals[0])
 
 
 def magnetization_ed(params: XYParams) -> float:

@@ -183,6 +183,17 @@ class TestMainErrorSurface:
         assert err["error"] == "usage"
         assert "even" in err["message"]
 
+    @pytest.mark.parametrize("sites", ["4,4", "6,4,6"])
+    def test_repeated_chain_length_is_a_usage_error(self, sites, tmp_path, capsys):
+        # verify would solve every point of a repeated N twice and keep one.
+        out = tmp_path / "summary.json"
+        argv = ["verify", "--n", sites, "--draws", "1", "--steps", "8", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and "repeated" in err["message"]
+        assert captured.out == "" and not out.exists()
+
     def test_unknown_flag(self, capsys):
         code = main(["verify", "--frobnicate", "1"])
         assert code == 2

@@ -41,6 +41,8 @@ from xyberry.oracle import (
 )
 from xyberry.phases import BlochLoopSpec
 
+from oracle_reference import solve_every_block
+
 
 def params(lam, gamma, n, phi=0.0):
     return XYParams(lam=lam, gamma=gamma, n_sites=n, phi=phi)
@@ -454,6 +456,98 @@ class TestEigensolveBinding:
         assert dims == [2] * 24
 
 
+def _with_levels(rng, levels, dtype):
+    """An exactly Hermitian matrix with ``levels`` in a random orthonormal basis."""
+    dim = len(levels)
+    q, _ = np.linalg.qr(_hermitian(rng, dim, dtype))
+    h = (q * np.asarray(levels)) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+# Points on lam = 0, |lam| = 1, gamma = 0 and gamma = 1, where levels of
+# different blocks can tie and the stable argsort's block order decides.
+_EDGE_POINTS = ((0.0, 0.5), (1.0, 0.5), (-1.0, 0.7), (0.6, 0.0), (-0.4, 1.0), (1.0, 1.0), (0.0, 0.0))
+
+# At N = 10 in the odd sector, the sixth level here is one of a +-k pair and
+# its partner is the seventh, so the pair is split at the LOOP_LEVELS cut.
+_SPLIT_PAIR = (10, -1.54, 0.69, -1)
+
+
+class TestBlockSkipping:
+    """Blocks left out by the Cholesky certificate, against the every-block solve."""
+
+    def test_spectrum_bit_identical_to_every_block_solve(self, monkeypatch):
+        certify, solve = oracle._holds_no_level_below, oracle._lowest_eigh
+        calls = {"certified": 0, "solved": 0}
+
+        def counting_certify(*args):
+            certified = certify(*args)
+            calls["certified"] += certified
+            return certified
+
+        def counting_solve(*args):
+            calls["solved"] += 1
+            return solve(*args)
+
+        # The reference bound its own _lowest_eigh at import; only the
+        # oracle's calls are counted.
+        monkeypatch.setattr(oracle, "_holds_no_level_below", counting_certify)
+        monkeypatch.setattr(oracle, "_lowest_eigh", counting_solve)
+        monkeypatch.setenv("XYBERRY_MAX_N", "12")
+        rng = np.random.default_rng(2016)
+        cases = [_SPLIT_PAIR, (12, 0.35, 0.8, +1), (12, -1.3, 0.45, -1)]
+        for n in (4, 6, 8, 10):
+            drawn = [tuple(rng.uniform((-2.0, -1.5), (2.0, 1.5))) for _ in range(6)]
+            cases += [(n, *point, parity) for parity in (+1, -1) for point in _EDGE_POINTS + tuple(drawn)]
+        skipped = dict.fromkeys((4, 6, 8, 10, 12), 0)
+        for case in cases:
+            n, parity = case[0], case[3]
+            oracle.check_sites(n)
+            before = dict(calls)
+            got = oracle._solve_sector.__wrapped__(*case)
+            want = solve_every_block(*case)
+            for got_array, want_array in zip(got, want):
+                assert got_array.dtype == want_array.dtype, case
+                assert np.array_equal(got_array, want_array), case
+            certified = calls["certified"] - before["certified"]
+            solved = calls["solved"] - before["solved"]
+            # A certified block is never solved, and every other block is.
+            assert certified + solved == len(oracle._translation_layout(n, parity).blocks), case
+            skipped[n] += certified
+        assert skipped[4] == skipped[6] == 0  # no block there has more than 16 rows
+        assert skipped[10] > 0 and skipped[12] > 0
+        vals, vecs, _, _ = oracle._sector_spectrum(*_SPLIT_PAIR)
+        assert vals[4] < vals[5] and _is_complex(vecs[:, 5])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("tau", [-3.7, 0.0, 2.5])
+    def test_certifies_only_levels_beyond_the_margin(self, dtype, tau):
+        rng = np.random.default_rng(31)
+        dim, scale = 24, 10.0
+        # The docstring's delta, written out again here.
+        delta = 8.0 * dim * dim * 2.0**-53 * (scale + abs(tau))
+        rest = rng.uniform(tau + 1.0, 8.0, dim - 1)
+        for offset, certified in ((0.0, False), (delta / 2, False), (10 * delta, True)):
+            h = _with_levels(rng, np.append(tau + offset, rest), dtype)
+            kept = h.copy()
+            assert oracle._holds_no_level_below(h, tau, scale) == certified, offset
+            assert np.array_equal(h, kept), "the block must not be overwritten"
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_block_is_never_certified(self, dtype):
+        rng = np.random.default_rng(32)
+        h = _with_levels(rng, np.linspace(1.0, 8.0, 24), dtype)
+        h[0, 0] = np.inf
+        # LAPACK itself factors this matrix; only the finiteness test refuses it.
+        assert oracle._potrf(h.dtype)(h + 5.0 * np.eye(24), lower=True)[1] == 0
+        assert not oracle._holds_no_level_below(h, -5.0, 10.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_field_still_raises(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle._solve_sector(10, 1e308, 0.5, 1)
+
+
 class TestLowestStates:
     """The lowest levels of the full 2^N spectrum, both parity sectors merged."""
 
@@ -489,6 +583,16 @@ class TestSectorGround:
     def test_parity_validation(self):
         with pytest.raises(ValueError):
             sector_ground(params(0.5, 0.5, 4), parity=0)
+
+    def test_ground_energy_is_the_sector_ground_value(self):
+        # ed_ground_energy reads the cached level without building the vector.
+        rng = np.random.default_rng(12)
+        for n in (4, 6, 8, 10):
+            for lam, gamma in draw_noncritical_points(rng, 3):
+                p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
+                energy = ed_ground_energy(p)
+                assert type(energy) is float
+                assert energy == sector_ground(p).value, (n, lam, gamma)
 
     def test_even_state_can_sit_above_global_ground(self):
         # Inside lam^2 + gamma^2 < 1 the odd sector can dip below at small
