@@ -138,9 +138,6 @@ LOOP_LEVELS = 6
 # and never tested by the Cholesky certificate of ``_holds_no_level_below``.
 _SMALL_BLOCK_ROWS = 16
 
-# Unit roundoff of float64 and complex128 arithmetic.
-_UNIT_ROUNDOFF = 2.0**-53
-
 # Parity-block solves memoized by ``_sector_spectrum``: a verify point reads
 # one three times (loop, energy, magnetization).  About 50 KB each at N = 10.
 SPECTRUM_CACHE_SIZE = 32
@@ -260,9 +257,9 @@ def _holds_no_level_below(h: np.ndarray, tau: float, scale: float) -> bool:
     dim = h.shape[0]
     if not np.isfinite(h).all():
         return False
-    shift = tau + 8.0 * dim * dim * _UNIT_ROUNDOFF * (scale + abs(tau))
+    delta = 8.0 * dim * dim * 2.0**-53 * (scale + abs(tau))
     shifted = h.copy()
-    shifted.flat[:: dim + 1] -= shift
+    shifted.flat[:: dim + 1] -= tau + delta
     # The Fortran-ordered view is the transpose, conj(A): the same levels.
     _, info = _potrf(h.dtype)(shifted.T, lower=True, clean=False, overwrite_a=True)
     return info == 0

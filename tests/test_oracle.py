@@ -466,7 +466,9 @@ def _with_levels(rng, levels, dtype):
 
 # Points on lam = 0, |lam| = 1, gamma = 0 and gamma = 1, where levels of
 # different blocks can tie and the stable argsort's block order decides.
-_EDGE_POINTS = ((0.0, 0.5), (1.0, 0.5), (-1.0, 0.7), (0.6, 0.0), (-0.4, 1.0), (1.0, 1.0), (0.0, 0.0))
+_EDGE_POINTS = (
+    (0.0, 0.5), (1.0, 0.5), (-1.0, 0.7), (0.6, 0.0), (-0.4, 1.0), (1.0, 1.0), (0.0, 0.0),
+)
 
 # At N = 10 in the odd sector, the sixth level here is one of a +-k pair and
 # its partner is the seventh, so the pair is split at the LOOP_LEVELS cut.
@@ -497,8 +499,9 @@ class TestBlockSkipping:
         rng = np.random.default_rng(2016)
         cases = [_SPLIT_PAIR, (12, 0.35, 0.8, +1), (12, -1.3, 0.45, -1)]
         for n in (4, 6, 8, 10):
-            drawn = [tuple(rng.uniform((-2.0, -1.5), (2.0, 1.5))) for _ in range(6)]
-            cases += [(n, *point, parity) for parity in (+1, -1) for point in _EDGE_POINTS + tuple(drawn)]
+            drawn = tuple(tuple(rng.uniform((-2.0, -1.5), (2.0, 1.5))) for _ in range(6))
+            points = _EDGE_POINTS + drawn
+            cases += [(n, *point, parity) for parity in (+1, -1) for point in points]
         skipped = dict.fromkeys((4, 6, 8, 10, 12), 0)
         for case in cases:
             n, parity = case[0], case[3]
