@@ -7,6 +7,8 @@ brute force at small system sizes.  See README.md for a tour.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CriticalPointError,
     DegenerateLevelWarning,
@@ -80,71 +82,8 @@ from .scaling import (
     step_detect,
 )
 
-__all__ = [
-    "__version__",
-    # errors
-    "XYBerryError",
-    "CriticalPointError",
-    "ResourceLimitError",
-    "TrackingError",
-    "DiscretizationError",
-    "StepDetectionError",
-    "InfeasibleTargetError",
-    "DegenerateLevelWarning",
-    # model
-    "XYParams",
-    "Criticality",
-    "CriticalityClass",
-    "GROUND_ENERGY_PREFACTOR",
-    "momentum_grid",
-    "ground_energy",
-    "classify_criticality",
-    "classify_criticality_arrays",
-    # phases
-    "PhaseResult",
-    "BlochLoopSpec",
-    "wrap_angle",
-    "circular_distance",
-    "spin_half_connection",
-    "spin_half_phase",
-    "ground_phase",
-    "relative_phase_finite",
-    "relative_phase_thermo",
-    "relative_phase_thermo_arrays",
-    "phase_surface",
-    # observables
-    "CyclicGeneratorSpec",
-    "expectation_from_phase",
-    "magnetization_analytic",
-    "phase_magnetization_identity",
-    # oracle
-    "EigenPair",
-    "LoopDiscretization",
-    "LoopTrace",
-    "sector_ground",
-    "ed_ground_energy",
-    "magnetization_ed",
-    "sz_cumulants",
-    "pancharatnam_phase",
-    "loop_states",
-    "discrete_loop_phase",
-    "spin_half_loop_phase",
-    # scaling
-    "SweepSpec",
-    "ExponentFit",
-    "continuum_min_gap",
-    "continuum_min_gap_arrays",
-    "finite_min_gap",
-    "finite_min_gap_arrays",
-    "gap_map",
-    "gap_sweep",
-    "fit_exponent",
-    "step_detect",
-    # lattice
-    "LatticeParams",
-    "EffectiveParams",
-    "MottCheck",
-    "effective_xy",
-    "solve_for_targets",
-    "mott_regime_check",
+# The imports above are the one list of top-level names.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

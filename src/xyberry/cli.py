@@ -264,6 +264,21 @@ _FLAG_SPECS = {
 }
 
 
+def _attach_values(argv) -> list:
+    """Argv with each ``--flag -value`` as ``--flag=-value``: argparse reads a token that
+    starts with '-' as an option unless it is a plain number.  A token after a flag that
+    takes a value is that value unless it starts with '--'."""
+    flags = {"--config"} | {f"--{name}" for specs in _FLAG_SPECS.values()
+                            for name, flag in specs.items() if not flag.positional}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="xyberry", description=__doc__)
@@ -287,7 +302,7 @@ def parse_config(argv=None) -> RunConfig:
     is a JSON object keyed by flag name whose values, strings or finite
     numbers, stand for their text.
     """
-    args = vars(_build_parser().parse_args(argv))
+    args = vars(_build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
     command = args["command"]
     if command is None:
         raise UsageError(f"a command is required: one of {', '.join(_FLAG_SPECS)}")

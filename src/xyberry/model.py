@@ -14,7 +14,7 @@ with q on the half-odd-integer grid q_m = 2 pi (m + 1/2) / N.  That grid
 periodic chain's paired-mode ground state for even N; the choice is pinned
 by the dense-diagonalization oracle in the test suite.
 
-Everything here is pure and deterministic.  ``mode_gap_blocks`` covers a
+Everything here is pure and deterministic.  ``_mode_tiles`` covers a
 grid with disjoint tiles whose values depend on nothing but the tile, so
 they may be evaluated in any order, on any thread (``phases.phase_surface``
 does), with the same bits.
@@ -38,7 +38,6 @@ __all__ = [
     "momentum_grid",
     "grid_points",
     "mode_angle_arrays",
-    "mode_gap_blocks",
     "argmin_gap",
     "ground_energy",
     "classify_criticality",
@@ -54,10 +53,10 @@ GROUND_ENERGY_PREFACTOR = 2.0
 # Default tolerance for critical-manifold membership; CLI-overridable.
 DEFAULT_CRITICAL_TOL = 1e-9
 
-# Elements per block of every block-wise pass over a grid: grid points x
-# momenta in mode_gap_blocks, rows x columns in the CSV writer
-# (``tables.write_csv``).  2**14 values, 128 KiB per float64 or object array,
-# which bounds the memory of both at any grid size.
+# Elements per block of every block-wise pass over a grid: points x momenta
+# in _mode_tiles and in the fallback of ``scaling.finite_min_gap_arrays``, rows
+# x columns in the CSV writer (``tables.write_csv``).  2**14 values, 128 KiB
+# per float64 or object array, which bounds the memory of each at any grid size.
 MODE_BLOCK_ELEMENTS = 2**14
 
 
@@ -161,57 +160,29 @@ def mode_angle_arrays(q, lam: float, gamma: float):
 
 
 def _mode_tiles(lam, gamma, n_sites: int):
-    """Plan the tiles of ``mode_gap_blocks``: yields ``(rows, cols, args)``, lazily.
+    """Plan the tiles of the grid lam x gamma: yields ``(rows, cols, args)``, lazily.
 
-    ``_mode_components(*args)`` evaluates a tile's (epsilon, gap); the plan
-    itself forms only |gamma| sin q of each column block (of each tile, for
-    per-row columns) and views of lam, so walking it is cheap next to the
-    evaluation.  Tiles of shared columns share one ``args[1]`` per column
-    block.  Arguments and tiling are those of ``mode_gap_blocks``.
+    ``lam`` and ``gamma`` are 1-d float arrays, ``rows`` and ``cols`` the
+    slices of them a tile covers.  ``_mode_components(*args)`` evaluates its
+    (epsilon, gap), of shapes (rows, 1, N/2) and (rows, cols, N/2) over
+    ``momentum_grid(n_sites)``, each value equal to what ``mode_angle_arrays``
+    gives at that point.  A tile holds max(1, MODE_BLOCK_ELEMENTS // (N/2))
+    points and never splits a point's modes (the N_f sum and ``argmin_gap``
+    need the whole row): as many whole rows as fit, else one row of fewer
+    columns.  |gamma| sin q is formed once per column block and cos q - lam
+    once per row of it, so per point and mode only the hypot remains.
     """
     q = momentum_grid(n_sites)
     cos_q, sin_q = np.cos(q), np.sin(q)
-    lam = np.asarray(lam, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    shared = gamma.ndim == 1
     points = MODE_BLOCK_ELEMENTS // q.size
-    col_step = max(1, min(gamma.shape[-1], points))
+    col_step = max(1, min(gamma.size, points))
     row_step = max(1, points // col_step)
-    for c0 in range(0, gamma.shape[-1], col_step):
+    for c0 in range(0, gamma.size, col_step):
         cols = slice(c0, c0 + col_step)
-        if shared:
-            sines = np.abs(gamma[cols, None]) * sin_q
+        sines = np.abs(gamma[cols, None]) * sin_q
         for r0 in range(0, lam.size, row_step):
             rows = slice(r0, r0 + row_step)
-            if not shared:
-                sines = np.abs(gamma[rows, cols, None]) * sin_q
             yield rows, cols, (cos_q, sines, lam[rows, None, None])
-
-
-def mode_gap_blocks(lam, gamma, n_sites: int):
-    """(epsilon, gap) over rows of lam against columns of gamma, one tile at a time.
-
-    ``lam`` is a 1-d array of R row values.  ``gamma`` is either a 1-d array
-    of C columns that every row shares (the grid lam x gamma, as a phase
-    surface has it), or an (R, C) array of each row's own columns (scattered
-    points are rows of one column).  Yields ``(rows, cols, eps, gap)`` with
-    ``rows`` and ``cols`` the slices covered, ``eps`` of shape
-    (rows, 1, N/2) and ``gap`` of shape (rows, cols, N/2), the momenta of
-    ``momentum_grid(n_sites)`` along the last axis.  Each value equals what
-    ``mode_angle_arrays`` gives for the same point; theta is not formed.
-
-    A tile holds max(1, MODE_BLOCK_ELEMENTS // (N/2)) points: a whole row
-    of columns and as many rows as fit, else fewer columns and one row.  A
-    point's N/2 modes are never split, because the reductions over them
-    (the N_f sum, ``argmin_gap``) need the whole row; so past N/2 =
-    MODE_BLOCK_ELEMENTS a tile is one point.  Tiles run column block by
-    column block, so |gamma| sin q of shared columns is formed once per
-    column block and cos q - lam once per row of it; per point and mode
-    only the hypot remains.  ``_mode_tiles`` is the plan, for callers that
-    evaluate the tiles themselves.
-    """
-    for rows, cols, args in _mode_tiles(lam, gamma, n_sites):
-        yield rows, cols, *_mode_components(*args)
 
 
 def argmin_gap(gaps):

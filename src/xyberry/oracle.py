@@ -450,14 +450,17 @@ def _translation_layout(n_sites: int, parity: int) -> _Layout:
         keep = compatible[source] & compatible[target]
         phase = roots[m * dist[keep] % n_sites] * ratio[keep]
         flat = slot[target[keep]] * dim + slot[source[keep]]
-        dense = np.zeros((3, dim * dim), dtype=complex)
-        dense[0, :: dim + 1] = sz[is_rep][compatible]
+        # Each entry's column among the distinct positions, diagonal first.
+        pos, column = np.unique(np.r_[np.arange(dim) * (dim + 1), flat], return_inverse=True)
+        coef = np.zeros((3, pos.size), dtype=complex)
+        coef[0, column[:dim]] = sz[is_rep][compatible]
+        column = column[dim:]
         for row, bonds in ((1, parallel[keep]), (2, ~parallel[keep])):
             terms = phase[bonds]  # bincount sums real weights only
-            dense[row] = np.bincount(flat[bonds], terms.real, dim * dim)
-            dense[row] += 1j * np.bincount(flat[bonds], terms.imag, dim * dim)
-        pos = np.flatnonzero(dense.any(axis=0))
-        coef = dense[:, pos]
+            coef[row] = np.bincount(column[bonds], terms.real, pos.size)
+            coef[row] += 1j * np.bincount(column[bonds], terms.imag, pos.size)
+        nonzero = coef.any(axis=0)
+        pos, coef = pos[nonzero], coef[:, nonzero]
         expand = roots[-m * shift % n_sites] / np.sqrt(length)
         if real:
             coef, expand = coef.real.copy(), expand.real.copy()

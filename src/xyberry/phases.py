@@ -264,7 +264,7 @@ def phase_surface(
     Grid points on a critical manifold are kept, with NaN phases, so the
     table shape is deterministic and nothing is dropped silently.  The grid
     is classified as one array and reduced tile by tile over the
-    ``mode_gap_blocks`` tiles, lam values as rows and gamma values as shared
+    ``_mode_tiles`` tiles, lam values as rows and gamma values as shared
     columns; critical points pass through the kernel with their tile and
     are blanked after.  The tiles are evaluated on up to two threads, one
     per CPU the process may use (see ``_run_tiles``).  Each tile fills its

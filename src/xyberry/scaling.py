@@ -9,8 +9,8 @@ lengths, which nothing here computes.
 The minimum gap is quadratic in cos q, so neither minimum scans every mode:
 the continuum one is the closed-form vertex (``continuum_min_gap_arrays``),
 and the finite-N one evaluates a few modes next to the vertex and certifies
-them against the rest (``finite_min_gap_arrays``), reducing a full row of
-``mode_gap_blocks`` only for points the certificate cannot settle.  The
+them against the rest (``finite_min_gap_arrays``), reducing a point's full
+row of modes only where the certificate cannot settle it.  The
 scalar ``continuum_min_gap`` and ``finite_min_gap`` are one-point views on
 these array functions; the independent per-point references that the tests
 hold them equal to live in the test suite.
@@ -24,13 +24,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import model
 from .errors import StepDetectionError
 from .model import (
     DEFAULT_CRITICAL_TOL,
     _mode_components,
     classify_criticality_arrays,
     grid_points,
-    mode_gap_blocks,
     momentum_grid,
 )
 from .tables import STATUS, TAGS, Cells, distinct_cells, grid_cells, write_csv
@@ -173,7 +173,7 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
 
     Each gap comes from the mode kernel, ``hypot(cos_q[k] - lam, |gamma|
     sin_q[k])``, on the one ``cos``/``sin`` of ``momentum_grid(n_sites)``,
-    so it equals the ``mode_gap_blocks`` entry and the minimum equals the
+    so it equals the ``mode_angle_arrays`` gap and the minimum equals the
     full row's.
 
     Certificate.  Every mode left out lies beyond a guard, where by
@@ -199,8 +199,8 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
 
     Points that fail or are not convex (flat rows such as lam ~ 0,
     |gamma| ~ 1; |gamma| >= 1; huge lam or gamma; NaN) are reduced over
-    their full row of N/2 modes: each is a row of ``mode_gap_blocks`` with
-    one column of its own.
+    their full row of N/2 modes by the same kernel, max(1,
+    MODE_BLOCK_ELEMENTS // (N/2)) points at a time.
     """
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -224,9 +224,11 @@ def finite_min_gap_arrays(lam, gamma, n_sites: int) -> np.ndarray:
             margin = guard * guard * (1.0 - _CERT_SLACK) - _CERT_SLACK * g2 - best2
             ok &= ~left_out | (np.isfinite(margin) & (margin >= _CERT_FLOOR))
     fallback = np.flatnonzero(~ok)
-    if fallback.size:
-        for rows, _, _, gap in mode_gap_blocks(lam[fallback], gamma[fallback, None], n_sites):
-            best[fallback[rows]] = gap.min(axis=-1)[:, 0]
+    step = max(1, model.MODE_BLOCK_ELEMENTS // m_modes)
+    for start in range(0, fallback.size, step):
+        points = fallback[start:start + step]
+        _, gap = _mode_components(cos_q, np.abs(gamma[points, None]) * sin_q, lam[points, None])
+        best[points] = gap.min(axis=-1)
     return best
 
 

@@ -194,6 +194,35 @@ class TestMainErrorSurface:
         assert err["error"] == "usage" and "repeated" in err["message"]
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap-map", "--lambda", "-2:2:0.5", "--gamma", "-1:1:0.5"],
+            ["gap-map", "--lambda", "-2:2:0.5", "--gamma", "-3:3:0.5", "--n", "64"],
+            ["phase-surface", "--lambda", "-2:2:0.25", "--gamma", "-1.5:1.5:0.25", "--n", "100"],
+            ["step-trace", "--gamma", "-0.5,0.2", "--lambda", "-0.5:2:0.005"],
+        ],
+    )
+    def test_negative_value_in_its_own_token(self, argv, tmp_path, capsys):
+        # argparse alone reads "-2:2:0.5" as an option; it must be --lambda's value.
+        joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        outputs = []
+        for name, line in (("spaced.csv", argv), ("joined.csv", joined)):
+            assert main(line + ["--out", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out.replace(name, ""))
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags", [["--lambda", "--gamma", "0:1:1"], ["--lambda", "0:1:1", "--gamma=--"],
+                  ["--lambda", "0:1:1", "--gamma", "--"]]
+    )
+    def test_a_flag_is_never_a_value(self, flags, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gap-map", *flags, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not out.exists()
+
     def test_unknown_flag(self, capsys):
         code = main(["verify", "--frobnicate", "1"])
         assert code == 2

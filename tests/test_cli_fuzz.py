@@ -6,8 +6,10 @@ negative, huge, or a small valid value (chains of at most 8 sites, ranges
 of at most 10 points), so an accepted command line stays cheap to run.
 Unless ``--config`` itself is drawn, about half the values go into a config
 file instead of argv, some of them replaced by a JSON value that is not a
-string.  A list of two or more valid chain lengths must be a usage error on
-the commands that take one.
+string.  An argv value is written as ``--flag=value`` or as ``--flag value``;
+a line that uses the second form must end as the first form of it does.  A
+list of two or more valid chain lengths must be a usage error on the
+commands that take one.
 """
 
 import contextlib
@@ -87,11 +89,35 @@ def command_lines(draw):
     for flag, value in drawn.items():
         if "config" not in drawn and draw(st.booleans()):
             config[flag] = draw(st.sampled_from(JSON_VALUES)) if draw(st.integers(0, 3)) == 0 else value
+        elif flag == "approach":
+            argv.append(value)
         else:
-            argv.append(value if flag == "approach" else f"--{flag}={value}")
+            argv += [f"--{flag}", value] if draw(st.booleans()) else [f"--{flag}={value}"]
     if config:
         argv.append("--config={dir}/drawn.json")
     return argv, config
+
+
+def _joined(argv):
+    """``argv`` with every ``--flag value`` pair written as ``--flag=value``."""
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        bare_flag = token.startswith("--") and "=" not in token
+        joined.append(f"{token}={next(tokens)}" if bare_flag else token)
+    return joined
+
+
+def _run(argv, work):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` run in ``work``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # a malformed --out token is a relative path
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @settings(
@@ -110,6 +136,9 @@ def command_lines(draw):
     line=(["gap-map", "--lambda=0:1:0.25", "--gamma=0:1:0.25", "--config={dir}/drawn.json"],
           {"out": None})
 )
+@example(line=(["gap-map", "--lambda", "-1:1:0.5", "--gamma", "0:1:0.25", "--n", "4,6"], {}))
+@example(line=(["step-trace", "--gamma", "-0.5", "--out", "{dir}/out.dat"], {}))
+@example(line=(["gap-map", "--lambda", "--", "--gamma", "0:1:0.25"], {}))
 def test_exit_codes_and_json_errors(tmp_path_factory, line):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))
@@ -123,17 +152,16 @@ def test_exit_codes_and_json_errors(tmp_path_factory, line):
               for k, v in config.items()}
     (work / "drawn.json").write_text(json.dumps(config))
     argv = [token.replace("{dir}", str(work)) for token in argv]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(work)  # a malformed --out token is a relative path
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-    finally:
-        os.chdir(cwd)
+    joined = _joined(argv)
+    code, out, err = _run(argv, work)
     assert code in (0, 1, 2), (argv, code)
-    if argv[0] in SINGLE_N_COMMANDS and SITE_LISTS & {*argv, f"--n={config.get('n')}"}:
+    if argv[0] in SINGLE_N_COMMANDS and SITE_LISTS & {*joined, f"--n={config.get('n')}"}:
         assert code == 2, (argv, config)
     if code != 0:
-        error = json.loads(stderr.getvalue())
-        assert isinstance(error, dict) and "error" in error, (argv, config, stderr.getvalue())
+        error = json.loads(err)
+        assert isinstance(error, dict) and "error" in error, (argv, config, err)
+    if joined != argv:
+        got, want = (code, out, err), _run(joined, work)
+        if "--" in argv:  # argparse's separator: the two messages differ, the exit codes not
+            got, want = got[0], want[0]
+        assert got == want, (argv, joined)

@@ -16,7 +16,13 @@ from xyberry import (
     momentum_grid,
 )
 from xyberry import model
-from xyberry.model import CRITICALITY_TAGS, argmin_gap, mode_angle_arrays, mode_gap_blocks
+from xyberry.model import (
+    CRITICALITY_TAGS,
+    _mode_components,
+    _mode_tiles,
+    argmin_gap,
+    mode_angle_arrays,
+)
 from mode_reference import min_gap_mode, mode_angles
 
 
@@ -236,6 +242,8 @@ class TestArgminGap:
 
 
 class TestModeGapBlocks:
+    """The tiles of ``_mode_tiles``, each evaluated by ``_mode_components``."""
+
     LAM = np.array([0.0, 0.4, -1.2, 1.0, 2.5, -0.3, 0.9])
     GAMMA = np.array([0.5, -0.8, 0.0, 1.0, 0.3, -1.4, 0.05])
 
@@ -243,30 +251,23 @@ class TestModeGapBlocks:
     def covered(lam, gamma, n_sites):
         """Each tile's (row, column) points against the pointwise kernel; the points seen."""
         seen = []
-        for rows, cols, eps, gap in mode_gap_blocks(lam, gamma, n_sites):
-            row_ids, col_ids = range(len(lam))[rows], range(gamma.shape[-1])[cols]
+        for rows, cols, args in _mode_tiles(lam, gamma, n_sites):
+            eps, gap = _mode_components(*args)
+            row_ids, col_ids = range(len(lam))[rows], range(len(gamma))[cols]
             assert eps.shape == (len(row_ids), 1, n_sites // 2)
             assert gap.shape == (len(row_ids), len(col_ids), n_sites // 2)
             assert gap.size <= max(model.MODE_BLOCK_ELEMENTS, n_sites // 2)
             for i, r in enumerate(row_ids):
                 for j, c in enumerate(col_ids):
-                    g = gamma[c] if gamma.ndim == 1 else gamma[r, c]
-                    e1, g1, _ = mode_angle_arrays(momentum_grid(n_sites), lam[r], g)
+                    e1, g1, _ = mode_angle_arrays(momentum_grid(n_sites), lam[r], gamma[c])
                     assert np.array_equal(eps[i, 0], e1) and np.array_equal(gap[i, j], g1)
                     seen.append((r, c))
         return sorted(seen)
 
-    @pytest.mark.parametrize("block", [1, 7, 2**14])
-    def test_matches_pointwise_kernel_exactly(self, monkeypatch, block):
-        # Scattered points: each a row with one column of its own.
-        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
-        seen = self.covered(self.LAM, self.GAMMA[:, None], 10)
-        assert seen == [(r, 0) for r in range(len(self.LAM))]
-
     @pytest.mark.parametrize("block", [1, 7, 10, 15, 36, 2**14])
     def test_grid_tiles_match_pointwise_kernel_exactly(self, monkeypatch, block):
-        # Shared columns: 5 modes a point, so tiles of 1, 2, 3 columns, one
-        # whole row of 7, or several rows; 7 columns divide by none but 1.
+        # 5 modes a point, so tiles of 1, 2, 3 columns, one whole row of 7,
+        # or several rows; 7 columns divide by none but 1.
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
         seen = self.covered(self.LAM, self.GAMMA, 10)
         assert seen == [(r, c) for r in range(7) for c in range(7)]
@@ -278,9 +279,9 @@ class TestModeGapBlocks:
         assert seen == [(r, c) for r in range(3) for c in range(4)]
 
     def test_empty_input_yields_nothing(self):
-        assert list(mode_gap_blocks(np.array([]), np.array([]), 8)) == []
-        assert list(mode_gap_blocks(np.array([]), np.array([0.5]), 8)) == []
-        assert list(mode_gap_blocks(np.array([]), np.empty((0, 1)), 8)) == []
+        assert list(_mode_tiles(np.array([]), np.array([]), 8)) == []
+        assert list(_mode_tiles(np.array([]), np.array([0.5]), 8)) == []
+        assert list(_mode_tiles(np.array([0.5]), np.array([]), 8)) == []
 
 
 class TestGroundEnergy:

@@ -41,7 +41,7 @@ from xyberry.oracle import (
 )
 from xyberry.phases import BlochLoopSpec
 
-from oracle_reference import solve_every_block
+from oracle_reference import solve_every_block, translation_layout_dense
 
 
 def params(lam, gamma, n, phi=0.0):
@@ -356,6 +356,18 @@ class TestMomentumBlocks:
         with pytest.warns(DegenerateLevelWarning):
             assert magnetization_ed(p) == pytest.approx(want, abs=1e-12)
         assert oracle.sz_cumulants(p)[0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("parity", [+1, -1])
+    def test_sparse_layout_equals_the_dense_builder(self, n, parity):
+        layout, want = oracle._translation_layout(n, parity), translation_layout_dense(n, parity)
+        assert layout.n_reps == want.n_reps and len(layout.blocks) == len(want.blocks)
+        pairs = list(zip(layout[:3], want[:3]))
+        for block, ref in zip(layout.blocks, want.blocks):
+            pairs += zip(block, ref)
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype and got.shape == ref.shape, (n, parity)
+            assert got.tobytes() == ref.tobytes(), (n, parity)
 
     def test_twelve_sites_match_the_closed_forms(self, monkeypatch):
         monkeypatch.setenv("XYBERRY_MAX_N", "12")

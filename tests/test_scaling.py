@@ -19,6 +19,7 @@ from xyberry import (
     step_detect,
 )
 from xyberry import model, scaling
+from xyberry.model import mode_angle_arrays
 from xyberry.scaling import write_step_trace_csv
 from grid_reference import mode_gap_blocks_reference
 
@@ -179,14 +180,15 @@ class TestFiniteMinGapArrays:
 
     @staticmethod
     def count_kernel_rows(monkeypatch):
-        """Rows that finite_min_gap_arrays hands to the full-row kernel."""
-        rows = []
+        """Rows that finite_min_gap_arrays hands to the full-row kernel, per call."""
+        rows, kernel = [], scaling._mode_components
 
-        def counting(lam, gamma, n_sites):
-            rows.append(len(lam))
-            return model.mode_gap_blocks(lam, gamma, n_sites)
+        def counting(cos_q, sines, lam):
+            if np.ndim(cos_q) == 1:  # a full row; the vertex window indexes cos_q
+                rows.append(len(lam))
+            return kernel(cos_q, sines, lam)
 
-        monkeypatch.setattr(scaling, "mode_gap_blocks", counting)
+        monkeypatch.setattr(scaling, "_mode_components", counting)
         return rows
 
     @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 50, 1000, 4096])
@@ -246,6 +248,22 @@ class TestFiniteMinGapArrays:
         gamma = np.array([1.0, -1.0, 1.5, -3.0, np.nextafter(1.0, 0.0)])
         self.assert_equals_kernel(lam, gamma, 64)
         assert rows == [4]
+
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    def test_fallback_chunks_match_full_rows(self, monkeypatch, block):
+        # Every point falls back: |gamma| >= 1, flat rows, 1e300 and NaN.
+        # N = 6 has 3 modes, so chunks of 1, 2 and all 8 points.
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", block)
+        rows = self.count_kernel_rows(monkeypatch)
+        lam = np.array([0.3, -2.0, 0.0, -0.0, 1e300, np.nan, 0.5, 0.7])
+        gamma = np.array([1.0, -1.5, 1.0, -1.0, 0.5, 0.5, np.nan, 1e300])
+        with np.errstate(all="ignore"):
+            gaps = finite_min_gap_arrays(lam, gamma, 6)
+            want = [np.min(mode_angle_arrays(model.momentum_grid(6), l, g)[1])
+                    for l, g in zip(lam, gamma)]
+        np.testing.assert_array_equal(gaps, want)
+        step = max(1, block // 3)
+        assert rows == [min(step, 8 - start) for start in range(0, 8, step)]
 
     def test_readme_grid_needs_no_kernel_rows(self, monkeypatch):
         rows = self.count_kernel_rows(monkeypatch)
