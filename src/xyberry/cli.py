@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
@@ -55,6 +54,7 @@ from .scaling import (
     write_gap_map_csv,
     write_step_trace_csv,
 )
+from .tables import _atomic_write
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -65,10 +65,23 @@ VERIFY_PHASE_TOL = 1e-3
 VERIFY_ENERGY_TOL = 1e-8
 VERIFY_MAGNETIZATION_TOL = 1e-8
 VERIFY_IDENTITY_RATIO = 1.0
+# verify's rows, each by its threshold; a row passes below its threshold.
+VERIFY_THRESHOLDS = {
+    "phase": VERIFY_PHASE_TOL,
+    "energy": VERIFY_ENERGY_TOL,
+    "magnetization": VERIFY_MAGNETIZATION_TOL,
+    "identity": VERIFY_IDENTITY_RATIO,
+}
 
 # Energy and magnetization discrepancies below this are rounding, so the
 # summary names no point for them.
 VERIFY_LOCATION_FLOOR = 1e-12
+
+# verify draws its points at least this far from every critical manifold.
+NONCRITICAL_MARGIN = 0.05
+
+# scaling-fit's approaches: (swept parameter, the other one's value, critical value, side).
+_APPROACHES = {"ising": ("lambda", 1.0, 1.0, -1), "xx": ("gamma", 0.5, 0.0, +1)}
 
 # Largest point count one min:max:step range, or one count flag (--draws,
 # --steps, --samples, N/2 for a single --n), may ask for; checked before
@@ -191,8 +204,8 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _parse_approach(text: str) -> str:
-    if text not in ("ising", "xx"):
-        raise UsageError(f"must be ising or xx, got {text!r}")
+    if text not in _APPROACHES:
+        raise UsageError(f"must be {' or '.join(_APPROACHES)}, got {text!r}")
     return text
 
 
@@ -244,7 +257,7 @@ _FLAG_SPECS = {
     },
     "scaling-fit": {
         "approach": _Flag("approach", _parse_approach, _REQUIRED, "critical approach",
-                          "{ising,xx}", positional=True),
+                          "{%s}" % ",".join(_APPROACHES), positional=True),
         "window": _Flag("window", _parse_window, "%g:%g" % DEFAULT_FIT_WINDOW,
                         "fit window in |g - g_c|", "LO:HI"),
         "samples": _Flag("samples", _count(8), "24", "sweep samples"),
@@ -281,11 +294,11 @@ def _attach_values(argv) -> list:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="xyberry", description=__doc__)
+    parser = _Parser(prog="xyberry", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"xyberry {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for command, flags in _FLAG_SPECS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None, help="JSON file of flag values")
         for name, flag in flags.items():
             name, kw = (name, {"nargs": "?"}) if flag.positional else (f"--{name}", {"dest": name})
@@ -340,57 +353,19 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(command=command, parameters=values, **fixed)
 
 
-def _atomic_write(path: str, write) -> None:
-    """Create ``path`` atomically: ``write(tmp)`` fills a fresh temporary file.
-
-    The temporary file takes a new random name in the target directory and
-    is created exclusively, so concurrent runs never share it.  It is
-    created with mode 0o666 and the process umask alone trims that, so the
-    artifact gets the usual mode without the umask ever being changed.  It
-    is removed if anything fails, so a failed run leaves neither a partial
-    artifact nor a stray file.
-    """
-    stem = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.")
-    for _ in range(100):
-        tmp = f"{stem}{os.urandom(6).hex()}.tmp"
-        try:
-            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-            break
-        except FileExistsError:
-            continue
-    else:
-        raise FileExistsError(f"no free temporary name beside {path}")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _text_writer(text: str):
-    """A writer for ``_atomic_write`` that stores ``text`` (UTF-8, LF)."""
-
-    def write(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-    return write
-
-
 def _emit_json(path: Optional[str], payload: dict, allow_nan: bool = True) -> None:
     """The one JSON emitter: print ``payload`` as sorted, indented JSON, and write
     the same text to ``path`` when one is given."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
     if path:
-        _atomic_write(path, _text_writer(text))
+        _atomic_write(path, lambda fh: fh.write(text))
     print(text, end="")
 
 
 def _run_phase_surface(cfg: RunConfig) -> int:
     p = cfg.parameters
     surface = phase_surface(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
-    _atomic_write(cfg.output_path, lambda tmp: write_phase_surface_csv(surface, tmp))
+    write_phase_surface_csv(surface, cfg.output_path)
     flagged = np.count_nonzero(surface.codes)
     print(f"wrote {cfg.output_path}: {len(surface)} rows ({flagged} flagged critical)")
     return 0
@@ -399,26 +374,28 @@ def _run_phase_surface(cfg: RunConfig) -> int:
 def _run_gap_map(cfg: RunConfig) -> int:
     p = cfg.parameters
     data = gap_map(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
-    _atomic_write(cfg.output_path, lambda tmp: write_gap_map_csv(data, tmp))
+    write_gap_map_csv(data, cfg.output_path)
     flagged = np.count_nonzero(data.codes)
     print(f"wrote {cfg.output_path}: {len(data)} rows ({flagged} flagged critical)")
     return 0
 
 
-def draw_noncritical_points(rng, draws: int, margin: float = 0.05):
-    """Seeded rejection sampling of lam in [-2,2], gamma in [0.1,1.5]."""
+def draw_noncritical_points(rng, draws: int):
+    """Seeded rejection sampling of lam in [-2,2], gamma in [0.1,1.5], at least
+    ``NONCRITICAL_MARGIN`` from every critical manifold."""
     points = []
     while len(points) < draws:
         lam = rng.uniform(-2.0, 2.0)
         gamma = rng.uniform(0.1, 1.5)
-        if classify_criticality(lam, gamma).distance > margin:
+        if classify_criticality(lam, gamma).distance > NONCRITICAL_MARGIN:
             points.append((float(lam), float(gamma)))
     return points
 
 
-def _worse(value: float, current: float) -> bool:
-    """Whether ``value`` replaces ``current`` as a worst discrepancy; NaN is worst."""
-    return value > current or (math.isnan(value) and not math.isnan(current))
+def _worst(found) -> tuple:
+    """The worst of ``found``'s (discrepancy, point) pairs: NaN is worst, and on ties
+    the first point."""
+    return max(found, key=lambda pair: (math.isnan(pair[0]), pair[0]))
 
 
 def _identity_ratio(xp: XYParams, steps: int, loop_phase: float, magnetization: float) -> float:
@@ -442,49 +419,40 @@ def _run_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     points = draw_noncritical_points(rng, p["draws"])
     loop = LoopDiscretization(p["steps"])
+    found = {key: [] for key in VERIFY_THRESHOLDS}  # (discrepancy, point) pairs per row
+    for n in p["n_sites"]:
+        for lam, gamma in points:
+            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
+            discrete = discrete_loop_phase(xp, "ground", loop).wrapped
+            magnetization = magnetization_ed(xp)
+            at = {"lambda": lam, "gamma": gamma, "n": n}
+            for key, value in {
+                "phase": circular_distance(discrete, ground_phase(xp).wrapped),
+                "energy": abs(ground_energy(xp) - ed_ground_energy(xp)),
+                "magnetization": abs(magnetization_analytic(xp) - magnetization),
+                "identity": _identity_ratio(xp, p["steps"], discrete, magnetization),
+            }.items():
+                found[key].append((value, at))
+    worst = {key: _worst(pairs) for key, pairs in found.items()}
+    failed = [k for k, tol in VERIFY_THRESHOLDS.items() if not worst[k][0] < tol]
     summary = {
         "seed": cfg.seed,
         "steps": p["steps"],
         "draws": p["draws"],
         "points": [list(pt) for pt in points],
-        "per_n": {},
+        "per_n": {
+            str(n): {key: _worst(pair for pair in pairs if pair[1]["n"] == n)[0]
+                     for key, pairs in found.items()}
+            for n in p["n_sites"]
+        },
+        "max_discrepancy": {key: value for key, (value, _) in worst.items()},
+        "max_discrepancy_at": {
+            key: None if key in ("energy", "magnetization") and value < VERIFY_LOCATION_FLOOR
+            else at for key, (value, at) in worst.items()
+        },
+        "thresholds": VERIFY_THRESHOLDS,
+        "pass": not failed,
     }
-    worst = {"phase": 0.0, "energy": 0.0, "magnetization": 0.0, "identity": 0.0}
-    # (lambda, gamma, n) of each worst discrepancy; the first point on ties.
-    worst_at = {}
-    for n in p["n_sites"]:
-        w = {"phase": 0.0, "energy": 0.0, "magnetization": 0.0, "identity": 0.0}
-        for lam, gamma in points:
-            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
-            discrete = discrete_loop_phase(xp, "ground", loop).wrapped
-            magnetization = magnetization_ed(xp)
-            found = {
-                "phase": circular_distance(discrete, ground_phase(xp).wrapped),
-                "energy": abs(ground_energy(xp) - ed_ground_energy(xp)),
-                "magnetization": abs(magnetization_analytic(xp) - magnetization),
-                "identity": _identity_ratio(xp, p["steps"], discrete, magnetization),
-            }
-            for key, value in found.items():
-                if _worse(value, w[key]):
-                    w[key] = value
-                if key not in worst_at or _worse(value, worst[key]):
-                    worst[key] = value
-                    worst_at[key] = {"lambda": lam, "gamma": gamma, "n": n}
-        summary["per_n"][str(n)] = w
-    for key in ("energy", "magnetization"):
-        if worst[key] < VERIFY_LOCATION_FLOOR:
-            worst_at[key] = None
-    summary["max_discrepancy"] = worst
-    summary["max_discrepancy_at"] = worst_at
-    tol = {
-        "phase": VERIFY_PHASE_TOL,
-        "energy": VERIFY_ENERGY_TOL,
-        "magnetization": VERIFY_MAGNETIZATION_TOL,
-        "identity": VERIFY_IDENTITY_RATIO,
-    }
-    summary["thresholds"] = tol
-    failed = [k for k in tol if not worst[k] < tol[k]]
-    summary["pass"] = not failed
     _emit_json(cfg.output_path, summary)
     if failed:
         _error_json("VerificationFailed", f"discrepancy at or above threshold: {', '.join(failed)}")
@@ -494,16 +462,10 @@ def _run_verify(cfg: RunConfig) -> int:
 
 def _run_scaling_fit(cfg: RunConfig) -> int:
     p = cfg.parameters
-    if p["approach"] == "ising":
-        spec = SweepSpec.approach(
-            "lambda", 1.0, 1.0, p["window"], p["samples"], side=-1, n_sites=p["n_sites"]
-        )
-        g_c = 1.0
-    else:
-        spec = SweepSpec.approach(
-            "gamma", 0.5, 0.0, p["window"], p["samples"], side=+1, n_sites=p["n_sites"]
-        )
-        g_c = 0.0
+    vary, fixed_value, g_c, side = _APPROACHES[p["approach"]]
+    spec = SweepSpec.approach(
+        vary, fixed_value, g_c, p["window"], p["samples"], side=side, n_sites=p["n_sites"]
+    )
     fit = fit_exponent(gap_sweep(spec), g_c, p["window"])
     payload = {
         "approach": p["approach"],
@@ -523,7 +485,7 @@ def _run_step_trace(cfg: RunConfig) -> int:
     lams = p["lam_values"]
     stars = [step_detect(lams, relative_phase_thermo_arrays(lams, g)) for g in p["gammas"]]
     columns = (p["gammas"], stars)
-    _atomic_write(cfg.output_path, lambda tmp: write_step_trace_csv(columns, tmp))
+    write_step_trace_csv(columns, cfg.output_path)
     print(f"wrote {cfg.output_path}: {len(stars)} rows")
     return 0
 

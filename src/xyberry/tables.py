@@ -1,10 +1,12 @@
-"""CSV artifacts written from columns: the one row formatter.
+"""Artifacts on disk: the one atomic writer, and the one CSV row formatter.
 
-Every CSV artifact is UTF-8 with LF line ends: a header line, then one line
-per row.  A column is either an array of numbers, printed per row with
-'%.12g' (12 significant digits; NaN of either sign prints as 'nan'), or
-``Cells``: a table of strings and a per-row index into it.  Axis values,
-tags, statuses and repeated numbers go through ``Cells``, so each is
+Every artifact, CSV or JSON, reaches disk through ``_atomic_write``: UTF-8
+text with LF line ends in a fresh, exclusively created temporary file,
+renamed over the target once complete.  A CSV artifact is a header line,
+then one line per row.  A column is either an array of numbers, printed per
+row with '%.12g' (12 significant digits; NaN of either sign prints as
+'nan'), or ``Cells``: a table of strings and a per-row index into it.  Axis
+values, tags, statuses and repeated numbers go through ``Cells``, so each is
 formatted once per artifact, not once per row.  Rows are formatted and
 written in blocks of ``MODE_BLOCK_ELEMENTS`` cells (one row at least), so
 neither a list of row tuples nor a whole-artifact string is built.
@@ -12,6 +14,7 @@ neither a list of row tuples nor a whole-artifact string is built.
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,8 +59,37 @@ def distinct_cells(values) -> Cells:
     return Cells(_numbers(bits.view(np.float64)), index)
 
 
+def _atomic_write(path: str, write) -> None:
+    """Create ``path`` atomically: ``write(fh)`` fills a fresh temporary file.
+
+    The temporary file takes a new random name in the target directory and
+    is created exclusively, so concurrent runs never share it, and opened
+    once, as UTF-8 text with LF line ends.  It is created with mode 0o666
+    and the process umask alone trims that, so the artifact gets the usual
+    mode without the umask ever being changed.  It is removed if anything
+    fails, so a failed run leaves neither a partial artifact nor a stray file.
+    """
+    stem = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.")
+    for _ in range(100):
+        tmp = f"{stem}{os.urandom(6).hex()}.tmp"
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary name beside {path}")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and the rows of equal-length ``columns`` to ``path``.
+    """Write ``header`` and the rows of equal-length ``columns`` to ``path``, atomically.
 
     Each block of rows becomes one %-format: a template of the block's
     cells, with '%.12g' where a number goes, applied to the block's numbers.
@@ -75,10 +107,13 @@ def write_csv(path, header: str, columns) -> None:
     first = columns[0]
     n_rows = len(first.index if isinstance(first, Cells) else first)
     step = max(1, model.MODE_BLOCK_ELEMENTS // len(columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh):
         fh.write(header + "\n")
         for start in range(0, n_rows, step):
             fh.write(_format_rows(pieces, numeric, slice(start, min(start + step, n_rows))))
+
+    _atomic_write(path, write)
 
 
 def _format_rows(pieces, numeric, rows: slice) -> str:

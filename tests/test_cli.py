@@ -312,19 +312,6 @@ class TestMainErrorSurface:
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
-        def partial_then_fail(rows, path):
-            with open(path, "w") as fh:
-                fh.write("lambda,gam")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli, "write_phase_surface_csv", partial_then_fail)
-        out = tmp_path / "s.csv"
-        argv = ["phase-surface", "--lambda", "0.5:0.6:0.1", "--gamma", "0.5:0.6:0.1", "--n", "8"]
-        assert main(argv + ["--out", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "OSError"
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("error", [OSError("disk full"), MemoryError("no room")])
     @pytest.mark.parametrize(
         "argv",
@@ -362,15 +349,17 @@ class TestMainErrorSurface:
         out.write_text("old")
         seen = []
 
-        def write(tmp):
-            seen.append(tmp)
-            with open(tmp, "w") as fh:
-                fh.write("new")
+        def write(fh):
+            seen.append([p.name for p in tmp_path.iterdir() if p != out])
+            fh.write("new")
 
         cli._atomic_write(str(out), write)
         cli._atomic_write(str(out), write)
         assert out.read_text() == "new"
-        assert seen[0] != seen[1] and all(t != str(out) + ".tmp" for t in seen)
+        (first,), (second,) = seen  # one temporary file beside the target, each call
+        assert first != second
+        for name in (first, second):
+            assert name.startswith(".a.txt.") and name.endswith(".tmp")
         assert list(tmp_path.iterdir()) == [out]
 
     def test_atomic_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
@@ -384,7 +373,7 @@ class TestMainErrorSurface:
         monkeypatch.setattr(os, "umask", no_umask)
         out = tmp_path / "a.txt"
         try:
-            cli._atomic_write(str(out), cli._text_writer("new"))
+            cli._atomic_write(str(out), lambda fh: fh.write("new"))
         finally:
             monkeypatch.undo()
             os.umask(old)
@@ -511,6 +500,51 @@ class TestFlagTable:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, check=True)
         assert result.stdout.strip() == "False"
+
+
+class TestNoAbbreviations:
+    """argparse takes any unique prefix of a flag unless told not to; the flag table
+    holds every accepted spelling, so a prefix is a usage error and runs nothing."""
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [(c, name) for c, values in FLAG_VALUES.items() for name in [*values, "config"]
+         if len(name) > 1 and (name == "config" or not cli._FLAG_SPECS[c][name].positional)],
+    )
+    def test_every_proper_prefix_is_a_usage_error(self, command, name, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text("{}")
+        (tmp_path / "lp.json").write_text(json.dumps(
+            {"j_a": 1.0, "j_b": 1.0, "j_c": 1.0, "u_ab": 10.0, "omega": 0.5, "delta": 1.0}
+        ))
+        values = {**FLAG_VALUES[command], "config": "cfg.json"}
+        rest = _argv(command, {k: v for k, v in FLAG_VALUES[command].items() if k != name})
+        rest += [] if name == "config" else ["--config=cfg.json"]
+        prefixes = [name[:k] for k in range(1, len(name)) if name[:k] not in values]
+        assert prefixes
+        for prefix in prefixes:
+            for tail in ([f"--{prefix}", values[name]], [f"--{prefix}={values[name]}"]):
+                assert main(rest + tail) == 2, tail
+                captured = capsys.readouterr()
+                assert json.loads(captured.err)["error"] == "usage", tail
+                assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lp.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap-map", "--lam", "0:1:0.5", "--gamma", "0:1:0.5", "--out", "g.csv"],
+            ["gap-map", "--lam", "-1:1:0.5", "--gamma", "0:1:0.5", "--out", "g.csv"],
+            ["--vers"],
+        ],
+    )
+    def test_both_signs_and_the_top_parser(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "usage"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestPhaseSurfaceCommand:
@@ -950,6 +984,18 @@ class TestVerifyCommand:
                 if steps in (50, 2000) and abs(k3) > 1e-3:
                     drop = cli._identity_ratio(xp, steps, plain, magnetization)
                     assert drop > 1.0
+
+    def test_ties_name_the_first_point(self, monkeypatch, capsys):
+        # Every point and N misses by the same 1e-9, above the rounding floor.
+        monkeypatch.setattr(cli, "ground_energy", lambda xp: 1e-9)
+        monkeypatch.setattr(cli, "ed_ground_energy", lambda xp: 0.0)
+        assert main(["verify", "--n", "4,6", "--steps", "100", "--draws", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["per_n"]["4"]["energy"] == payload["per_n"]["6"]["energy"] == 1e-9
+        first = payload["points"][0]
+        assert payload["max_discrepancy_at"]["energy"] == {
+            "lambda": first[0], "gamma": first[1], "n": 4
+        }
 
     def test_seed_changes_points(self, capsys):
         assert main(["verify", "--n", "4", "--steps", "600", "--draws", "1", "--seed", "1"]) == 0

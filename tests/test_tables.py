@@ -1,4 +1,5 @@
-"""The CSV row formatter, and the grid artifacts against the row-by-row references."""
+"""The CSV row formatter and atomic writer, and the grid artifacts against the row-by-row
+references."""
 
 import numpy as np
 import pytest
@@ -106,6 +107,39 @@ class TestWriteCsv:
             for x, k, y in zip(a, cells.index, b)
         )
         assert texts == {want}
+
+    @pytest.mark.parametrize("old", [None, b"old\n"], ids=["absent", "present"])
+    @pytest.mark.parametrize("error", [OSError("disk full"), MemoryError("no room")])
+    @pytest.mark.parametrize("writer", ["phase-surface", "gap-map", "step-trace"])
+    def test_public_writers_are_atomic(self, writer, error, old, monkeypatch, tmp_path):
+        # A library caller gets the CLI's guarantee: a failure after the first
+        # block leaves the target as it was and no temporary file beside it.
+        lams, gammas = [0.5, 0.6, 0.7], [0.5, 0.6]
+        data = {
+            "phase-surface": (write_phase_surface_csv, phase_surface(lams, gammas, 8)),
+            "gap-map": (write_gap_map_csv, gap_map(lams, gammas, 8)),
+            "step-trace": (write_step_trace_csv, ([0.05, 0.2, 0.5], [0.95, 0.8, 0.25])),
+        }
+        write, columns = data[writer]
+        out = tmp_path / "a.csv"
+        if old is not None:
+            out.write_bytes(old)
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 4)  # two blocks or more each
+        format_rows, blocks = tables._format_rows, []
+
+        def fail_after_first(*args):
+            if blocks:
+                raise error
+            blocks.append(format_rows(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(tables, "_format_rows", fail_after_first)
+        with pytest.raises(type(error)):
+            write(columns, out)
+        assert len(blocks) == 1 and blocks[0]
+        assert list(tmp_path.iterdir()) == ([] if old is None else [out])
+        if old is not None:
+            assert out.read_bytes() == old
 
     def test_no_rows_leaves_the_header(self, tmp_path):
         tables.write_csv(tmp_path / "t.csv", "a,b", [np.array([]), tables.Cells([], np.array([], int))])
