@@ -37,12 +37,7 @@ from .model import (
     ground_energy,
     momentum_grid,
 )
-from .observables import (
-    CyclicGeneratorSpec,
-    expectation_from_phase,
-    magnetization_analytic,
-    phase_magnetization_identity,
-)
+from .observables import magnetization_analytic, phase_magnetization_identity
 from .oracle import (
     EigenPair,
     LoopDiscretization,

@@ -56,7 +56,10 @@ from .scaling import (
 )
 from .tables import _atomic_write
 
-__all__ = ["RunConfig", "parse_config", "execute", "main"]
+__all__ = [
+    "UsageError", "RunConfig", "parse_range", "parse_config", "draw_noncritical_points",
+    "execute", "main",
+]
 
 # Verification thresholds: discrete-vs-closed-form loop phase, energy and
 # magnetization against the dense oracle.  The identity row is a ratio to a

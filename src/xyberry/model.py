@@ -23,6 +23,7 @@ does), with the same bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,7 +84,11 @@ class XYParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.n_sites < 4 or self.n_sites % 2 != 0:
+        try:
+            n_sites = operator.index(self.n_sites)  # numpy integers pass
+        except TypeError:
+            n_sites = -1
+        if n_sites < 4 or n_sites % 2 != 0:
             raise ValueError(
                 f"n_sites must be an even integer >= 4, got {self.n_sites}"
             )

@@ -9,55 +9,27 @@ readout: phi_g = pi * (N + M_z) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import DEFAULT_CRITICAL_TOL, XYParams
+from .model import XYParams
 from .phases import _point_occupation, ground_phase
 
-__all__ = [
-    "CyclicGeneratorSpec",
-    "expectation_from_phase",
-    "magnetization_analytic",
-    "phase_magnetization_identity",
-]
+__all__ = ["magnetization_analytic", "phase_magnetization_identity"]
 
 
-@dataclass(frozen=True)
-class CyclicGeneratorSpec:
-    """A cyclic-evolution generator, reduced to the product lam_T = lambda*T."""
-
-    lambda_t: float
-    description: str = ""
-
-    def __post_init__(self):
-        if self.lambda_t == 0.0:
-            raise ValueError("lambda_t must be nonzero")
-
-
-def expectation_from_phase(phase: float, spec: CyclicGeneratorSpec) -> float:
-    """Expectation value of the generator, phase / lam_T."""
-    return float(phase) / spec.lambda_t
-
-
-def magnetization_analytic(
-    params: XYParams, tol: float = DEFAULT_CRITICAL_TOL
-) -> float:
+def magnetization_analytic(params: XYParams) -> float:
     """Total z magnetization M_z = 2 N_f - N of the paired-mode ground state.
 
     N_f = sum_{k>0} (1 - cos theta_k) is the fermion occupation; the sign
     convention (occupied mode = spin up, so M_z -> +N in a strong field) is
     calibrated once against the dense oracle.
     """
-    _, n_f, _ = _point_occupation(params, tol)
+    _, n_f, _ = _point_occupation(params)
     return 2.0 * float(n_f) - params.n_sites
 
 
-def phase_magnetization_identity(
-    params: XYParams, tol: float = DEFAULT_CRITICAL_TOL
-) -> tuple[float, float]:
+def phase_magnetization_identity(params: XYParams) -> tuple[float, float]:
     """Both sides of phi_g = pi (N + M_z) / 2; equal in exact arithmetic."""
-    lhs = ground_phase(params, tol).value
-    rhs = 0.5 * np.pi * (params.n_sites + magnetization_analytic(params, tol))
+    lhs = ground_phase(params).value
+    rhs = 0.5 * np.pi * (params.n_sites + magnetization_analytic(params))
     return lhs, float(rhs)

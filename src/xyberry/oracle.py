@@ -73,6 +73,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -99,11 +100,11 @@ __all__ = [
     "EigenPair",
     "LoopDiscretization",
     "LoopTrace",
+    "eigh",
     "max_sites",
     "check_sites",
     "hamiltonian_phi_parts",
     "parity_diagonal",
-    "parity_indices",
     "total_sz_diagonal",
     "sector_ground",
     "ed_ground_energy",
@@ -129,6 +130,10 @@ PANCHARATNAM_SIGN = +1
 # Eigenvalue distance below which two tracked levels are treated as one
 # degenerate cluster (flagged, then tracked by subspace projection).
 DEGENERACY_TOL = 1e-8
+
+# Smallest gap from a tracked level's degenerate cluster to the next level
+# at which ``loop_states`` and ``discrete_loop_phase`` still follow it.
+LOOP_GAP_TOL = 1e-9
 
 # Levels computed at the start of a loop: enough to hold the tracked level's
 # degenerate cluster and the nearest level above it.
@@ -336,12 +341,6 @@ def _parity_of(sz: np.ndarray, n_sites: int) -> np.ndarray:
     """Parity (-1)^(down spins) of basis states from their S^z diagonal."""
     down = (n_sites - sz.astype(np.int64)) // 2
     return 1 - 2 * (down % 2)
-
-
-def parity_indices(n_sites: int):
-    """Basis indices of the even (+1) and odd (-1) parity sectors."""
-    p = parity_diagonal(n_sites)
-    return np.nonzero(p == 1)[0], np.nonzero(p == -1)[0]
 
 
 def total_sz_diagonal(n_sites: int) -> np.ndarray:
@@ -587,28 +586,26 @@ class LoopDiscretization:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 8:
-            raise ValueError(f"steps must be >= 8, got {self.steps}")
-
-    @property
-    def phis(self) -> np.ndarray:
-        return np.pi * np.arange(self.steps + 1) / self.steps
+        try:
+            steps = operator.index(self.steps)  # numpy integers pass
+        except TypeError:
+            steps = -1
+        if steps < 8:
+            raise ValueError(f"steps must be an integer >= 8, got {self.steps}")
 
 
 @dataclass
 class LoopTrace:
     """Tracked eigenvectors along a closed loop (block coordinates).
 
-    ``vectors`` holds one row per loop point; ``energies`` and ``gaps`` are
-    constant along the loop, which is an isospectral family.
+    ``vectors`` holds one row per loop point.  The loop is an isospectral
+    family, so the level's ``energy`` and its ``gap`` to the next level
+    outside its degenerate cluster are one value each.
     """
 
-    params: XYParams
-    level: str
-    phis: np.ndarray
     vectors: np.ndarray = field(repr=False)
-    energies: np.ndarray
-    gaps: np.ndarray
+    energy: float
+    gap: float
     degenerate: bool
 
 
@@ -641,14 +638,14 @@ class _LoopStart(NamedTuple):
     chi: Optional[complex]  # <psi(0)|U(delta)|psi(0)>; None for a degenerate cluster
 
 
-def _loop_start(params, level, loop, windings, gap_tol) -> _LoopStart:
+def _loop_start(params, level, loop, windings) -> _LoopStart:
     """Validate a loop request and run the checks every loop readout shares.
 
     Raises ValueError on a bad ``level`` or ``windings``, TrackingError when
-    the tracked level's cluster lies within ``gap_tol`` of the next level,
-    and, for a non-degenerate level, DiscretizationError when consecutive
-    loop states overlap by |chi| < 0.5.  A degenerate cluster's projection
-    checks each of its steps itself.
+    the tracked level's cluster lies within ``LOOP_GAP_TOL`` of the next
+    level, and, for a non-degenerate level, DiscretizationError when
+    consecutive loop states overlap by |chi| < 0.5.  A degenerate cluster's
+    projection checks each of its steps itself.
     """
     if level not in ("ground", "excited"):
         raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
@@ -662,9 +659,9 @@ def _loop_start(params, level, loop, windings, gap_tol) -> _LoopStart:
     cluster = vals - vals[0] < DEGENERACY_TOL
     rest = vals[~cluster]
     gap = float(rest[0] - vals[0]) if rest.size else math.inf
-    if gap < gap_tol:
+    if gap < LOOP_GAP_TOL:
         raise TrackingError(
-            f"spectral gap {gap:.3e} below tolerance {gap_tol:.1e} at phi={params.phi:.6f}"
+            f"spectral gap {gap:.3e} below tolerance {LOOP_GAP_TOL:.1e} at phi={params.phi:.6f}"
         )
 
     m = loop.steps * windings
@@ -685,7 +682,6 @@ def loop_states(
     level: str,
     loop: LoopDiscretization,
     windings: int = 1,
-    gap_tol: float = 1e-9,
 ) -> LoopTrace:
     """Transport one level of H(phi) around ``windings`` closed circuits.
 
@@ -705,7 +701,7 @@ def loop_states(
     kick is a multiple of the identity and the phase does not depend on the
     basis the pair comes in.
     """
-    start = _loop_start(params, level, loop, windings, gap_tol)
+    start = _loop_start(params, level, loop, windings)
     vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, start.steps
     phi0 = params.phi
     offsets = np.pi * windings * np.arange(m) / m
@@ -737,9 +733,7 @@ def loop_states(
                 )
             coeffs[j] = a / norm
         vectors = rotations * (coeffs @ basis.T)
-    energies = np.full(m, vals[0])
-    gaps = np.full(m, start.gap)
-    return LoopTrace(params, level, phi0 + offsets, vectors, energies, gaps, degenerate)
+    return LoopTrace(vectors, float(vals[0]), start.gap, degenerate)
 
 
 def discrete_loop_phase(
@@ -747,7 +741,6 @@ def discrete_loop_phase(
     level: str,
     loop: LoopDiscretization,
     windings: int = 1,
-    gap_tol: float = 1e-9,
 ) -> PhaseResult:
     """Loop phase of one tracked level, fixed modulo 2 pi.
 
@@ -768,9 +761,9 @@ def discrete_loop_phase(
     phase only up to whole turns, so ``value`` and ``wrapped`` coincide
     here; compare against closed forms with a circular distance.
     """
-    start = _loop_start(params, level, loop, windings, gap_tol)
+    start = _loop_start(params, level, loop, windings)
     if start.chi is None:
-        trace = loop_states(params, level, loop, windings=windings, gap_tol=gap_tol)
+        trace = loop_states(params, level, loop, windings=windings)
         return PhaseResult.from_value(pancharatnam_phase(trace.vectors), winding=windings)
     # The closing constant is the sign (-1)^(windings (N/2 + odd)): N is even.
     flips = windings * (params.n_sites // 2 + (level == "excited")) % 2

@@ -131,8 +131,8 @@ def spin_half_phase(spec: BlochLoopSpec, branch: str = "upper") -> PhaseResult:
     return PhaseResult.from_value(value, winding=spec.windings)
 
 
-def _require_noncritical(params: XYParams, tol: float):
-    c = classify_criticality(params.lam, params.gamma, tol)
+def _require_noncritical(params: XYParams):
+    c = classify_criticality(params.lam, params.gamma, DEFAULT_CRITICAL_TOL)
     if c.tag is not Criticality.NON_CRITICAL:
         raise CriticalPointError(
             f"phase undefined at degeneracy: (lam={params.lam}, gamma={params.gamma}) "
@@ -153,14 +153,14 @@ def _frozen_term(cos_theta, gap):
     return 1.0 - rows[np.arange(k0.size), k0.ravel()].reshape(k0.shape)
 
 
-def _point_occupation(params: XYParams, tol: float):
-    """(cos theta, N_f, gap) of one noncritical point; raises on a critical manifold."""
-    _require_noncritical(params, tol)
+def _point_occupation(params: XYParams):
+    """(cos theta, N_f, gap) of one point; raises within DEFAULT_CRITICAL_TOL of criticality."""
+    _require_noncritical(params)
     eps, gap = _point_modes(params)
     return (*_occupation(eps, gap), gap)
 
 
-def ground_phase(params: XYParams, tol: float = DEFAULT_CRITICAL_TOL) -> PhaseResult:
+def ground_phase(params: XYParams) -> PhaseResult:
     """Ground-state phase for one phi circuit: sum_k pi (1 - cos theta_k).
 
     Every (k, -k) pair is a Bloch vector at polar angle theta_k whose
@@ -169,13 +169,11 @@ def ground_phase(params: XYParams, tol: float = DEFAULT_CRITICAL_TOL) -> PhaseRe
     point, fixes the phase).  Raises on critical manifolds, where the
     degeneracy makes the phase undefined.
     """
-    _, n_f, _ = _point_occupation(params, tol)
+    _, n_f, _ = _point_occupation(params)
     return PhaseResult.from_value(float(np.pi * n_f))
 
 
-def relative_phase_finite(
-    params: XYParams, tol: float = DEFAULT_CRITICAL_TOL
-) -> PhaseResult:
+def relative_phase_finite(params: XYParams) -> PhaseResult:
     """Excited-minus-ground phase at finite N: -pi (1 - cos theta_{k0}).
 
     The lowest excitation freezes the minimum-gap pair, which then stops
@@ -183,7 +181,7 @@ def relative_phase_finite(
     mode's term.  The topological/geometric split is reported on the branch
     |lam| < 1 - gamma^2 where it is meaningful.
     """
-    cos_theta, _, gap = _point_occupation(params, tol)
+    cos_theta, _, gap = _point_occupation(params)
     value = -math.pi * float(_frozen_term(cos_theta[None], gap[None])[0])
     topo = -math.pi if _on_nontrivial_branch(params.lam, params.gamma) else 0.0
     return PhaseResult.from_value(value, topological_part=topo)

@@ -69,6 +69,14 @@ class TestXYParams:
         with pytest.raises(ValueError):
             params(0.1, 0.2, bad)
 
+    def test_non_integer_sites_rejected(self):
+        # A float that equals an even integer is still not a chain length;
+        # numpy integers are.
+        for bad in (4.0, np.float64(6.0), 8.5, "4"):
+            with pytest.raises(ValueError, match="even integer"):
+                params(0.5, 0.5, bad)
+        assert ground_energy(params(0.5, 0.5, np.int64(6))) == ground_energy(params(0.5, 0.5, 6))
+
     @pytest.mark.parametrize("field", ["lam", "gamma", "phi"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, bad):
@@ -107,7 +115,7 @@ class TestModeAngles:
         # (singly occupied pairs; the grid's cosines cancel).
         from scipy.linalg import eigh
 
-        from xyberry.oracle import hamiltonian_phi_parts, parity_indices
+        from xyberry.oracle import hamiltonian_phi_parts, parity_diagonal
 
         lam, gamma = 0.5, 0.5
         q = momentum_grid(4)
@@ -127,7 +135,7 @@ class TestModeAngles:
         )
         m0, mc, _ = hamiltonian_phi_parts(4, lam, gamma)
         h0 = m0 + mc  # the unrotated chain
-        even, _ = parity_indices(4)
+        even = np.flatnonzero(parity_diagonal(4) == 1)
         vals = eigh(h0[np.ix_(even, even)], eigvals_only=True)
         assert vals == pytest.approx(expected, abs=1e-10)
 

@@ -1,14 +1,12 @@
-"""Phase/expectation-value bridge and the magnetization identity."""
+"""The closed-form magnetization and the phase-magnetization identity."""
 
 import numpy as np
 import pytest
 
 from xyberry import (
     CriticalPointError,
-    CyclicGeneratorSpec,
     XYParams,
     classify_criticality,
-    expectation_from_phase,
     magnetization_analytic,
     magnetization_ed,
     phase_magnetization_identity,
@@ -17,42 +15,6 @@ from xyberry import (
 
 def params(lam, gamma, n):
     return XYParams(lam=lam, gamma=gamma, n_sites=n)
-
-
-class TestExpectationFromPhase:
-    def test_spin_half_verification(self):
-        # A full azimuthal circuit is generated with lam*T = 2 pi; the
-        # generator's mean is (1 - cos theta) / 2.
-        for theta in (0.3, np.pi / 2, 2.4):
-            phase = np.pi * (1 - np.cos(theta))
-            spec = CyclicGeneratorSpec(lambda_t=2 * np.pi, description="(1 - sz)/2")
-            assert expectation_from_phase(phase, spec) == pytest.approx(
-                (1 - np.cos(theta)) / 2, abs=1e-14
-            )
-
-    def test_trivial_loop(self):
-        assert expectation_from_phase(0.0, CyclicGeneratorSpec(1.0)) == 0.0
-
-    def test_equator(self):
-        assert expectation_from_phase(np.pi, CyclicGeneratorSpec(2 * np.pi)) == pytest.approx(0.5)
-
-    def test_zero_generator_rejected(self):
-        with pytest.raises(ValueError):
-            CyclicGeneratorSpec(lambda_t=0.0)
-
-    def test_linearity_and_homogeneity(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a, b = rng.uniform(-5, 5, 2)
-            lt = rng.uniform(0.1, 9.0)
-            spec = CyclicGeneratorSpec(lt)
-            assert expectation_from_phase(a + b, spec) == pytest.approx(
-                expectation_from_phase(a, spec) + expectation_from_phase(b, spec),
-                abs=1e-12,
-            )
-            assert expectation_from_phase(a, CyclicGeneratorSpec(2 * lt)) == pytest.approx(
-                0.5 * expectation_from_phase(a, spec), abs=1e-12
-            )
 
 
 class TestMagnetizationAnalytic:

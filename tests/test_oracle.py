@@ -235,7 +235,7 @@ class TestSectorSpectrum:
             assert abs(np.vdot(pair.vector[idx], vecs[:, 0])) >= 1 - 1e-12
             level = "ground" if parity == +1 else "excited"
             trace = loop_states(p, level, LoopDiscretization(16))
-            assert abs(trace.energies[0] - vals[0]) <= 1e-12
+            assert abs(trace.energy - vals[0]) <= 1e-12
             assert abs(np.vdot(trace.vectors[0], vecs[:, 0])) >= 1 - 1e-12
             if parity == +1:
                 assert abs(ed_ground_energy(p) - vals[0]) <= 1e-12
@@ -727,17 +727,10 @@ class TestChainLoop:
         assert two.winding == 2
         assert circular_distance(two.wrapped, 2 * one.wrapped) < 1e-5
 
-    def test_gap_tolerance_raises_tracking_error(self):
+    def test_gap_tolerance_raises_tracking_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
         with pytest.raises(TrackingError):
-            discrete_loop_phase(
-                params(0.5, 0.5, 4), "ground", LoopDiscretization(16), gap_tol=10.0
-            )
-
-    def test_loop_grid(self):
-        loop = LoopDiscretization(8)
-        assert loop.phis.shape == (9,)
-        assert loop.phis[0] == 0.0
-        assert loop.phis[-1] == pytest.approx(np.pi)
+            discrete_loop_phase(params(0.5, 0.5, 4), "ground", LoopDiscretization(16))
 
     def test_loop_validation(self):
         with pytest.raises(ValueError):
@@ -748,6 +741,14 @@ class TestChainLoop:
             discrete_loop_phase(
                 params(0.5, 0.5, 4), "ground", LoopDiscretization(16), windings=0
             )
+
+    def test_non_integer_steps_rejected(self):
+        p = params(0.5, 0.5, 4)
+        for bad in (8.5, 16.0, np.float64(2000.0)):
+            with pytest.raises(ValueError, match="integer"):
+                LoopDiscretization(bad)
+        want = discrete_loop_phase(p, "ground", LoopDiscretization(16))
+        assert discrete_loop_phase(p, "ground", LoopDiscretization(np.int64(16))) == want
 
     def test_degenerate_tracked_level_flagged(self):
         # Exact in-sector degeneracy (the paired vacuum crosses a
@@ -828,12 +829,13 @@ class TestCharacteristicFunctionPath:
         for level in ("ground", "excited"):
             discrete_loop_phase(params(0.5, 0.5, 6), level, LoopDiscretization(2000))
 
-    def test_tracking_error_from_both(self):
+    def test_tracking_error_from_both(self, monkeypatch):
+        monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
         p = params(0.5, 0.5, 4)
         loop = LoopDiscretization(16)
         for level in ("ground", "excited"):
-            a = self._outcome(lambda: loop_states(p, level, loop, gap_tol=10.0))
-            b = self._outcome(lambda: discrete_loop_phase(p, level, loop, gap_tol=10.0))
+            a = self._outcome(lambda: loop_states(p, level, loop))
+            b = self._outcome(lambda: discrete_loop_phase(p, level, loop))
             assert a[0] is TrackingError and a == b
 
     def test_discretization_error_from_both(self, monkeypatch):
@@ -916,5 +918,4 @@ class TestSzCumulants:
 class TestEnergiesAlongLoop:
     def test_energies_constant_and_gap_positive(self):
         trace = loop_states(params(0.5, 0.5, 6), "ground", LoopDiscretization(32))
-        assert np.ptp(trace.energies) < 1e-10  # isospectral family
-        assert np.all(trace.gaps > 0)
+        assert trace.gap > 0

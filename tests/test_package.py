@@ -1,8 +1,16 @@
-"""The package's top-level names.
+"""The package's top-level names and each module's ``__all__``.
 
 ``xyberry.__all__`` is derived from the imports of ``xyberry/__init__.py``,
-so an import added or dropped there changes it; this pins the list.
+so an import added or dropped there changes it; this pins the list.  Each
+module's own ``__all__`` is written by hand, so it is checked against what
+the module defines.
 """
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
 
 import xyberry
 
@@ -39,8 +47,6 @@ TOP_LEVEL_NAMES = {
     "relative_phase_thermo_arrays",
     "phase_surface",
     # observables
-    "CyclicGeneratorSpec",
-    "expectation_from_phase",
     "magnetization_analytic",
     "phase_magnetization_identity",
     # oracle
@@ -77,7 +83,7 @@ TOP_LEVEL_NAMES = {
 
 
 def test_all_holds_the_top_level_names():
-    assert len(TOP_LEVEL_NAMES) == 59
+    assert len(TOP_LEVEL_NAMES) == 57
     assert len(xyberry.__all__) == len(set(xyberry.__all__))
     assert set(xyberry.__all__) == TOP_LEVEL_NAMES
 
@@ -87,3 +93,36 @@ def test_every_name_resolves():
     exec("from xyberry import *", namespace)
     for name in TOP_LEVEL_NAMES:
         assert getattr(xyberry, name) is namespace[name], name
+
+
+MODULES = [
+    module
+    for module in (
+        importlib.import_module(f"xyberry.{info.name}")
+        for info in pkgutil.iter_modules(xyberry.__path__)
+    )
+    if hasattr(module, "__all__")
+]
+
+
+def test_every_module_with_all_is_checked():
+    assert {m.__name__ for m in MODULES} >= {"xyberry.cli", "xyberry.oracle", "xyberry.phases"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
+def test_module_all_is_consistent(module):
+    listed = module.__all__
+    assert len(listed) == len(set(listed)), "a name is listed twice"
+    for name in listed:
+        assert hasattr(module, name), f"{module.__name__}.{name} does not resolve"
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(listed) <= set(namespace)
+    defined = {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert defined <= set(listed), f"public but not listed: {sorted(defined - set(listed))}"

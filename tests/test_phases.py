@@ -625,21 +625,19 @@ class TestSurfaceThreads:
 
     def test_zero_gaps_warn_in_no_thread(self, monkeypatch):
         # Each row holds (cos q_0, 0), on the XX segment, whose first mode
-        # has eps = 0 and gap = 0: 0/0 in every tile.  The caller's first
-        # tile waits until the helper thread has taken one, so both
-        # threads divide by zero.
+        # has eps = 0 and gap = 0: 0/0 in every tile.  Each thread's first
+        # tile waits at a barrier until the other thread holds one too, so
+        # neither can take every tile and both threads divide by zero.
         monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", 8)
         use_cpus(monkeypatch, 2)
         lam0 = float(np.cos(momentum_grid(8)[0]))
-        caller, kernel = threading.get_ident(), phases._mode_components
-        workers, helper_in = set(), threading.Event()
+        kernel = phases._mode_components
+        workers, both_in = set(), threading.Barrier(2, timeout=10.0)
 
         def gated(*args):
-            workers.add(threading.get_ident())
-            if threading.get_ident() == caller:
-                assert helper_in.wait(10.0), "the helper thread took no tile"
-            else:
-                helper_in.set()
+            if threading.get_ident() not in workers:
+                workers.add(threading.get_ident())
+                both_in.wait()
             return kernel(*args)
 
         monkeypatch.setattr(phases, "_mode_components", gated)
