@@ -10,7 +10,6 @@ needs no gauge smoothing at all.
 import numpy as np
 
 from xyberry import (
-    BlochLoopSpec,
     circular_distance,
     spin_half_connection,
     spin_half_phase,
@@ -25,16 +24,12 @@ for theta in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi):
 print("\nLoop phase (half the solid angle) vs the discrete overlap product:")
 print(f"{'theta':>8} {'closed form':>14} {'discrete':>14} {'mismatch':>12}")
 for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2.2):
-    closed = spin_half_phase(BlochLoopSpec(theta=theta), branch="lower")
+    closed = spin_half_phase(theta, branch="lower")
     discrete = spin_half_loop_phase(theta, steps=2000, branch="lower")
     err = circular_distance(closed.wrapped, discrete.wrapped)
     print(f"{theta:8.3f} {closed.wrapped:14.8f} {discrete.wrapped:14.8f} {err:12.2e}")
 
 print("\nThe equatorial loop encircles the degeneracy of a real Hamiltonian")
 print("family, so the state comes back with a sign flip: phase pi.")
-eq = spin_half_phase(BlochLoopSpec(theta=np.pi / 2))
+eq = spin_half_phase(np.pi / 2)
 print(f"  phase at theta = pi/2: {eq.value:.12f}")
-
-print("\nWinding twice doubles the raw phase:")
-twice = spin_half_phase(BlochLoopSpec(theta=2 * np.pi / 3, windings=2))
-print(f"  theta = 2pi/3, n = 2: {twice.value:.12f}  (= 3 pi = {3 * np.pi:.12f})")

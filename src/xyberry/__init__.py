@@ -52,7 +52,6 @@ from .oracle import (
     sz_cumulants,
 )
 from .phases import (
-    BlochLoopSpec,
     PhaseResult,
     circular_distance,
     ground_phase,

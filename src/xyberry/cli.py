@@ -310,6 +310,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_json(path: str, what: str, **load_kw):
+    """The JSON in UTF-8 file ``path``; an unreadable, undecodable or too deep one is a UsageError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, **load_kw)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"unreadable {what} file {path}: {exc}") from exc
+
+
 def parse_config(argv=None) -> RunConfig:
     """Parse flags (and optional config file) into a validated RunConfig.
 
@@ -327,11 +336,7 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"--{name} needs a value")
     specs, from_file = _FLAG_SPECS[command], {}
     if args["config"] is not None:
-        try:
-            with open(args["config"], encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise UsageError(f"unreadable config file {args['config']}: {exc}") from exc
+        data = _read_json(args["config"], "config")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
         for key, val in data.items():
@@ -365,19 +370,11 @@ def _emit_json(path: Optional[str], payload: dict, allow_nan: bool = True) -> No
     print(text, end="")
 
 
-def _run_phase_surface(cfg: RunConfig) -> int:
+def _run_grid(cfg: RunConfig, compute, write) -> int:
+    """phase-surface and gap-map: ``compute`` the grid's table and ``write`` it as CSV."""
     p = cfg.parameters
-    surface = phase_surface(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
-    write_phase_surface_csv(surface, cfg.output_path)
-    flagged = np.count_nonzero(surface.codes)
-    print(f"wrote {cfg.output_path}: {len(surface)} rows ({flagged} flagged critical)")
-    return 0
-
-
-def _run_gap_map(cfg: RunConfig) -> int:
-    p = cfg.parameters
-    data = gap_map(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
-    write_gap_map_csv(data, cfg.output_path)
+    data = compute(p["lam_values"], p["gamma_values"], p["n_sites"], p["tol"])
+    write(data, cfg.output_path)
     flagged = np.count_nonzero(data.codes)
     print(f"wrote {cfg.output_path}: {len(data)} rows ({flagged} flagged critical)")
     return 0
@@ -495,11 +492,7 @@ def _run_step_trace(cfg: RunConfig) -> int:
 
 def _run_lattice_map(cfg: RunConfig) -> int:
     p = cfg.parameters
-    try:
-        with open(p["input"], encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=float)  # a huge integer reads as inf
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"unreadable input file {p['input']}: {exc}") from exc
+    data = _read_json(p["input"], "input", parse_int=float)  # a huge integer reads as inf
     known = {f.name for f in fields(LatticeParams)}
     if not isinstance(data, dict) or not set(data) <= known:
         raise UsageError(f"lattice input keys must be a subset of {sorted(known)}")
@@ -526,8 +519,9 @@ def _run_lattice_map(cfg: RunConfig) -> int:
 
 
 _RUNNERS = {
-    "phase-surface": _run_phase_surface,
-    "gap-map": _run_gap_map,
+    # Names looked up per run, so a wrapper set on this module's writers is called.
+    "phase-surface": lambda cfg: _run_grid(cfg, phase_surface, write_phase_surface_csv),
+    "gap-map": lambda cfg: _run_grid(cfg, gap_map, write_gap_map_csv),
     "verify": _run_verify,
     "scaling-fit": _run_scaling_fit,
     "step-trace": _run_step_trace,

@@ -61,6 +61,18 @@ DEFAULT_CRITICAL_TOL = 1e-9
 MODE_BLOCK_ELEMENTS = 2**14
 
 
+def _require_count(name: str, value, low: int, even: bool = False) -> int:
+    """``value`` as an int if it is an integer >= ``low`` (and even, if ``even``);
+    else a ValueError that names ``name``.  numpy integers pass, floats do not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low or (even and count % 2):
+        raise ValueError(f"{name} must be an {'even ' * even}integer >= {low}, got {value}")
+    return count
+
+
 @dataclass(frozen=True)
 class XYParams:
     """A point in the chain's control space.
@@ -84,14 +96,7 @@ class XYParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        try:
-            n_sites = operator.index(self.n_sites)  # numpy integers pass
-        except TypeError:
-            n_sites = -1
-        if n_sites < 4 or n_sites % 2 != 0:
-            raise ValueError(
-                f"n_sites must be an even integer >= 4, got {self.n_sites}"
-            )
+        _require_count("n_sites", self.n_sites, 4, even=True)
         for name in ("lam", "gamma", "phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -124,10 +129,17 @@ class CriticalityClass:
 
 def momentum_grid(n_sites: int) -> np.ndarray:
     """Positive momenta q_m = 2 pi (m + 1/2) / N, m = 0 .. N/2 - 1."""
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be an even integer >= 4, got {n_sites}")
+    _require_count("n_sites", n_sites, 4, even=True)
     m = np.arange(n_sites // 2)
     return 2.0 * np.pi * (m + 0.5) / n_sites
+
+
+def _finite_points(lam, gamma):
+    """``lam`` and ``gamma`` as broadcast float arrays; ValueError unless all are finite."""
+    lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
+    if not (np.isfinite(lam).all() and np.isfinite(gamma).all()):
+        raise ValueError("lam and gamma must be finite")
+    return lam, gamma
 
 
 def grid_points(lam_values, gamma_values):

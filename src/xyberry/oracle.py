@@ -45,16 +45,16 @@ Five structural facts are exploited throughout:
   the factorization and in the eigensolve, so the levels kept and their
   bits are those of solving every block.  Everything here works on spin
   states, never on the fermion momentum grid of the closed forms.
-* So the overlap product has a closed form.  Over m = steps * windings
-  segments every overlap but the closing one is the characteristic
-  function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at delta = pi w / m
-  (w windings), and on one parity block the closing one differs by the
-  constant exp(-i pi w S^z / 2).  The loop phase of a non-degenerate level
-  is m arg chi - pi w N / 2 (+ pi w in the odd sector), one O(2^(N-1))
-  pass with no loop vectors.  Expanding ln chi in the cumulants kappa_n of
-  S^z gives the limit w pi (N + <S^z>) / 2 and the discretization error
-  -pi^3 kappa_3 w^3 / (48 m^2).  Only a degenerate level is stepped around
-  the loop, by subspace projection.
+* So the overlap product has a closed form.  Over the m = steps segments
+  of the one circuit phi: 0 -> pi every overlap but the closing one is the
+  characteristic function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at
+  delta = pi / m, and on one parity block the closing one differs by the
+  constant exp(-i pi S^z / 2).  The loop phase of a non-degenerate level
+  is m arg chi - pi N / 2 (+ pi in the odd sector), one O(2^(N-1)) pass
+  with no loop vectors.  Expanding ln chi in the cumulants kappa_n of S^z
+  gives the limit pi (N + <S^z>) / 2 and the discretization error
+  -pi^3 kappa_3 / (48 m^2).  Only a degenerate level is stepped around the
+  loop, by subspace projection.
 
 Every eigensolve goes through one entry point, ``eigh``.  It calls the
 LAPACK driver scipy.linalg.eigh picks by default (?syevr for real blocks,
@@ -73,7 +73,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -88,8 +87,8 @@ from .errors import (
     ResourceLimitError,
     TrackingError,
 )
-from .model import XYParams
-from .phases import PhaseResult, wrap_angle
+from .model import XYParams, _require_count
+from .phases import PhaseResult, _require_polar_angle, wrap_angle
 
 __all__ = [
     "PAULI_X",
@@ -285,8 +284,7 @@ def max_sites() -> int:
 
 
 def check_sites(n_sites: int):
-    if n_sites < 2 or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be an even integer >= 2, got {n_sites}")
+    _require_count("n_sites", n_sites, 2, even=True)
     cap = max_sites()
     if n_sites > cap:
         raise ResourceLimitError(
@@ -586,12 +584,7 @@ class LoopDiscretization:
     steps: int
 
     def __post_init__(self):
-        try:
-            steps = operator.index(self.steps)  # numpy integers pass
-        except TypeError:
-            steps = -1
-        if steps < 8:
-            raise ValueError(f"steps must be an integer >= 8, got {self.steps}")
+        _require_count("steps", self.steps, 8)
 
 
 @dataclass
@@ -627,30 +620,27 @@ def pancharatnam_phase(vectors) -> float:
 
 
 class _LoopStart(NamedTuple):
-    """A tracked level's checked start: its block spectrum and loop grid."""
+    """A tracked level's checked start: its block spectrum, gap and step overlap."""
 
     vals: np.ndarray
     vecs: np.ndarray
     sz: np.ndarray
     cluster: np.ndarray  # mask of the tracked level's degenerate cluster
     gap: float
-    steps: int  # m = loop.steps * windings segments
     chi: Optional[complex]  # <psi(0)|U(delta)|psi(0)>; None for a degenerate cluster
 
 
-def _loop_start(params, level, loop, windings) -> _LoopStart:
+def _loop_start(params, level, loop) -> _LoopStart:
     """Validate a loop request and run the checks every loop readout shares.
 
-    Raises ValueError on a bad ``level`` or ``windings``, TrackingError when
-    the tracked level's cluster lies within ``LOOP_GAP_TOL`` of the next
-    level, and, for a non-degenerate level, DiscretizationError when
-    consecutive loop states overlap by |chi| < 0.5.  A degenerate cluster's
-    projection checks each of its steps itself.
+    Raises ValueError on a bad ``level``, TrackingError when the tracked
+    level's cluster lies within ``LOOP_GAP_TOL`` of the next level, and, for
+    a non-degenerate level, DiscretizationError when consecutive loop states
+    overlap by |chi| < 0.5.  A degenerate cluster's projection checks each
+    of its steps itself.
     """
     if level not in ("ground", "excited"):
         raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
-    if windings < 1:
-        raise ValueError(f"windings must be >= 1, got {windings}")
     parity = +1 if level == "ground" else -1
     vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
 
@@ -664,26 +654,24 @@ def _loop_start(params, level, loop, windings) -> _LoopStart:
             f"spectral gap {gap:.3e} below tolerance {LOOP_GAP_TOL:.1e} at phi={params.phi:.6f}"
         )
 
-    m = loop.steps * windings
     chi = None
     if np.count_nonzero(cluster) == 1:
-        delta = math.pi * windings / m
+        delta = math.pi / loop.steps
         chi = complex(np.dot(np.abs(vecs[:, 0]) ** 2, np.exp(0.5j * delta * sz)))
         if abs(chi) < 0.5:
             raise DiscretizationError(
                 f"overlap {abs(chi):.3e} below 0.5 between consecutive loop states "
                 f"(step {delta:.6f}); refine the loop grid"
             )
-    return _LoopStart(vals, vecs, sz, cluster, gap, m, chi)
+    return _LoopStart(vals, vecs, sz, cluster, gap, chi)
 
 
 def loop_states(
     params: XYParams,
     level: str,
     loop: LoopDiscretization,
-    windings: int = 1,
 ) -> LoopTrace:
-    """Transport one level of H(phi) around ``windings`` closed circuits.
+    """Transport one level of H(phi) around the closed circuit phi: 0 -> pi.
 
     level='ground' follows the lowest even-parity state, the paired-mode
     vacuum.  level='excited' follows the lowest odd-parity state.  For
@@ -701,10 +689,10 @@ def loop_states(
     kick is a multiple of the identity and the phase does not depend on the
     basis the pair comes in.
     """
-    start = _loop_start(params, level, loop, windings)
-    vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, start.steps
+    start = _loop_start(params, level, loop)
+    vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, loop.steps
     phi0 = params.phi
-    offsets = np.pi * windings * np.arange(m) / m
+    offsets = np.pi * np.arange(m) / m
     rotations = np.exp(0.5j * np.outer(phi0 + offsets, sz))  # row j: U(phi_j)
     degenerate = start.chi is None
     if not degenerate:
@@ -740,35 +728,34 @@ def discrete_loop_phase(
     params: XYParams,
     level: str,
     loop: LoopDiscretization,
-    windings: int = 1,
 ) -> PhaseResult:
-    """Loop phase of one tracked level, fixed modulo 2 pi.
+    """Loop phase of one tracked level over one circuit, fixed modulo 2 pi.
 
-    The m = loop.steps * windings loop states are U(phi_j) psi(0), so each
-    of the first m - 1 overlaps is chi = <psi(0)|exp(i delta S^z / 2)|psi(0)>
-    with delta = pi windings / m.  The closing overlap is chi times
-    exp(-i pi windings S^z / 2), which on one parity block is the constant
-    exp(-i pi windings N / 2), times (-1)^windings in the odd block.  So
+    The m = loop.steps loop states are U(phi_j) psi(0), so each of the
+    first m - 1 overlaps is chi = <psi(0)|exp(i delta S^z / 2)|psi(0)> with
+    delta = pi / m.  The closing overlap is chi times exp(-i pi S^z / 2),
+    which on one parity block is the constant exp(-i pi N / 2), times -1 in
+    the odd block.  So
 
-        phase = m arg chi - pi windings N / 2 (+ pi windings if odd)
+        phase = m arg chi - pi N / 2 (+ pi if odd)
 
     (times PANCHARATNAM_SIGN, mod 2 pi), at O(2^(N-1)) cost and with no loop
-    vectors.  Its m -> infinity limit is windings pi (N + <S^z>) / 2; the cumulant
+    vectors.  Its m -> infinity limit is pi (N + <S^z>) / 2; the cumulant
     expansion of ln chi puts the discretization error at
-    -pi^3 kappa_3 windings^3 / (48 m^2), kappa_3 the third cumulant of S^z.
+    -pi^3 kappa_3 / (48 m^2), kappa_3 the third cumulant of S^z.
     A degenerate level takes the stepped subspace projection of
     ``loop_states`` and ``pancharatnam_phase``.  The product determines the
     phase only up to whole turns, so ``value`` and ``wrapped`` coincide
     here; compare against closed forms with a circular distance.
     """
-    start = _loop_start(params, level, loop, windings)
+    start = _loop_start(params, level, loop)
     if start.chi is None:
-        trace = loop_states(params, level, loop, windings=windings)
-        return PhaseResult.from_value(pancharatnam_phase(trace.vectors), winding=windings)
-    # The closing constant is the sign (-1)^(windings (N/2 + odd)): N is even.
-    flips = windings * (params.n_sites // 2 + (level == "excited")) % 2
-    angle = start.steps * cmath.phase(start.chi) + math.pi * flips
-    return PhaseResult.from_value(wrap_angle(PANCHARATNAM_SIGN * angle), winding=windings)
+        trace = loop_states(params, level, loop)
+        return PhaseResult.from_value(pancharatnam_phase(trace.vectors))
+    # The closing constant is the sign (-1)^(N/2 + odd): N is even.
+    flips = (params.n_sites // 2 + (level == "excited")) % 2
+    angle = loop.steps * cmath.phase(start.chi) + math.pi * flips
+    return PhaseResult.from_value(wrap_angle(PANCHARATNAM_SIGN * angle))
 
 
 def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> PhaseResult:
@@ -778,10 +765,8 @@ def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> Pha
     over ``steps`` segments.  Serves as the two-level reference case for the
     overlap-product machinery.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if steps < 8:
-        raise ValueError(f"steps must be >= 8, got {steps}")
+    _require_polar_angle(theta)
+    _require_count("steps", steps, 8)
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     idx = 0 if branch == "lower" else 1

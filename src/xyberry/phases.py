@@ -1,8 +1,8 @@
 """Closed-form geometric phases for loops of the in-plane rotation angle.
 
 All phases refer to one circuit phi: 0 -> pi of the rotated chain (the
-Hamiltonian is pi-periodic, so this is a closed loop); multi-winding loops
-multiply the raw value.  A raw (unwrapped) value and its representative in
+Hamiltonian is pi-periodic, so this is a closed loop), or to one azimuthal
+turn of a spin-1/2's field.  A raw (unwrapped) value and its representative in
 (-pi, pi] are both reported, because the raw ground-state sum grows with N
 while only the wrapped value is physical modulo 2 pi.
 """
@@ -22,6 +22,7 @@ from .model import (
     DEFAULT_CRITICAL_TOL,
     Criticality,
     XYParams,
+    _finite_points,
     _mode_components,
     _mode_tiles,
     _point_modes,
@@ -33,7 +34,6 @@ from .tables import STATUS, Cells, grid_cells, write_csv
 
 __all__ = [
     "PhaseResult",
-    "BlochLoopSpec",
     "wrap_angle",
     "circular_distance",
     "spin_half_connection",
@@ -76,34 +76,22 @@ class PhaseResult:
     wrapped: float
     topological_part: float
     geometric_part: float
-    winding: int
 
     @classmethod
-    def from_value(
-        cls, value: float, winding: int = 1, topological_part: float = 0.0
-    ) -> "PhaseResult":
+    def from_value(cls, value: float, topological_part: float = 0.0) -> "PhaseResult":
         value = float(value)
         return cls(
             value=value,
             wrapped=wrap_angle(value),
             topological_part=float(topological_part),
             geometric_part=value - float(topological_part),
-            winding=int(winding),
         )
 
 
-@dataclass(frozen=True)
-class BlochLoopSpec:
-    """A horizontal loop on the Bloch sphere: fixed polar angle, n circuits."""
-
-    theta: float
-    windings: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.windings < 1:
-            raise ValueError(f"windings must be a positive integer, got {self.windings}")
+def _require_polar_angle(theta: float):
+    """The one check of a spin-1/2 field's polar angle: theta in [0, pi]."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
 
 
 def spin_half_connection(theta: float) -> tuple[float, float]:
@@ -112,23 +100,23 @@ def spin_half_connection(theta: float) -> tuple[float, float]:
     For a field at polar angle theta the azimuthal component is half the
     enclosed solid-angle density: A_phi = (1 - cos theta) / 2.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    _require_polar_angle(theta)
     return 0.0, 0.5 * (1.0 - math.cos(theta))
 
 
-def spin_half_phase(spec: BlochLoopSpec, branch: str = "upper") -> PhaseResult:
-    """Phase of a spin-1/2 dragged around n horizontal circuits.
+def spin_half_phase(theta: float, branch: str = "upper") -> PhaseResult:
+    """Phase of a spin-1/2 dragged once around a horizontal circuit at polar angle theta.
 
-    Half the enclosed solid angle per circuit: n * pi * (1 - cos theta) for
-    the upper level; the lower level acquires the negation.
+    Half the enclosed solid angle: pi * (1 - cos theta) for the upper
+    level; the lower level acquires the negation.
     """
-    value = spec.windings * math.pi * (1.0 - math.cos(spec.theta))
+    _require_polar_angle(theta)
+    value = math.pi * (1.0 - math.cos(theta))
     if branch == "lower":
         value = -value
     elif branch != "upper":
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    return PhaseResult.from_value(value, winding=spec.windings)
+    return PhaseResult.from_value(value)
 
 
 def _require_noncritical(params: XYParams):
@@ -214,9 +202,9 @@ def relative_phase_thermo(lam: float, gamma: float) -> PhaseResult:
 def relative_phase_thermo_arrays(lam, gamma) -> np.ndarray:
     """The value of ``relative_phase_thermo`` over broadcast arrays of points.
 
-    Raises CriticalPointError if any point lies on the XX segment.
+    Raises ValueError on non-finite input, CriticalPointError on the XX segment.
     """
-    lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
+    lam, gamma = _finite_points(lam, gamma)
     if np.any((gamma == 0.0) & (np.abs(lam) <= 1.0)):
         raise CriticalPointError(_XX_SEGMENT_MESSAGE)
     with np.errstate(over="ignore", invalid="ignore"):

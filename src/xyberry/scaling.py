@@ -28,7 +28,9 @@ from . import model
 from .errors import StepDetectionError
 from .model import (
     DEFAULT_CRITICAL_TOL,
+    _finite_points,
     _mode_components,
+    _require_count,
     classify_criticality_arrays,
     grid_points,
     momentum_grid,
@@ -97,7 +99,7 @@ class SweepSpec:
         lo, hi = window
         if not 0 < lo < hi:
             raise ValueError(f"window must satisfy 0 < lo < hi, got {window}")
-        offsets = np.geomspace(lo, hi, samples)
+        offsets = np.geomspace(lo, hi, _require_count("samples", samples, 8))
         return cls(vary, fixed_value, critical_value + side * offsets, n_sites)
 
 
@@ -125,10 +127,10 @@ def continuum_min_gap_arrays(lam, gamma) -> np.ndarray:
     candidates are tried in the order 1, -1, clamped vertex.  The square
     goes through ``np.float_power``, which calls C pow as Python's float
     ``**`` does; ``**`` on arrays squares by multiplication, which differs
-    in the last bit for about one value in a thousand.  An overflowing
-    square raises OverflowError, as Python's float ``**`` does.
+    in the last bit for about one value in a thousand.  Non-finite input raises
+    ValueError; an overflowing square OverflowError, as float ``**`` does.
     """
-    lam, gamma = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(gamma, dtype=float))
+    lam, gamma = _finite_points(lam, gamma)
     g2 = gamma * gamma
     a = 1.0 - g2
     opens_up = a > 0.0
@@ -297,8 +299,8 @@ def fit_exponent(
             f"got {np.count_nonzero(mask)}"
         )
     gaps = table[mask, 1]
-    if np.any(gaps <= 0.0):
-        raise ValueError("nonpositive gap inside the fit window; fit invalid")
+    if not np.all(np.isfinite(gaps) & (gaps > 0.0)):
+        raise ValueError("nonpositive or non-finite gap inside the fit window; fit invalid")
     x = np.log(dist[mask])
     y = np.log(gaps)
     slope, intercept = np.polyfit(x, y, 1)

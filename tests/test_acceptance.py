@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from xyberry import (
-    BlochLoopSpec,
     LoopDiscretization,
     XYParams,
     circular_distance,
@@ -79,7 +78,7 @@ def seeded_points():
 
 def test_criterion_1_spin_half_reference():
     with criterion(1, "spin-1/2 equatorial loop: closed form pi, discrete within 1e-4", 1.0):
-        closed = spin_half_phase(BlochLoopSpec(theta=np.pi / 2, windings=1))
+        closed = spin_half_phase(np.pi / 2)
         # exact up to the one-ulp dust of cos(pi/2) in IEEE doubles
         assert closed.value == pytest.approx(np.pi, abs=1e-15)
         discrete = spin_half_loop_phase(np.pi / 2, steps=2000)

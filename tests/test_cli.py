@@ -861,6 +861,21 @@ class TestLatticeMapCommand:
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["lattice-map", "--input", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf-8", "deep-nesting"]
+    )
+    def test_undecodable_input_is_a_usage_error(self, content, tmp_path, capsys):
+        # The same file is a usage error through --input as through --config.
+        inp = tmp_path / "lp.json"
+        inp.write_bytes(content)
+        for argv in (["lattice-map", "--input", str(inp)],
+                     ["lattice-map", "--input", "lp.json", "--config", str(inp)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert json.loads(captured.err)["error"] == "usage"
+            assert "unreadable" in json.loads(captured.err)["message"]
+            assert captured.out == ""
+
 
 class TestVerifyCommand:
     def test_small_verify_passes_and_is_deterministic(self, tmp_path, capsys):
@@ -960,7 +975,7 @@ class TestVerifyCommand:
 
         def shifted(*args, **kwargs):
             r = loop_phase(*args, **kwargs)
-            return PhaseResult.from_value(r.value + 1e-9, winding=r.winding)
+            return PhaseResult.from_value(r.value + 1e-9)
 
         monkeypatch.setattr(cli, "discrete_loop_phase", shifted)
         assert main(["verify", "--n", "4,6", "--steps", "2000", "--draws", "3"]) == 1

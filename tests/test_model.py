@@ -47,9 +47,9 @@ class TestMomentumGrid:
             assert 0.0 < q[0] and q[-1] < np.pi
             assert np.all(np.diff(q) > 0)
 
-    @pytest.mark.parametrize("bad", [3, 5, 7, 2, 0, -4])
+    @pytest.mark.parametrize("bad", [3, 5, 7, 2, 0, -4, 6.0, np.float64(8.0), 6.5])
     def test_invalid_sites(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_sites must be an even integer"):
             momentum_grid(bad)
 
     def test_grid_reproduces_oracle_energy_n6(self):

@@ -39,7 +39,6 @@ from xyberry.oracle import (
     parity_diagonal,
     total_sz_diagonal,
 )
-from xyberry.phases import BlochLoopSpec
 
 from oracle_reference import solve_every_block, translation_layout_dense
 
@@ -163,6 +162,14 @@ class TestAssembly:
     def test_site_cap(self):
         with pytest.raises(ResourceLimitError):
             hamiltonian_phi_parts(12, 0.5, 0.5)
+
+    def test_non_integer_sites_rejected(self):
+        for bad in (4.0, np.float64(6.0), 4.5):
+            with pytest.raises(ValueError, match="n_sites must be an even integer"):
+                oracle.check_sites(bad)
+            with pytest.raises(ValueError, match="n_sites must be an even integer"):
+                hamiltonian_phi_parts(bad, 0.5, 0.5)
+        oracle.check_sites(np.int64(4))
 
     def test_site_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("XYBERRY_MAX_N", "4")
@@ -668,13 +675,13 @@ class TestPancharatnamProduct:
 class TestSpinHalfLoop:
     def test_equatorial_matches_closed_form(self):
         r = spin_half_loop_phase(np.pi / 2, 2000)
-        target = spin_half_phase(BlochLoopSpec(theta=np.pi / 2)).wrapped
+        target = spin_half_phase(np.pi / 2).wrapped
         assert circular_distance(r.wrapped, target) < 1e-4
 
     def test_off_equator_lower_branch(self):
         theta = np.pi / 3
         r = spin_half_loop_phase(theta, 2000, branch="lower")
-        target = spin_half_phase(BlochLoopSpec(theta=theta), branch="lower").wrapped
+        target = spin_half_phase(theta, branch="lower").wrapped
         assert circular_distance(r.wrapped, target) < 1e-4
 
     def test_upper_branch_negates(self):
@@ -688,6 +695,10 @@ class TestSpinHalfLoop:
             spin_half_loop_phase(5.0, 100)
         with pytest.raises(ValueError):
             spin_half_loop_phase(1.0, 4)
+        for bad in (8.5, 16.0, "16"):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                spin_half_loop_phase(1.0, bad)
+        assert spin_half_loop_phase(1.0, np.int64(16)) == spin_half_loop_phase(1.0, 16)
 
 
 class TestChainLoop:
@@ -720,13 +731,6 @@ class TestChainLoop:
         ]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
-    def test_loop_additivity(self):
-        p = params(0.5, 0.5, 4)
-        one = discrete_loop_phase(p, "ground", LoopDiscretization(500), windings=1)
-        two = discrete_loop_phase(p, "ground", LoopDiscretization(500), windings=2)
-        assert two.winding == 2
-        assert circular_distance(two.wrapped, 2 * one.wrapped) < 1e-5
-
     def test_gap_tolerance_raises_tracking_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
         with pytest.raises(TrackingError):
@@ -737,10 +741,6 @@ class TestChainLoop:
             LoopDiscretization(4)
         with pytest.raises(ValueError):
             discrete_loop_phase(params(0.5, 0.5, 4), "sideways", LoopDiscretization(16))
-        with pytest.raises(ValueError):
-            discrete_loop_phase(
-                params(0.5, 0.5, 4), "ground", LoopDiscretization(16), windings=0
-            )
 
     def test_non_integer_steps_rejected(self):
         p = params(0.5, 0.5, 4)
@@ -808,17 +808,15 @@ class TestCharacteristicFunctionPath:
         for lam, gamma in draw_noncritical_points(rng, 2):
             p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
             for level in ("ground", "excited"):
-                for windings in (1, 2):
-                    for steps in (8, 200, 2000):
-                        loop = LoopDiscretization(steps)
-                        got = discrete_loop_phase(p, level, loop, windings=windings)
-                        trace = loop_states(p, level, loop, windings=windings)
-                        assert not trace.degenerate
-                        want = pancharatnam_phase(trace.vectors)
-                        assert got.winding == windings
-                        assert got.value == got.wrapped
-                        where = (p, level, windings, steps)
-                        assert circular_distance(got.wrapped, want) <= 1e-12, where
+                for steps in (8, 200, 2000):
+                    loop = LoopDiscretization(steps)
+                    got = discrete_loop_phase(p, level, loop)
+                    trace = loop_states(p, level, loop)
+                    assert not trace.degenerate
+                    want = pancharatnam_phase(trace.vectors)
+                    assert got.value == got.wrapped
+                    where = (p, level, steps)
+                    assert circular_distance(got.wrapped, want) <= 1e-12, where
 
     def test_no_loop_vectors_on_the_closed_form_path(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from xyberry import (
-    BlochLoopSpec,
     CriticalPointError,
     XYParams,
     circular_distance,
@@ -23,6 +22,7 @@ from xyberry import (
     relative_phase_thermo,
     relative_phase_thermo_arrays,
     spin_half_connection,
+    spin_half_loop_phase,
     spin_half_phase,
     wrap_angle,
 )
@@ -141,31 +141,25 @@ class TestSpinHalf:
             spin_half_connection(-0.1)
 
     def test_equatorial_loop_is_pi(self):
-        r = spin_half_phase(BlochLoopSpec(theta=np.pi / 2, windings=1))
+        r = spin_half_phase(np.pi / 2)
         assert r.value == pytest.approx(np.pi)
         assert r.wrapped == pytest.approx(np.pi)
 
     def test_polar_loop_vanishes(self):
-        assert spin_half_phase(BlochLoopSpec(theta=0.0)).value == 0.0
-
-    def test_double_winding(self):
-        # Half the solid angle per circuit, twice around.
-        r = spin_half_phase(BlochLoopSpec(theta=2 * np.pi / 3, windings=2))
-        assert r.value == pytest.approx(2 * np.pi * (1 - np.cos(2 * np.pi / 3)))
-        assert r.value == pytest.approx(3 * np.pi)
-        assert r.winding == 2
+        assert spin_half_phase(0.0).value == 0.0
 
     def test_lower_branch_negates(self):
-        spec = BlochLoopSpec(theta=1.1)
-        assert spin_half_phase(spec, "lower").value == -spin_half_phase(spec).value
+        assert spin_half_phase(1.1, "lower").value == -spin_half_phase(1.1).value
 
     def test_spec_validation(self):
+        # One polar-angle check for the connection, the phase and the loop.
+        for theta in (4.0, -0.1, math.nan):
+            for check in (spin_half_connection, spin_half_phase,
+                          lambda t: spin_half_loop_phase(t, 16)):
+                with pytest.raises(ValueError, match="theta must lie in"):
+                    check(theta)
         with pytest.raises(ValueError):
-            BlochLoopSpec(theta=4.0)
-        with pytest.raises(ValueError):
-            BlochLoopSpec(theta=1.0, windings=0)
-        with pytest.raises(ValueError):
-            spin_half_phase(BlochLoopSpec(theta=1.0), branch="sideways")
+            spin_half_phase(1.0, branch="sideways")
 
 
 class TestGroundPhase:
@@ -316,11 +310,11 @@ class TestRelativePhaseThermoArrays:
     )
     def test_equals_scalar(self, gamma):
         rng = np.random.default_rng(17)
+        c = 1 - gamma * gamma  # -inf at |gamma| = 1e200: non-finite input raises
         lam = np.concatenate([
             0.005 * np.arange(401),
             rng.uniform(-2.0, 2.0, 3000),
-            [0.0, -0.0, 1.0, -1.0, 1 - gamma * gamma, -(1 - gamma * gamma), np.nan, np.inf],
-            [1e6, -1e6],
+            [0.0, -0.0, 1.0, -1.0, 1e6, -1e6] + ([c, -c] if math.isfinite(c) else []),
         ])
         got = relative_phase_thermo_arrays(lam, gamma)
         want = [relative_phase_thermo_reference(l, gamma) for l in lam.tolist()]
@@ -328,9 +322,19 @@ class TestRelativePhaseThermoArrays:
         np.testing.assert_array_equal(got.view(np.int64), phase_bits(want)[:, 0])
         # The scalar view, with its topological/geometric split on both
         # branches, on the evenly spaced and edge points.
-        edges = np.concatenate([lam[:401], lam[-10:]]).tolist()
+        edges = np.concatenate([lam[:401], lam[3401:]]).tolist()
         views = [relative_phase_thermo(l, gamma) for l in edges]
-        np.testing.assert_array_equal(phase_bits(views), phase_bits(want[:401] + want[-10:]))
+        np.testing.assert_array_equal(phase_bits(views), phase_bits(want[:401] + want[3401:]))
+
+    @pytest.mark.parametrize("lam,gamma", [(np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan),
+                                           (-np.inf, 0.0), (np.nan, 0.0)])
+    def test_non_finite_input_raises(self, lam, gamma):
+        # NaN fails every comparison, so without the check it took the
+        # trivial branch and read 0.
+        with pytest.raises(ValueError, match="must be finite"):
+            relative_phase_thermo(lam, gamma)
+        with pytest.raises(ValueError, match="must be finite"):
+            relative_phase_thermo_arrays(np.array([0.3, lam]), gamma)
 
     def test_broadcasts_over_gamma(self):
         got = relative_phase_thermo_arrays(0.3, np.array([0.2, 0.5, 2.0]))
@@ -426,6 +430,11 @@ class TestPhaseSurface:
     def test_all_critical_grid(self):
         rows = surface_rows(phase_surface([1.0, -1.0], [0.0, 0.7], 8))
         assert [r[5] for r in rows] == ["critical"] * 4
+
+    def test_non_integer_sites_rejected(self):
+        for bad in (6.0, 6.5):
+            with pytest.raises(ValueError, match="n_sites must be an even integer"):
+                phase_surface([0.5], [0.5], bad)
 
     def test_row_major_order(self):
         rows = surface_rows(phase_surface([0.1, 0.2], [0.5, 0.6], 8))

@@ -128,6 +128,14 @@ class TestContinuumMinGapArrays:
             continuum_min_gap_reference(0.5, 0.5), continuum_min_gap_reference(1.5, 0.5)
         ]
 
+    @pytest.mark.parametrize("lam,gamma", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5),
+                                           (0.5, -np.inf)])
+    def test_non_finite_input_raises(self, lam, gamma):
+        with pytest.raises(ValueError, match="must be finite"):
+            continuum_min_gap(lam, gamma)
+        with pytest.raises(ValueError, match="must be finite"):
+            continuum_min_gap_arrays(np.array([0.5, lam]), gamma)
+
     def test_overflow_raises_like_the_scalar(self):
         with pytest.raises(OverflowError):
             continuum_min_gap_reference(1e200, 0.5)
@@ -323,6 +331,16 @@ class TestGapSweep:
         with pytest.raises(ValueError):
             SweepSpec.approach("gamma", 0.5, 0.0, window=(1e-1, 1e-3))
 
+    def test_non_integer_counts_rejected(self):
+        for bad in (8.5, 24.0):
+            with pytest.raises(ValueError, match="samples must be an integer"):
+                SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), bad)
+        for bad in (6.0, 8.5):
+            spec = SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), 8, n_sites=bad)
+            with pytest.raises(ValueError, match="n_sites must be an even integer"):
+                gap_sweep(spec)
+        assert SweepSpec.approach("lambda", 1.0, 1.0, samples=np.int64(8)).values.size == 8
+
 
 class TestFitExponent:
     @pytest.mark.parametrize("power", [0.5, 1.0, 1.5, 2.0])
@@ -367,6 +385,15 @@ class TestFitExponent:
         g = np.linspace(0.5, 0.95, 10)
         table = np.column_stack([g, np.zeros_like(g)])
         with pytest.raises(ValueError):
+            fit_exponent(table, 1.0, (1e-3, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gap_rejected(self, bad):
+        # A NaN gap passes ``gap <= 0``; the fit then read exponent=nan.
+        g = np.linspace(0.5, 0.95, 10)
+        table = np.column_stack([g, 1.0 - g])
+        table[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite gap"):
             fit_exponent(table, 1.0, (1e-3, 1.0))
 
     def test_too_few_points_rejected(self):
