@@ -39,7 +39,6 @@ from .model import (
 )
 from .observables import magnetization_analytic, phase_magnetization_identity
 from .oracle import (
-    EigenPair,
     LoopDiscretization,
     LoopTrace,
     discrete_loop_phase,
@@ -47,7 +46,6 @@ from .oracle import (
     loop_states,
     magnetization_ed,
     pancharatnam_phase,
-    sector_ground,
     spin_half_loop_phase,
     sz_cumulants,
 )

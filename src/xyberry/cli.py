@@ -27,7 +27,13 @@ import numpy as np
 from . import __version__
 from .errors import XYBerryError
 from .lattice import LatticeParams, effective_xy, mott_regime_check
-from .model import DEFAULT_CRITICAL_TOL, XYParams, classify_criticality, ground_energy
+from .model import (
+    DEFAULT_CRITICAL_TOL,
+    XYParams,
+    _require_count,
+    classify_criticality,
+    ground_energy,
+)
 from .observables import magnetization_analytic
 from .oracle import (
     LoopDiscretization,
@@ -177,10 +183,7 @@ def _positive(text: str) -> float:
 
 
 def _parse_sites(text: str) -> list[int]:
-    ns = _parse_list(text, int)
-    for n in ns:
-        if n < 4 or n % 2 != 0:
-            raise UsageError(f"n_sites must be even and >= 4 (momenta pair as (k, -k)), got {n}")
+    ns = [_require_count("n_sites", n, 4, even=True) for n in _parse_list(text, int)]
     if len(set(ns)) != len(ns):  # verify would solve every point twice
         raise UsageError(f"a chain length is repeated in {text!r}")
     return ns
@@ -355,7 +358,7 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"{command} needs {label}")
         try:
             values[flag.key] = None if text is None else flag.convert(text)
-        except UsageError as exc:
+        except (UsageError, ValueError) as exc:  # ValueError: a model rule's own check
             raise UsageError(f"{label}: {exc}") from exc
     fixed = {key: values.pop(key) for key in ("output_path", "seed") if key in values}
     return RunConfig(command=command, parameters=values, **fixed)
@@ -500,9 +503,12 @@ def _run_lattice_map(cfg: RunConfig) -> int:
     if missing:
         raise UsageError(f"lattice input misses required keys {sorted(missing)}")
     for key, value in data.items():
-        if type(value) is not float or not math.isfinite(value):  # bool and null too
+        if type(value) is not float:  # bool, null, string and list too
             raise UsageError(f"lattice input {key!r} must be a finite number, got {value!r}")
-    lp = LatticeParams(**data)
+    try:
+        lp = LatticeParams(**data)
+    except ValueError as exc:  # a value outside the lattice's rules, NaN and Infinity too
+        raise UsageError(f"lattice input: {exc}") from exc
     eff = effective_xy(lp)
     check = mott_regime_check(lp, p["threshold"])
     payload = {

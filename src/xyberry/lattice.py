@@ -116,8 +116,6 @@ def solve_for_targets(
         )
     if u_ab <= 0:
         raise ValueError(f"u_ab must be positive, got {u_ab}")
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
     omega_sq = target_lam * delta
     if omega_sq < 0:
         raise InfeasibleTargetError(

@@ -264,10 +264,9 @@ def classify_criticality_arrays(lam, gamma, tol: float = DEFAULT_CRITICAL_TOL):
     the same operations in the same order, so both are equal, not merely
     close.  Non-finite input or a nonpositive ``tol`` raises ValueError.
     """
-    lam = np.asarray(lam, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if not (np.isfinite(lam).all() and np.isfinite(gamma).all() and math.isfinite(tol)):
-        raise ValueError(f"lam, gamma and tol must be finite (tol={tol})")
+    lam, gamma = _finite_points(lam, gamma)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     abs_lam, abs_gamma = np.abs(lam), np.abs(gamma)

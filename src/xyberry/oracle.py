@@ -96,16 +96,13 @@ __all__ = [
     "PAULI_Z",
     "DEFAULT_MAX_SITES",
     "PANCHARATNAM_SIGN",
-    "EigenPair",
     "LoopDiscretization",
     "LoopTrace",
     "eigh",
     "max_sites",
     "check_sites",
     "hamiltonian_phi_parts",
-    "parity_diagonal",
     "total_sz_diagonal",
-    "sector_ground",
     "ed_ground_energy",
     "magnetization_ed",
     "sz_cumulants",
@@ -143,7 +140,8 @@ LOOP_LEVELS = 6
 _SMALL_BLOCK_ROWS = 16
 
 # Parity-block solves memoized by ``_sector_spectrum``: a verify point reads
-# one three times (loop, energy, magnetization).  About 50 KB each at N = 10.
+# one four times (loop, energy, magnetization, S^z cumulants).  About 50 KB
+# each at N = 10.
 SPECTRUM_CACHE_SIZE = 32
 
 
@@ -330,11 +328,6 @@ def hamiltonian_phi_parts(n_sites: int, lam: float, gamma: float):
     return m0, mc, ms
 
 
-def parity_diagonal(n_sites: int) -> np.ndarray:
-    """Diagonal of the spin-flip parity prod_l sigma^z_l (+/-1 entries)."""
-    return _parity_of(total_sz_diagonal(n_sites), n_sites)
-
-
 def _parity_of(sz: np.ndarray, n_sites: int) -> np.ndarray:
     """Parity (-1)^(down spins) of basis states from their S^z diagonal."""
     down = (n_sites - sz.astype(np.int64)) // 2
@@ -348,25 +341,6 @@ def total_sz_diagonal(n_sites: int) -> np.ndarray:
     for b in range(n_sites):
         pop += (bits >> b) & 1
     return (n_sites - 2 * pop).astype(float)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    value: float
-    vector: np.ndarray
-
-
-def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate the largest-magnitude component to the positive real axis.
-
-    Cosmetic only: every reported phase is gauge invariant by construction
-    (enforced by a property test), this just makes vectors reproducible.
-    """
-    k = int(np.argmax(np.abs(vec)))
-    z = vec[k]
-    if z == 0:
-        return vec
-    return vec * (abs(z) / z)
 
 
 class _MomentumBlock(NamedTuple):
@@ -519,22 +493,6 @@ def _solve_sector(n_sites, lam, gamma, parity):
     for array in spectrum[:2]:
         array.setflags(write=False)
     return spectrum
-
-
-def sector_ground(params: XYParams, parity: int = +1) -> EigenPair:
-    """Lowest eigenpair within one spin-flip parity sector.
-
-    parity=+1 is the sector of the paired-mode closed forms.  The vector is
-    U(phi) psi(0), returned embedded in the full 2^N basis.
-    """
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
-    vals, vecs, states, sz = _sector_spectrum(
-        params.n_sites, params.lam, params.gamma, parity
-    )
-    full = np.zeros(2**params.n_sites, dtype=complex)
-    full[states] = np.exp(0.5j * params.phi * sz) * vecs[:, 0]
-    return EigenPair(float(vals[0]), _gauge_fix(full))
 
 
 def ed_ground_energy(params: XYParams) -> float:

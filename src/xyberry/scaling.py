@@ -82,6 +82,8 @@ class SweepSpec:
         values = np.asarray(self.values, dtype=float)
         if values.size < 8:
             raise ValueError(f"need at least 8 sweep samples, got {values.size}")
+        if self.n_sites is not None:
+            _require_count("n_sites", self.n_sites, 4, even=True)
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -22,6 +22,9 @@ import numpy as np
 from . import model
 from .model import CRITICALITY_TAGS, Criticality
 
+# The number format of every artifact: 12 significant digits.
+_NUMBER_FORMAT = "%.12g"
+
 # Tag and status text of each code of classify_criticality_arrays.
 TAGS = tuple(tag.value for tag in CRITICALITY_TAGS)
 STATUS = tuple("ok" if tag is Criticality.NON_CRITICAL else "critical" for tag in CRITICALITY_TAGS)
@@ -35,8 +38,8 @@ class Cells(NamedTuple):
 
 
 def _numbers(values) -> list[str]:
-    """Each value as '%.12g', the number format of every artifact."""
-    return ["%.12g" % x for x in np.asarray(values, dtype=float).tolist()]
+    """Each value in ``_NUMBER_FORMAT``."""
+    return [_NUMBER_FORMAT % x for x in np.asarray(values, dtype=float).tolist()]
 
 
 def grid_cells(lam_values, gamma_values) -> tuple[Cells, Cells]:
@@ -92,7 +95,7 @@ def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and the rows of equal-length ``columns`` to ``path``, atomically.
 
     Each block of rows becomes one %-format: a template of the block's
-    cells, with '%.12g' where a number goes, applied to the block's numbers.
+    cells, with ``_NUMBER_FORMAT`` where a number goes, applied to the block's numbers.
     """
     last = len(columns) - 1
     pieces, numeric = [], []
@@ -102,7 +105,7 @@ def write_csv(path, header: str, columns) -> None:
             table = np.array([s.replace("%", "%%") + end for s in col.table], dtype=object)
             pieces.append((table, col.index))
         else:
-            pieces.append(("%.12g" + end, None))
+            pieces.append((_NUMBER_FORMAT + end, None))
             numeric.append(np.asarray(col, dtype=float))
     first = columns[0]
     n_rows = len(first.index if isinstance(first, Cells) else first)

@@ -827,6 +827,32 @@ class TestLatticeMapCommand:
         assert json.loads(captured.err)["error"] == "usage"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("u_ab", -1.0), ("u_ab", 0.0), ("j_a", -0.1), ("j_c", -2.0), ("omega", -0.5),
+         ("delta", 0.0)],
+    )
+    def test_values_the_lattice_rejects_are_usage_errors(self, key, value, tmp_path, capsys):
+        # Finite numbers outside LatticeParams' rules are bad input, like NaN.
+        data = {"j_a": 1.0, "j_b": 1.0, "j_c": 0.2, "u_ab": 100.0, "omega": 0.5, "delta": 1.0}
+        inp = tmp_path / "lp.json"
+        inp.write_text(json.dumps({**data, key: value}))
+        out = tmp_path / "eff.json"
+        assert main(["lattice-map", "--input", str(inp), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "usage"
+        assert captured.out == "" and not out.exists()
+
+    def test_all_tunnelling_off_is_a_runtime_error(self, tmp_path, capsys):
+        inp = tmp_path / "lp.json"
+        inp.write_text(json.dumps({"j_a": 0.0, "j_b": 0.0, "j_c": 0.0, "u_ab": 100.0,
+                                   "omega": 0.5, "delta": 1.0}))
+        out = tmp_path / "eff.json"
+        assert main(["lattice-map", "--input", str(inp), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "ValueError"
+        assert captured.out == "" and not out.exists()
+
     def test_overflowing_couplings_are_a_runtime_error(self, tmp_path, capsys):
         # Finite inputs whose energy scale overflows: exit 1, no Infinity token.
         inp = tmp_path / "lp.json"

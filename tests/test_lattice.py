@@ -113,6 +113,10 @@ class TestSolveForTargets:
         with pytest.raises(InfeasibleTargetError):
             solve_for_targets(0.0, 0.5, u_ab=10.0, delta=1.0)
 
+    def test_zero_detuning_rejected(self):
+        with pytest.raises(ValueError, match="delta must be nonzero"):
+            solve_for_targets(0.5, 1.0, u_ab=10.0, delta=0.0)
+
     def test_sign_infeasible_field(self):
         with pytest.raises(InfeasibleTargetError):
             solve_for_targets(0.5, 1.0, u_ab=10.0, delta=-1.0)

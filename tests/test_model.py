@@ -115,7 +115,7 @@ class TestModeAngles:
         # (singly occupied pairs; the grid's cosines cancel).
         from scipy.linalg import eigh
 
-        from xyberry.oracle import hamiltonian_phi_parts, parity_diagonal
+        from xyberry.oracle import _parity_of, hamiltonian_phi_parts, total_sz_diagonal
 
         lam, gamma = 0.5, 0.5
         q = momentum_grid(4)
@@ -135,7 +135,7 @@ class TestModeAngles:
         )
         m0, mc, _ = hamiltonian_phi_parts(4, lam, gamma)
         h0 = m0 + mc  # the unrotated chain
-        even = np.flatnonzero(parity_diagonal(4) == 1)
+        even = np.flatnonzero(_parity_of(total_sz_diagonal(4), 4) == 1)
         vals = eigh(h0[np.ix_(even, even)], eigvals_only=True)
         assert vals == pytest.approx(expected, abs=1e-10)
 

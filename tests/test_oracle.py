@@ -22,7 +22,6 @@ from xyberry import (
     magnetization_ed,
     pancharatnam_phase,
     relative_phase_finite,
-    sector_ground,
     spin_half_loop_phase,
     spin_half_phase,
     wrap_angle,
@@ -36,7 +35,6 @@ from xyberry.cli import (
 from xyberry.oracle import (
     ed_ground_energy,
     hamiltonian_phi_parts,
-    parity_diagonal,
     total_sz_diagonal,
 )
 
@@ -45,6 +43,11 @@ from oracle_reference import solve_every_block, translation_layout_dense
 
 def params(lam, gamma, n, phi=0.0):
     return XYParams(lam=lam, gamma=gamma, n_sites=n, phi=phi)
+
+
+def parity_states(n, parity):
+    """Basis indices of one spin-flip parity block, ascending."""
+    return np.flatnonzero(oracle._parity_of(total_sz_diagonal(n), n) == parity)
 
 
 def dense_hamiltonian(n, lam, gamma, phi):
@@ -91,7 +94,7 @@ def sector_hamiltonian(n, lam, gamma, parity):
     both its bits (weight -gamma if parallel, -1 if not), so it keeps parity.
     2k and 2k + 1 lie in opposite sectors: index >> 1 is the row.
     """
-    states = np.flatnonzero(parity_diagonal(n) == parity)
+    states = parity_states(n, parity)
     sz = total_sz_diagonal(n)[states]
     rows = np.arange(states.size)
     h0 = np.zeros((states.size, states.size))
@@ -211,7 +214,7 @@ class TestSectorSpectrum:
         # N = 2 is where the periodic bond sum visits the single pair twice.
         # The dense block is the reference of TestMomentumBlocks; the
         # oracle's spectrum must report the same basis and S^z.
-        idx = np.flatnonzero(parity_diagonal(n) == parity)
+        idx = parity_states(n, parity)
         for lam, gamma in ((0.3, 0.7), (-1.2, 0.4), (1.0, 1.3)):
             m0, mc, _ = hamiltonian_phi_parts(n, lam, gamma)
             block, states, sz = sector_hamiltonian(n, lam, gamma, parity)
@@ -229,7 +232,7 @@ class TestSectorSpectrum:
         # Each readout at phi != 0 comes from the phi = 0 solve and U(phi);
         # the reference diagonalizes the parity slice of H(phi) itself.
         rng = np.random.default_rng(40 + n)
-        idx = np.flatnonzero(parity_diagonal(n) == parity)
+        idx = parity_states(n, parity)
         sz = total_sz_diagonal(n)[idx]
         for lam, gamma in draw_noncritical_points(rng, 3):
             phi = float(rng.uniform(0.1, np.pi - 0.1))
@@ -237,9 +240,6 @@ class TestSectorSpectrum:
             h = dense_hamiltonian(n, lam, gamma, phi)[np.ix_(idx, idx)]
             vals, vecs = eigh(h)
             assert vals[1] - vals[0] > 1e-6, "reference needs a non-degenerate level"
-            pair = sector_ground(p, parity)
-            assert abs(pair.value - vals[0]) <= 1e-12
-            assert abs(np.vdot(pair.vector[idx], vecs[:, 0])) >= 1 - 1e-12
             level = "ground" if parity == +1 else "excited"
             trace = loop_states(p, level, LoopDiscretization(16))
             assert abs(trace.energy - vals[0]) <= 1e-12
@@ -261,10 +261,9 @@ class TestSectorSpectrum:
             ed_ground_energy(p)
         with pytest.raises(ResourceLimitError):
             magnetization_ed(p)
-        with pytest.raises(ResourceLimitError):
-            sector_ground(p, -1)
-        with pytest.raises(ResourceLimitError):
-            loop_states(p, "ground", LoopDiscretization(16))
+        for level in ("ground", "excited"):
+            with pytest.raises(ResourceLimitError):
+                loop_states(p, level, LoopDiscretization(16))
 
     def test_degenerate_warning_on_every_call(self):
         # Same in-sector crossing as TestMagnetizationED; the second call is a
@@ -288,11 +287,10 @@ class TestSectorSpectrum:
             for array in oracle._sector_spectrum(6, 1.5, 0.6, parity):
                 assert not array.flags.writeable
         magnetization = magnetization_ed(p)
-        pair = sector_ground(p)
-        pair.vector[:] = 0.0
         trace = loop_states(p, "ground", LoopDiscretization(16))
         trace.vectors[:] = 0.0
-        assert np.linalg.norm(sector_ground(p).vector) == pytest.approx(1.0, abs=1e-12)
+        again = loop_states(p, "ground", LoopDiscretization(16))
+        assert np.linalg.norm(again.vectors[0]) == pytest.approx(1.0, abs=1e-12)
         assert magnetization_ed(p) == magnetization
 
 
@@ -590,21 +588,22 @@ class TestLowestStates:
         assert abs(vals[0] - vals[1]) < 1e-12
         assert vals[0] == pytest.approx(-2 * math.sqrt(2.0), abs=1e-12)
         for parity in (+1, -1):
-            assert sector_ground(params(lam, 0.0, 4), parity).value == pytest.approx(
-                vals[0], abs=1e-12
-            )
+            levels = oracle._sector_spectrum(4, lam, 0.0, parity)[0]
+            assert levels[0] == pytest.approx(vals[0], abs=1e-12)
 
 
 class TestSectorGround:
-    def test_even_vector_har_even_parity_support(self):
-        pair = sector_ground(params(0.5, 0.5, 4))
-        parity = parity_diagonal(4)
-        assert np.all(np.abs(pair.vector[parity == -1]) < 1e-14)
-        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+    """The lowest level of a parity sector, read through ``loop_states``."""
 
-    def test_parity_validation(self):
-        with pytest.raises(ValueError):
-            sector_ground(params(0.5, 0.5, 4), parity=0)
+    def test_even_vector_har_even_parity_support(self):
+        # The block-coordinate state, placed on the even-parity indices of
+        # the full basis, is an eigenvector of the full H(phi).
+        p = params(0.5, 0.5, 4, phi=0.7)
+        trace = loop_states(p, "ground", LoopDiscretization(16))
+        full = np.zeros(16, dtype=complex)
+        full[parity_states(4, +1)] = trace.vectors[0]
+        h = dense_hamiltonian(4, 0.5, 0.5, 0.7)
+        assert np.max(np.abs(h @ full - trace.energy * full)) <= 1e-12
 
     def test_ground_energy_is_the_sector_ground_value(self):
         # ed_ground_energy reads the cached level without building the vector.
@@ -614,16 +613,18 @@ class TestSectorGround:
                 p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
                 energy = ed_ground_energy(p)
                 assert type(energy) is float
-                assert energy == sector_ground(p).value, (n, lam, gamma)
+                trace = loop_states(p, "ground", LoopDiscretization(8))
+                assert energy == trace.energy, (n, lam, gamma)
 
     def test_even_state_can_sit_above_global_ground(self):
         # Inside lam^2 + gamma^2 < 1 the odd sector can dip below at small
         # N; the closed forms describe the even state, so the oracle is
         # sector-resolved.  This pins one such pocket.
         p = params(0.5, 0.5, 4)
-        even = sector_ground(p, +1)
-        odd = sector_ground(p, -1)
-        assert odd.value < even.value
+        loop = LoopDiscretization(16)
+        even = loop_states(p, "ground", loop)
+        odd = loop_states(p, "excited", loop)
+        assert odd.energy < even.energy
 
 
 class TestMagnetizationED:
@@ -841,7 +842,7 @@ class TestCharacteristicFunctionPath:
         # spectrum: (|up...up> + |down...down>) / sqrt 2 at N = 8, whose
         # chi(pi / 8) = cos(pi / 2) = 0.
         n = 8
-        states = np.flatnonzero(parity_diagonal(n) == 1)
+        states = parity_states(n, 1)
         sz = total_sz_diagonal(n)[states]
         vecs = np.zeros((states.size, 2))
         vecs[[0, -1], 0] = math.sqrt(0.5)
@@ -883,7 +884,7 @@ class TestSzCumulants:
     @pytest.mark.parametrize("n", [4, 6])
     def test_against_moments_of_the_parity_slice(self, n):
         rng = np.random.default_rng(80 + n)
-        idx = np.flatnonzero(parity_diagonal(n) == 1)
+        idx = parity_states(n, 1)
         sz = total_sz_diagonal(n)[idx]
         for lam, gamma in draw_noncritical_points(rng, 3):
             _, vecs = eigh(dense_hamiltonian(n, lam, gamma, 0.0)[np.ix_(idx, idx)])

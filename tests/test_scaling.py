@@ -335,10 +335,9 @@ class TestGapSweep:
         for bad in (8.5, 24.0):
             with pytest.raises(ValueError, match="samples must be an integer"):
                 SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), bad)
-        for bad in (6.0, 8.5):
-            spec = SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), 8, n_sites=bad)
+        for bad in (6.0, 8.5, 5, 2):  # rejected when the spec is built
             with pytest.raises(ValueError, match="n_sites must be an even integer"):
-                gap_sweep(spec)
+                SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), 8, n_sites=bad)
         assert SweepSpec.approach("lambda", 1.0, 1.0, samples=np.int64(8)).values.size == 8
 
 
