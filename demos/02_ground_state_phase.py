@@ -10,7 +10,6 @@ phase, the ground energy, and the magnetization identity.
 import numpy as np
 
 from xyberry import (
-    LoopDiscretization,
     XYParams,
     circular_distance,
     discrete_loop_phase,
@@ -29,7 +28,7 @@ print(f"control point: lam = {p.lam}, gamma = {p.gamma}, N = {p.n_sites}")
 g = ground_phase(p)
 print(f"\nclosed-form ground phase: raw = {g.value:.9f}, wrapped = {g.wrapped:.9f}")
 
-d = discrete_loop_phase(p, "ground", LoopDiscretization(2000))
+d = discrete_loop_phase(p, "ground", 2000)
 print(f"discrete loop phase (m = 2000): {d.wrapped:.9f}")
 print(f"circular mismatch: {circular_distance(d.wrapped, g.wrapped):.2e}")
 

@@ -8,21 +8,19 @@ the continuum minimum gap recovers the product to better than a percent.
 
 import numpy as np
 
-from xyberry import SweepSpec, fit_exponent, gap_sweep
+from xyberry import fit_exponent, gap_sweep
 
 window = (1e-3, 1e-1)
 
 print("approach 1: anisotropy fixed at 1, field -> 1 from below")
-spec = SweepSpec.approach("lambda", 1.0, 1.0, window, samples=24, side=-1)
-table = gap_sweep(spec)
+table = gap_sweep("lambda", 1.0, 1.0, window, samples=24, side=-1)
 for g, gap in table[::8]:
     print(f"  lam = {g:.6f}:  min gap = {gap:.6e}")
 fit = fit_exponent(table, 1.0, window)
 print(f"  fitted z*nu = {fit.exponent:.6f}   (r^2 = {fit.r_squared:.9f})")
 
 print("\napproach 2: field fixed at 0.5, anisotropy -> 0 from above")
-spec = SweepSpec.approach("gamma", 0.5, 0.0, window, samples=24, side=+1)
-table = gap_sweep(spec)
+table = gap_sweep("gamma", 0.5, 0.0, window, samples=24, side=+1)
 for g, gap in table[::8]:
     print(f"  gamma = {g:.6f}:  min gap = {gap:.6e}")
 fit = fit_exponent(table, 0.0, window)
@@ -30,13 +28,12 @@ print(f"  fitted z*nu = {fit.exponent:.6f}   (r^2 = {fit.r_squared:.9f})")
 
 print("\nthe law is exact in the continuum, so the window hardly matters:")
 for win in [(1e-3, 1e-1), (1e-3, 5e-2), (5e-3, 1e-1)]:
-    spec = SweepSpec.approach("lambda", 1.0, 1.0, win, samples=24, side=-1)
-    fit = fit_exponent(gap_sweep(spec), 1.0, win)
+    fit = fit_exponent(gap_sweep("lambda", 1.0, 1.0, win, samples=24, side=-1), 1.0, win)
     print(f"  window {win}: z*nu = {fit.exponent:.6f}")
 
 print("\nfinite chains floor the gap at the grid momentum spacing, so the")
 print("chain must be long enough for the fit window to see the true law:")
 for n in (400, 4000):
-    spec = SweepSpec.approach("lambda", 1.0, 1.0, window, samples=24, side=-1, n_sites=n)
-    fit = fit_exponent(gap_sweep(spec), 1.0, window)
+    table = gap_sweep("lambda", 1.0, 1.0, window, samples=24, side=-1, n_sites=n)
+    fit = fit_exponent(table, 1.0, window)
     print(f"  N = {n}: z*nu = {fit.exponent:.4f}")

@@ -39,7 +39,6 @@ from .model import (
 )
 from .observables import magnetization_analytic, phase_magnetization_identity
 from .oracle import (
-    LoopDiscretization,
     LoopTrace,
     discrete_loop_phase,
     ed_ground_energy,
@@ -63,7 +62,6 @@ from .phases import (
 )
 from .scaling import (
     ExponentFit,
-    SweepSpec,
     continuum_min_gap,
     continuum_min_gap_arrays,
     finite_min_gap,

@@ -36,7 +36,6 @@ from .model import (
 )
 from .observables import magnetization_analytic
 from .oracle import (
-    LoopDiscretization,
     check_sites,
     discrete_loop_phase,
     ed_ground_energy,
@@ -52,7 +51,6 @@ from .phases import (
 )
 from .scaling import (
     DEFAULT_FIT_WINDOW,
-    SweepSpec,
     fit_exponent,
     gap_map,
     gap_sweep,
@@ -421,12 +419,11 @@ def _run_verify(cfg: RunConfig) -> int:
         check_sites(n)
     rng = np.random.default_rng(cfg.seed)
     points = draw_noncritical_points(rng, p["draws"])
-    loop = LoopDiscretization(p["steps"])
     found = {key: [] for key in VERIFY_THRESHOLDS}  # (discrepancy, point) pairs per row
     for n in p["n_sites"]:
         for lam, gamma in points:
             xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
-            discrete = discrete_loop_phase(xp, "ground", loop).wrapped
+            discrete = discrete_loop_phase(xp, "ground", p["steps"]).wrapped
             magnetization = magnetization_ed(xp)
             at = {"lambda": lam, "gamma": gamma, "n": n}
             for key, value in {
@@ -466,10 +463,10 @@ def _run_verify(cfg: RunConfig) -> int:
 def _run_scaling_fit(cfg: RunConfig) -> int:
     p = cfg.parameters
     vary, fixed_value, g_c, side = _APPROACHES[p["approach"]]
-    spec = SweepSpec.approach(
+    table = gap_sweep(
         vary, fixed_value, g_c, p["window"], p["samples"], side=side, n_sites=p["n_sites"]
     )
-    fit = fit_exponent(gap_sweep(spec), g_c, p["window"])
+    fit = fit_exponent(table, g_c, p["window"])
     payload = {
         "approach": p["approach"],
         "exponent": fit.exponent,

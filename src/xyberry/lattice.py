@@ -114,6 +114,9 @@ def solve_for_targets(
         raise InfeasibleTargetError(
             f"target_gamma must lie in (0, 1], got {target_gamma}"
         )
+    for name, value in (("target_lam", target_lam), ("u_ab", u_ab), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if u_ab <= 0:
         raise ValueError(f"u_ab must be positive, got {u_ab}")
     omega_sq = target_lam * delta

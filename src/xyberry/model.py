@@ -229,6 +229,14 @@ def ground_energy(params: XYParams) -> float:
     return -GROUND_ENERGY_PREFACTOR * float(_point_modes(params)[1].sum())
 
 
+def _require_tol(tol: float) -> None:
+    """ValueError unless the classifiers' ``tol`` is finite and positive."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
 def classify_criticality(
     lam: float, gamma: float, tol: float = DEFAULT_CRITICAL_TOL
 ) -> CriticalityClass:
@@ -240,10 +248,9 @@ def classify_criticality(
     point sits on both (the segment endpoints).  Non-finite input raises
     ValueError.
     """
-    if not (math.isfinite(lam) and math.isfinite(gamma) and math.isfinite(tol)):
-        raise ValueError(f"lam, gamma and tol must be finite, got {lam}, {gamma}, {tol}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(lam) and math.isfinite(gamma)):
+        raise ValueError(f"lam and gamma must be finite, got {lam}, {gamma}")
+    _require_tol(tol)
     ising_dist = abs(abs(lam) - 1.0)
     xx_dist = abs(gamma) if abs(lam) < 1.0 else math.inf
     distance = min(ising_dist, xx_dist)
@@ -265,10 +272,7 @@ def classify_criticality_arrays(lam, gamma, tol: float = DEFAULT_CRITICAL_TOL):
     close.  Non-finite input or a nonpositive ``tol`` raises ValueError.
     """
     lam, gamma = _finite_points(lam, gamma)
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _require_tol(tol)
     abs_lam, abs_gamma = np.abs(lam), np.abs(gamma)
     ising_dist = np.abs(abs_lam - 1.0)
     inside = abs_lam < 1.0

@@ -96,7 +96,6 @@ __all__ = [
     "PAULI_Z",
     "DEFAULT_MAX_SITES",
     "PANCHARATNAM_SIGN",
-    "LoopDiscretization",
     "LoopTrace",
     "eigh",
     "max_sites",
@@ -531,20 +530,6 @@ def sz_cumulants(params: XYParams) -> tuple:
     return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
 
 
-@dataclass(frozen=True)
-class LoopDiscretization:
-    """Uniform grid phi_j = j pi / steps, j = 0..steps, endpoint identified.
-
-    The closing overlap reuses the j = 0 state; the endpoint is never
-    re-diagonalized, which is what makes the product gauge invariant.
-    """
-
-    steps: int
-
-    def __post_init__(self):
-        _require_count("steps", self.steps, 8)
-
-
 @dataclass
 class LoopTrace:
     """Tracked eigenvectors along a closed loop (block coordinates).
@@ -588,17 +573,18 @@ class _LoopStart(NamedTuple):
     chi: Optional[complex]  # <psi(0)|U(delta)|psi(0)>; None for a degenerate cluster
 
 
-def _loop_start(params, level, loop) -> _LoopStart:
+def _loop_start(params, level, steps) -> _LoopStart:
     """Validate a loop request and run the checks every loop readout shares.
 
-    Raises ValueError on a bad ``level``, TrackingError when the tracked
-    level's cluster lies within ``LOOP_GAP_TOL`` of the next level, and, for
-    a non-degenerate level, DiscretizationError when consecutive loop states
-    overlap by |chi| < 0.5.  A degenerate cluster's projection checks each
-    of its steps itself.
+    Raises ValueError on a bad ``level`` or ``steps``, TrackingError when
+    the tracked level's cluster lies within ``LOOP_GAP_TOL`` of the next
+    level, and, for a non-degenerate level, DiscretizationError when
+    consecutive loop states overlap by |chi| < 0.5.  A degenerate cluster's
+    projection checks each of its steps itself.
     """
     if level not in ("ground", "excited"):
         raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
+    _require_count("steps", steps, 8)
     parity = +1 if level == "ground" else -1
     vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
 
@@ -614,7 +600,7 @@ def _loop_start(params, level, loop) -> _LoopStart:
 
     chi = None
     if np.count_nonzero(cluster) == 1:
-        delta = math.pi / loop.steps
+        delta = math.pi / steps
         chi = complex(np.dot(np.abs(vecs[:, 0]) ** 2, np.exp(0.5j * delta * sz)))
         if abs(chi) < 0.5:
             raise DiscretizationError(
@@ -624,12 +610,13 @@ def _loop_start(params, level, loop) -> _LoopStart:
     return _LoopStart(vals, vecs, sz, cluster, gap, chi)
 
 
-def loop_states(
-    params: XYParams,
-    level: str,
-    loop: LoopDiscretization,
-) -> LoopTrace:
+def loop_states(params: XYParams, level: str, steps: int) -> LoopTrace:
     """Transport one level of H(phi) around the closed circuit phi: 0 -> pi.
+
+    The circuit is cut into ``steps`` equal segments, an integer >= 8: loop
+    point j sits at phi_j = params.phi + j delta with delta = pi / steps,
+    and the closing overlap reuses the j = 0 state, which makes the overlap
+    product gauge invariant.
 
     level='ground' follows the lowest even-parity state, the paired-mode
     vacuum.  level='excited' follows the lowest odd-parity state.  For
@@ -647,8 +634,8 @@ def loop_states(
     kick is a multiple of the identity and the phase does not depend on the
     basis the pair comes in.
     """
-    start = _loop_start(params, level, loop)
-    vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, loop.steps
+    start = _loop_start(params, level, steps)
+    vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, steps
     phi0 = params.phi
     offsets = np.pi * np.arange(m) / m
     rotations = np.exp(0.5j * np.outer(phi0 + offsets, sz))  # row j: U(phi_j)
@@ -682,16 +669,12 @@ def loop_states(
     return LoopTrace(vectors, float(vals[0]), start.gap, degenerate)
 
 
-def discrete_loop_phase(
-    params: XYParams,
-    level: str,
-    loop: LoopDiscretization,
-) -> PhaseResult:
+def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult:
     """Loop phase of one tracked level over one circuit, fixed modulo 2 pi.
 
-    The m = loop.steps loop states are U(phi_j) psi(0), so each of the
-    first m - 1 overlaps is chi = <psi(0)|exp(i delta S^z / 2)|psi(0)> with
-    delta = pi / m.  The closing overlap is chi times exp(-i pi S^z / 2),
+    The m = ``steps`` loop states (an integer >= 8, as in ``loop_states``)
+    are U(phi_j) psi(0), so each of the first m - 1 overlaps is
+    chi = <psi(0)|exp(i delta S^z / 2)|psi(0)> with delta = pi / m.  The closing overlap is chi times exp(-i pi S^z / 2),
     which on one parity block is the constant exp(-i pi N / 2), times -1 in
     the odd block.  So
 
@@ -706,13 +689,13 @@ def discrete_loop_phase(
     phase only up to whole turns, so ``value`` and ``wrapped`` coincide
     here; compare against closed forms with a circular distance.
     """
-    start = _loop_start(params, level, loop)
+    start = _loop_start(params, level, steps)
     if start.chi is None:
-        trace = loop_states(params, level, loop)
+        trace = loop_states(params, level, steps)
         return PhaseResult.from_value(pancharatnam_phase(trace.vectors))
     # The closing constant is the sign (-1)^(N/2 + odd): N is even.
     flips = (params.n_sites // 2 + (level == "excited")) % 2
-    angle = loop.steps * cmath.phase(start.chi) + math.pi * flips
+    angle = steps * cmath.phase(start.chi) + math.pi * flips
     return PhaseResult.from_value(wrap_angle(PANCHARATNAM_SIGN * angle))
 
 

@@ -38,7 +38,6 @@ from .model import (
 from .tables import STATUS, TAGS, Cells, distinct_cells, grid_cells, write_csv
 
 __all__ = [
-    "SweepSpec",
     "ExponentFit",
     "DEFAULT_FIT_WINDOW",
     "continuum_min_gap",
@@ -59,50 +58,6 @@ __all__ = [
 # value to avoid floating-point starvation, close enough for the leading
 # power law.  CLI-overridable.
 DEFAULT_FIT_WINDOW = (1e-3, 1e-1)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter gap sweep: hold one coupling, scan the other.
-
-    ``vary`` names the scanned parameter ('lambda' or 'gamma'),
-    ``fixed_value`` pins the other one, and ``values`` are the scan points.
-    ``n_sites=None`` means the continuum minimum over q in [0, pi]; an
-    integer evaluates the minimum over that chain's momentum grid.
-    """
-
-    vary: str
-    fixed_value: float
-    values: np.ndarray
-    n_sites: Optional[int] = None
-
-    def __post_init__(self):
-        if self.vary not in ("lambda", "gamma"):
-            raise ValueError(f"vary must be 'lambda' or 'gamma', got {self.vary!r}")
-        values = np.asarray(self.values, dtype=float)
-        if values.size < 8:
-            raise ValueError(f"need at least 8 sweep samples, got {values.size}")
-        if self.n_sites is not None:
-            _require_count("n_sites", self.n_sites, 4, even=True)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def approach(
-        cls,
-        vary: str,
-        fixed_value: float,
-        critical_value: float,
-        window: tuple[float, float] = DEFAULT_FIT_WINDOW,
-        samples: int = 24,
-        side: int = -1,
-        n_sites: Optional[int] = None,
-    ) -> "SweepSpec":
-        """Log-spaced scan points approaching (never touching) g_c from one side."""
-        lo, hi = window
-        if not 0 < lo < hi:
-            raise ValueError(f"window must satisfy 0 < lo < hi, got {window}")
-        offsets = np.geomspace(lo, hi, _require_count("samples", samples, 8))
-        return cls(vary, fixed_value, critical_value + side * offsets, n_sites)
 
 
 @dataclass(frozen=True)
@@ -243,13 +198,35 @@ def _min_gaps(lam, gamma, n_sites: Optional[int]) -> np.ndarray:
     return finite_min_gap_arrays(lam, gamma, n_sites)
 
 
-def gap_sweep(spec: SweepSpec) -> np.ndarray:
-    """Table of (g, min_gap) rows for the sweep, shape (samples, 2)."""
-    fixed = np.full(spec.values.size, spec.fixed_value)
-    lam, gamma = (
-        (spec.values, fixed) if spec.vary == "lambda" else (fixed, spec.values)
-    )
-    return np.column_stack((spec.values, _min_gaps(lam, gamma, spec.n_sites)))
+def gap_sweep(
+    vary: str,
+    fixed_value: float,
+    critical_value: float,
+    window: tuple[float, float] = DEFAULT_FIT_WINDOW,
+    samples: int = 24,
+    side: int = -1,
+    n_sites: Optional[int] = None,
+) -> np.ndarray:
+    """Minimum gaps on a log-spaced approach to a critical value, shape (samples, 2).
+
+    ``vary`` names the scanned coupling ('lambda' or 'gamma') and
+    ``fixed_value`` pins the other one.  The scan points are
+    g = critical_value + side * geomspace(lo, hi, samples) for
+    ``window`` = (lo, hi), 0 < lo < hi, so they approach the critical value
+    from one side and never touch it; ``samples`` is an integer >= 8.  Each row is
+    (g, min_gap): the continuum minimum over q in [0, pi] for
+    ``n_sites=None``, else the minimum over that chain's momentum grid,
+    whose ``momentum_grid`` checks ``n_sites`` before any gap is formed.
+    """
+    if vary not in ("lambda", "gamma"):
+        raise ValueError(f"vary must be 'lambda' or 'gamma', got {vary!r}")
+    lo, hi = window
+    if not 0 < lo < hi:
+        raise ValueError(f"window must satisfy 0 < lo < hi, got {window}")
+    values = critical_value + side * np.geomspace(lo, hi, _require_count("samples", samples, 8))
+    fixed = np.full(values.size, fixed_value)
+    lam, gamma = (values, fixed) if vary == "lambda" else (fixed, values)
+    return np.column_stack((values, _min_gaps(lam, gamma, n_sites)))
 
 
 @dataclass(frozen=True, eq=False)

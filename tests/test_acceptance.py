@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from xyberry import (
-    LoopDiscretization,
     XYParams,
     circular_distance,
     discrete_loop_phase,
@@ -40,7 +39,6 @@ from xyberry import (
     step_detect,
 )
 from xyberry.cli import draw_noncritical_points, main
-from xyberry.scaling import SweepSpec
 
 SEED = 7
 DRAWS = 10
@@ -87,12 +85,12 @@ def test_criterion_1_spin_half_reference():
 
 def test_criterion_2_ground_phase_oracle_equivalence():
     with criterion(2, "discrete loop phase vs closed form, N in {4,6}, 10 draws", 120.0):
-        loop = LoopDiscretization(2000)
+        steps = 2000
         worst = 0.0
         for lam, gamma in seeded_points():
             for n in (4, 6):
                 p = XYParams(lam=lam, gamma=gamma, n_sites=n)
-                d = discrete_loop_phase(p, "ground", loop)
+                d = discrete_loop_phase(p, "ground", steps)
                 a = ground_phase(p)
                 worst = max(worst, circular_distance(d.wrapped, a.wrapped))
         assert worst < 1e-3, f"worst phase discrepancy {worst:.3e}"
@@ -145,21 +143,15 @@ def test_criterion_5_step_function_witness():
 def test_criterion_6_critical_exponents():
     with criterion(6, "gap exponents: Ising and XX approaches give z*nu = 1.00 +- 0.02", 5.0):
         window = (1e-3, 1e-1)
-        ising = fit_exponent(
-            gap_sweep(SweepSpec.approach("lambda", 1.0, 1.0, window, 24, side=-1)), 1.0, window
-        )
+        ising = fit_exponent(gap_sweep("lambda", 1.0, 1.0, window, 24, side=-1), 1.0, window)
         assert abs(ising.exponent - 1.0) < 0.02, f"ising exponent {ising.exponent}"
-        xx = fit_exponent(
-            gap_sweep(SweepSpec.approach("gamma", 0.5, 0.0, window, 24, side=+1)), 0.0, window
-        )
+        xx = fit_exponent(gap_sweep("gamma", 0.5, 0.0, window, 24, side=+1), 0.0, window)
         assert abs(xx.exponent - 1.0) < 0.02, f"xx exponent {xx.exponent}"
 
 
 def test_criterion_7_gauge_invariance():
     with criterion(7, "loop phase invariant under 100 random gauge kicks (< 1e-12)", 60.0):
-        trace = loop_states(
-            XYParams(lam=0.5, gamma=0.5, n_sites=4), "ground", LoopDiscretization(2000)
-        )
+        trace = loop_states(XYParams(lam=0.5, gamma=0.5, n_sites=4), "ground", 2000)
         base = pancharatnam_phase(trace.vectors)
         rng = np.random.default_rng(SEED)
         for _ in range(100):

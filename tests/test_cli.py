@@ -12,7 +12,6 @@ import pytest
 
 from xyberry import (
     CriticalPointError,
-    LoopDiscretization,
     PhaseResult,
     XYParams,
     classify_criticality,
@@ -1017,7 +1016,7 @@ class TestVerifyCommand:
             magnetization = magnetization_ed(xp)
             _, _, k3, _, _ = sz_cumulants(xp)
             for steps in (8, 50, 2000, 20000):
-                loop_phase = discrete_loop_phase(xp, "ground", LoopDiscretization(steps)).wrapped
+                loop_phase = discrete_loop_phase(xp, "ground", steps).wrapped
                 assert cli._identity_ratio(xp, steps, loop_phase, magnetization) < 1.0
                 # Without its kappa_3 term the target misses by more than the
                 # bound wherever kappa_3 is not negligible.

@@ -117,6 +117,15 @@ class TestSolveForTargets:
         with pytest.raises(ValueError, match="delta must be nonzero"):
             solve_for_targets(0.5, 1.0, u_ab=10.0, delta=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["target_lam", "u_ab", "delta"])
+    def test_non_finite_argument_named(self, name, bad):
+        # The error names the argument, not a control derived from it.
+        args = dict(target_gamma=0.5, target_lam=1.0, u_ab=10.0, delta=1.0)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+            solve_for_targets(**args)
+
     def test_sign_infeasible_field(self):
         with pytest.raises(InfeasibleTargetError):
             solve_for_targets(0.5, 1.0, u_ab=10.0, delta=-1.0)

@@ -11,9 +11,13 @@ from xyberry import (
     XYParams,
     classify_criticality,
     classify_criticality_arrays,
+    discrete_loop_phase,
     ed_ground_energy,
+    gap_sweep,
     ground_energy,
+    loop_states,
     momentum_grid,
+    spin_half_loop_phase,
 )
 from xyberry import model
 from xyberry.model import (
@@ -57,6 +61,30 @@ class TestMomentumGrid:
         # force; an integer grid would not.
         p = params(0.5, 0.5, 6)
         assert ground_energy(p) == pytest.approx(ed_ground_energy(p), abs=1e-10)
+
+
+# Every count argument goes through model._require_count: plain integers
+# (numpy's too, with the same result) pass, floats and counts below the
+# floor do not.
+COUNT_ARGUMENTS = {
+    "loop_states-steps": (
+        "steps", lambda n: loop_states(params(0.5, 0.5, 4), "ground", n).vectors
+    ),
+    "discrete_loop_phase-steps": (
+        "steps", lambda n: discrete_loop_phase(params(0.5, 0.5, 4), "ground", n)
+    ),
+    "spin_half_loop_phase-steps": ("steps", lambda n: spin_half_loop_phase(1.0, n)),
+    "gap_sweep-samples": ("samples", lambda n: gap_sweep("lambda", 1.0, 1.0, samples=n)),
+    "gap_sweep-n_sites": ("n_sites", lambda n: gap_sweep("lambda", 1.0, 1.0, n_sites=n)),
+}
+
+
+@pytest.mark.parametrize("name, call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS)
+def test_counts_must_be_integers(name, call):
+    for bad in (8.5, 5, 2.0):
+        with pytest.raises(ValueError, match=f"{name} must be an (even )?integer >= "):
+            call(bad)
+    np.testing.assert_equal(call(np.int64(8)), call(8))
 
 
 class TestXYParams:
@@ -348,16 +376,22 @@ class TestClassifyCriticality:
         assert classify_criticality(0.99, 0.5).distance == pytest.approx(0.01)
         assert classify_criticality(0.2, 0.03).distance == pytest.approx(0.03)
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            classify_criticality(0.5, 0.5, tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "classify", [classify_criticality, classify_criticality_arrays], ids=["scalar", "arrays"]
+    )
+    def test_tolerance_validation(self, classify, tol):
+        # Both classifiers check ``tol`` with one rule; a NaN tol once
+        # slipped past the tol <= 0 test.
+        rule = "tolerance must be positive" if math.isfinite(tol) else "tol must be finite"
+        with pytest.raises(ValueError, match=f"^{rule}, got {tol}$"):
+            classify(0.5, 0.5, tol)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
-        # A NaN coordinate used to classify as NON_CRITICAL with distance NaN,
-        # and a NaN tol slipped past the tol <= 0 check.
-        for args in ((bad, 0.5), (0.5, bad), (0.5, 0.5, bad)):
-            with pytest.raises(ValueError):
+        # A NaN coordinate used to classify as NON_CRITICAL with distance NaN.
+        for args in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="lam and gamma must be finite"):
                 classify_criticality(*args)
 
     def test_tolerance_width(self):
@@ -405,11 +439,7 @@ class TestClassifyCriticalityArrays:
                 classify_criticality_arrays(np.array([0.5, bad]), ok)
             with pytest.raises(ValueError):
                 classify_criticality_arrays(ok, np.array([bad, 0.5]))
-            with pytest.raises(ValueError):
-                classify_criticality_arrays(ok, ok, bad)
-        for tol in (0.0, -1e-9):
-            with pytest.raises(ValueError):
-                classify_criticality_arrays(ok, ok, tol)
+
 
 
 class TestGapClosure:

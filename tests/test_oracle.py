@@ -9,7 +9,6 @@ from scipy.linalg import eigh
 from xyberry import (
     DegenerateLevelWarning,
     DiscretizationError,
-    LoopDiscretization,
     ResourceLimitError,
     TrackingError,
     XYParams,
@@ -241,7 +240,7 @@ class TestSectorSpectrum:
             vals, vecs = eigh(h)
             assert vals[1] - vals[0] > 1e-6, "reference needs a non-degenerate level"
             level = "ground" if parity == +1 else "excited"
-            trace = loop_states(p, level, LoopDiscretization(16))
+            trace = loop_states(p, level, 16)
             assert abs(trace.energy - vals[0]) <= 1e-12
             assert abs(np.vdot(trace.vectors[0], vecs[:, 0])) >= 1 - 1e-12
             if parity == +1:
@@ -263,7 +262,7 @@ class TestSectorSpectrum:
             magnetization_ed(p)
         for level in ("ground", "excited"):
             with pytest.raises(ResourceLimitError):
-                loop_states(p, level, LoopDiscretization(16))
+                loop_states(p, level, 16)
 
     def test_degenerate_warning_on_every_call(self):
         # Same in-sector crossing as TestMagnetizationED; the second call is a
@@ -287,9 +286,9 @@ class TestSectorSpectrum:
             for array in oracle._sector_spectrum(6, 1.5, 0.6, parity):
                 assert not array.flags.writeable
         magnetization = magnetization_ed(p)
-        trace = loop_states(p, "ground", LoopDiscretization(16))
+        trace = loop_states(p, "ground", 16)
         trace.vectors[:] = 0.0
-        again = loop_states(p, "ground", LoopDiscretization(16))
+        again = loop_states(p, "ground", 16)
         assert np.linalg.norm(again.vectors[0]) == pytest.approx(1.0, abs=1e-12)
         assert magnetization_ed(p) == magnetization
 
@@ -347,14 +346,14 @@ class TestMomentumBlocks:
         dense_vals, dense_vecs = eigh(block)
         pair = (vals[1:], vecs[:, 1:], states, sz)
         p = params(lam, gamma, n, phi=0.4)
-        loop = LoopDiscretization(200)
+        steps = 200
         phases = []
         for spectrum in ((dense_vals[1:6], dense_vecs[:, 1:6], states, sz), pair):
             monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
             with pytest.warns(DegenerateLevelWarning):
-                assert loop_states(p, "excited", loop).degenerate
+                assert loop_states(p, "excited", steps).degenerate
             with pytest.warns(DegenerateLevelWarning):
-                phases.append(discrete_loop_phase(p, "excited", loop).wrapped)
+                phases.append(discrete_loop_phase(p, "excited", steps).wrapped)
         assert circular_distance(*phases) <= 1e-10
         # Readouts of one complex vector of the pair weigh it by |psi|^2.
         want = np.vdot(vecs[:, 1], sz * vecs[:, 1]).real
@@ -599,7 +598,7 @@ class TestSectorGround:
         # The block-coordinate state, placed on the even-parity indices of
         # the full basis, is an eigenvector of the full H(phi).
         p = params(0.5, 0.5, 4, phi=0.7)
-        trace = loop_states(p, "ground", LoopDiscretization(16))
+        trace = loop_states(p, "ground", 16)
         full = np.zeros(16, dtype=complex)
         full[parity_states(4, +1)] = trace.vectors[0]
         h = dense_hamiltonian(4, 0.5, 0.5, 0.7)
@@ -613,7 +612,7 @@ class TestSectorGround:
                 p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
                 energy = ed_ground_energy(p)
                 assert type(energy) is float
-                trace = loop_states(p, "ground", LoopDiscretization(8))
+                trace = loop_states(p, "ground", 8)
                 assert energy == trace.energy, (n, lam, gamma)
 
     def test_even_state_can_sit_above_global_ground(self):
@@ -621,9 +620,9 @@ class TestSectorGround:
         # N; the closed forms describe the even state, so the oracle is
         # sector-resolved.  This pins one such pocket.
         p = params(0.5, 0.5, 4)
-        loop = LoopDiscretization(16)
-        even = loop_states(p, "ground", loop)
-        odd = loop_states(p, "excited", loop)
+        steps = 16
+        even = loop_states(p, "ground", steps)
+        odd = loop_states(p, "excited", steps)
         assert odd.energy < even.energy
 
 
@@ -653,7 +652,7 @@ class TestPancharatnamProduct:
     def test_constant_family_gives_zero(self):
         # gamma = 0 makes the rotation a symmetry: H(phi) is constant and
         # the loop does nothing.
-        r = discrete_loop_phase(params(2.0, 0.0, 4), "ground", LoopDiscretization(64))
+        r = discrete_loop_phase(params(2.0, 0.0, 4), "ground", 64)
         assert abs(r.wrapped) < 1e-12
 
     def test_orthogonal_states_rejected(self):
@@ -663,7 +662,7 @@ class TestPancharatnamProduct:
             pancharatnam_phase([e1, e2])
 
     def test_gauge_invariance(self):
-        trace = loop_states(params(0.5, 0.5, 4), "ground", LoopDiscretization(200))
+        trace = loop_states(params(0.5, 0.5, 4), "ground", 200)
         base = pancharatnam_phase(trace.vectors)
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -696,29 +695,27 @@ class TestSpinHalfLoop:
             spin_half_loop_phase(5.0, 100)
         with pytest.raises(ValueError):
             spin_half_loop_phase(1.0, 4)
-        for bad in (8.5, 16.0, "16"):
-            with pytest.raises(ValueError, match="steps must be an integer"):
-                spin_half_loop_phase(1.0, bad)
-        assert spin_half_loop_phase(1.0, np.int64(16)) == spin_half_loop_phase(1.0, 16)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            spin_half_loop_phase(1.0, "16")
 
 
 class TestChainLoop:
     def test_matches_closed_form_n6(self):
         p = params(0.5, 0.5, 6)
-        r = discrete_loop_phase(p, "ground", LoopDiscretization(2000))
+        r = discrete_loop_phase(p, "ground", 2000)
         assert circular_distance(r.wrapped, ground_phase(p).wrapped) < 1e-3
 
     def test_matches_closed_form_in_odd_favored_pocket(self):
         # Even at points where the odd sector holds the global ground state
         # the tracked paired-mode level reproduces the closed form.
         p = params(0.5, 0.5, 4)
-        r = discrete_loop_phase(p, "ground", LoopDiscretization(1000))
+        r = discrete_loop_phase(p, "ground", 1000)
         assert circular_distance(r.wrapped, ground_phase(p).wrapped) < 1e-3
 
     def test_loop_start_angle_irrelevant(self):
-        loop = LoopDiscretization(600)
-        a = discrete_loop_phase(params(0.5, 0.5, 4, phi=0.0), "ground", loop)
-        b = discrete_loop_phase(params(0.5, 0.5, 4, phi=0.7), "ground", loop)
+        steps = 600
+        a = discrete_loop_phase(params(0.5, 0.5, 4, phi=0.0), "ground", steps)
+        b = discrete_loop_phase(params(0.5, 0.5, 4, phi=0.7), "ground", steps)
         assert circular_distance(a.wrapped, b.wrapped) < 1e-6
 
     def test_discretization_error_decreases(self):
@@ -726,7 +723,7 @@ class TestChainLoop:
         target = ground_phase(p).wrapped
         errs = [
             circular_distance(
-                discrete_loop_phase(p, "ground", LoopDiscretization(m)).wrapped, target
+                discrete_loop_phase(p, "ground", m).wrapped, target
             )
             for m in (250, 500, 1000, 2000)
         ]
@@ -735,21 +732,15 @@ class TestChainLoop:
     def test_gap_tolerance_raises_tracking_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
         with pytest.raises(TrackingError):
-            discrete_loop_phase(params(0.5, 0.5, 4), "ground", LoopDiscretization(16))
+            discrete_loop_phase(params(0.5, 0.5, 4), "ground", 16)
 
     def test_loop_validation(self):
-        with pytest.raises(ValueError):
-            LoopDiscretization(4)
-        with pytest.raises(ValueError):
-            discrete_loop_phase(params(0.5, 0.5, 4), "sideways", LoopDiscretization(16))
-
-    def test_non_integer_steps_rejected(self):
         p = params(0.5, 0.5, 4)
-        for bad in (8.5, 16.0, np.float64(2000.0)):
-            with pytest.raises(ValueError, match="integer"):
-                LoopDiscretization(bad)
-        want = discrete_loop_phase(p, "ground", LoopDiscretization(16))
-        assert discrete_loop_phase(p, "ground", LoopDiscretization(np.int64(16))) == want
+        for readout in (loop_states, discrete_loop_phase):
+            with pytest.raises(ValueError, match="steps must be an integer >= 8, got 4"):
+                readout(p, "ground", 4)
+            with pytest.raises(ValueError, match="level must be"):
+                readout(p, "sideways", 16)
 
     def test_degenerate_tracked_level_flagged(self):
         # Exact in-sector degeneracy (the paired vacuum crosses a
@@ -757,14 +748,14 @@ class TestChainLoop:
         # flagged best-effort subspace projection, not an error.
         p = params(float(np.cos(np.pi / 4)), 0.0, 4)
         with pytest.warns(DegenerateLevelWarning):
-            trace = loop_states(p, "ground", LoopDiscretization(32))
+            trace = loop_states(p, "ground", 32)
         assert trace.degenerate
 
     def test_excited_level_unique_in_pocket(self):
         # The lowest odd-parity level stays non-degenerate even on the
         # branch lam < 1 - gamma^2 (the would-be +-k pair sits above a
         # unique zero-momentum state), so excited tracking is clean there.
-        trace = loop_states(params(0.3, 0.5, 6), "excited", LoopDiscretization(64))
+        trace = loop_states(params(0.3, 0.5, 6), "excited", 64)
         assert not trace.degenerate
 
     def test_excited_level_clean_outside(self):
@@ -773,9 +764,9 @@ class TestChainLoop:
         # the closed form as the loop and chain refine (grid mismatch is
         # O(1/N), so only a loose agreement is asserted).
         p = params(1.5, 0.6, 8)
-        loop = LoopDiscretization(800)
-        ground = discrete_loop_phase(p, "ground", loop)
-        excited = discrete_loop_phase(p, "excited", loop)
+        steps = 800
+        ground = discrete_loop_phase(p, "ground", steps)
+        excited = discrete_loop_phase(p, "excited", steps)
         measured = circular_distance(excited.wrapped, ground.wrapped)
         expected = abs(relative_phase_finite(p).wrapped)
         assert abs(measured - expected) < 0.2
@@ -788,7 +779,7 @@ class TestTransportReference:
         for lam, gamma in draw_noncritical_points(rng, 3):
             p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
             for level in ("ground", "excited"):
-                got = discrete_loop_phase(p, level, LoopDiscretization(200)).wrapped
+                got = discrete_loop_phase(p, level, 200).wrapped
                 want = rediagonalized_loop_phase(p, level, 200)
                 assert circular_distance(got, want) <= 1e-10, (p, level)
 
@@ -810,9 +801,8 @@ class TestCharacteristicFunctionPath:
             p = params(lam, gamma, n, phi=float(rng.uniform(0.0, np.pi)))
             for level in ("ground", "excited"):
                 for steps in (8, 200, 2000):
-                    loop = LoopDiscretization(steps)
-                    got = discrete_loop_phase(p, level, loop)
-                    trace = loop_states(p, level, loop)
+                    got = discrete_loop_phase(p, level, steps)
+                    trace = loop_states(p, level, steps)
                     assert not trace.degenerate
                     want = pancharatnam_phase(trace.vectors)
                     assert got.value == got.wrapped
@@ -826,15 +816,15 @@ class TestCharacteristicFunctionPath:
         monkeypatch.setattr(oracle, "loop_states", fail)
         monkeypatch.setattr(oracle, "pancharatnam_phase", fail)
         for level in ("ground", "excited"):
-            discrete_loop_phase(params(0.5, 0.5, 6), level, LoopDiscretization(2000))
+            discrete_loop_phase(params(0.5, 0.5, 6), level, 2000)
 
     def test_tracking_error_from_both(self, monkeypatch):
         monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
         p = params(0.5, 0.5, 4)
-        loop = LoopDiscretization(16)
+        steps = 16
         for level in ("ground", "excited"):
-            a = self._outcome(lambda: loop_states(p, level, loop))
-            b = self._outcome(lambda: discrete_loop_phase(p, level, loop))
+            a = self._outcome(lambda: loop_states(p, level, steps))
+            b = self._outcome(lambda: discrete_loop_phase(p, level, steps))
             assert a[0] is TrackingError and a == b
 
     def test_discretization_error_from_both(self, monkeypatch):
@@ -850,15 +840,15 @@ class TestCharacteristicFunctionPath:
         spectrum = (np.array([0.0, 1.0]), vecs, states, sz)
         monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
         p = params(0.5, 0.5, n)
-        loop = LoopDiscretization(8)
-        a = self._outcome(lambda: loop_states(p, "ground", loop))
-        b = self._outcome(lambda: discrete_loop_phase(p, "ground", loop))
+        steps = 8
+        a = self._outcome(lambda: loop_states(p, "ground", steps))
+        b = self._outcome(lambda: discrete_loop_phase(p, "ground", steps))
         assert a[0] is DiscretizationError and a == b
         assert "below 0.5 between consecutive loop states" in a[1]
         # Sixteen steps halve the angle: chi = cos(pi / 4) passes the check.
-        loop = LoopDiscretization(16)
-        got = discrete_loop_phase(p, "ground", loop).wrapped
-        want = pancharatnam_phase(loop_states(p, "ground", loop).vectors)
+        steps = 16
+        got = discrete_loop_phase(p, "ground", steps).wrapped
+        want = pancharatnam_phase(loop_states(p, "ground", steps).vectors)
         assert circular_distance(got, want) <= 1e-12
 
     def test_degenerate_level_takes_the_stepped_path(self, monkeypatch):
@@ -870,12 +860,12 @@ class TestCharacteristicFunctionPath:
             return stepped(*args, **kwargs)
 
         p = params(float(np.cos(np.pi / 4)), 0.0, 4)
-        loop = LoopDiscretization(32)
+        steps = 32
         with pytest.warns(DegenerateLevelWarning):
-            want = pancharatnam_phase(loop_states(p, "ground", loop).vectors)
+            want = pancharatnam_phase(loop_states(p, "ground", steps).vectors)
         monkeypatch.setattr(oracle, "loop_states", spy)
         with pytest.warns(DegenerateLevelWarning):
-            got = discrete_loop_phase(p, "ground", loop)
+            got = discrete_loop_phase(p, "ground", steps)
         assert len(calls) == 1
         assert got.value == want
 
@@ -909,12 +899,12 @@ class TestSzCumulants:
         mean, _, k3, _, _ = oracle.sz_cumulants(p)
         assert abs(k3) > 0.1
         for steps in (50, 100, 200):
-            got = discrete_loop_phase(p, "ground", LoopDiscretization(steps)).wrapped
+            got = discrete_loop_phase(p, "ground", steps).wrapped
             error = wrap_angle(got - math.pi * (p.n_sites + mean) / 2)
             assert error == pytest.approx(-math.pi**3 * k3 / (48 * steps**2), rel=1e-3)
 
 
 class TestEnergiesAlongLoop:
     def test_energies_constant_and_gap_positive(self):
-        trace = loop_states(params(0.5, 0.5, 6), "ground", LoopDiscretization(32))
+        trace = loop_states(params(0.5, 0.5, 6), "ground", 32)
         assert trace.gap > 0

@@ -53,7 +53,6 @@ TOP_LEVEL_NAMES = {
     "magnetization_analytic",
     "phase_magnetization_identity",
     # oracle
-    "LoopDiscretization",
     "LoopTrace",
     "ed_ground_energy",
     "magnetization_ed",
@@ -63,7 +62,6 @@ TOP_LEVEL_NAMES = {
     "discrete_loop_phase",
     "spin_half_loop_phase",
     # scaling
-    "SweepSpec",
     "ExponentFit",
     "continuum_min_gap",
     "continuum_min_gap_arrays",
@@ -84,7 +82,7 @@ TOP_LEVEL_NAMES = {
 
 
 def test_all_holds_the_top_level_names():
-    assert len(TOP_LEVEL_NAMES) == 54
+    assert len(TOP_LEVEL_NAMES) == 52
     assert len(xyberry.__all__) == len(set(xyberry.__all__))
     assert set(xyberry.__all__) == TOP_LEVEL_NAMES
 

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 
 from xyberry import (
     StepDetectionError,
-    SweepSpec,
     continuum_min_gap,
     continuum_min_gap_arrays,
     finite_min_gap,
@@ -302,43 +301,37 @@ class TestFiniteMinGapArrays:
 
 class TestGapSweep:
     def test_table_shape_and_values(self):
-        spec = SweepSpec("gamma", 0.5, np.linspace(0.2, 0.8, 8))
-        table = gap_sweep(spec)
+        table = gap_sweep("gamma", 0.5, 0.0, samples=8, side=+1)
         assert table.shape == (8, 2)
-        assert table[0, 1] == pytest.approx(continuum_min_gap(0.5, 0.2))
+        assert table[:, 0].tolist() == np.geomspace(1e-3, 1e-1, 8).tolist()
+        assert table[0, 1] == pytest.approx(continuum_min_gap(0.5, table[0, 0]))
 
     def test_finite_size_sweep(self):
-        spec = SweepSpec("lambda", 1.0, np.linspace(0.5, 0.9, 9), n_sites=16)
-        table = gap_sweep(spec)
-        assert table[0, 1] == pytest.approx(finite_min_gap(16, 0.5, 1.0))
+        table = gap_sweep("lambda", 1.0, 1.0, (0.1, 0.5), 9, n_sites=16)
+        assert table[:, 0].tolist() == (1.0 - np.geomspace(0.1, 0.5, 9)).tolist()
+        assert table[0, 1] == pytest.approx(finite_min_gap(16, table[0, 0], 1.0))
 
     @pytest.mark.parametrize("n_sites", [None, 8, 1000])
     @pytest.mark.parametrize("vary", ["lambda", "gamma"])
     def test_rows_equal_pointwise_min_gap(self, vary, n_sites):
-        spec = SweepSpec(vary, 0.6, np.linspace(-1.5, 1.5, 41), n_sites=n_sites)
-        for g, gap in gap_sweep(spec):
-            lam, gamma = (g, 0.6) if vary == "lambda" else (0.6, g)
-            if n_sites is None:
-                assert gap == continuum_min_gap_reference(lam, gamma)
-            else:
-                assert gap == finite_min_gap_reference(n_sites, lam, gamma)
+        g_c = 1.0 if vary == "lambda" else 0.0
+        for side in (-1, +1):
+            table = gap_sweep(vary, 0.6, g_c, (1e-3, 1.5), 41, side, n_sites)
+            offsets = np.geomspace(1e-3, 1.5, 41)
+            assert table[:, 0].tolist() == (g_c + side * offsets).tolist()
+            for g, gap in table:
+                lam, gamma = (g, 0.6) if vary == "lambda" else (0.6, g)
+                if n_sites is None:
+                    assert gap == continuum_min_gap_reference(lam, gamma)
+                else:
+                    assert gap == finite_min_gap_reference(n_sites, lam, gamma)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec("sideways", 0.5, np.linspace(0, 1, 10))
-        with pytest.raises(ValueError):
-            SweepSpec("gamma", 0.5, np.linspace(0, 1, 5))
-        with pytest.raises(ValueError):
-            SweepSpec.approach("gamma", 0.5, 0.0, window=(1e-1, 1e-3))
-
-    def test_non_integer_counts_rejected(self):
-        for bad in (8.5, 24.0):
-            with pytest.raises(ValueError, match="samples must be an integer"):
-                SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), bad)
-        for bad in (6.0, 8.5, 5, 2):  # rejected when the spec is built
-            with pytest.raises(ValueError, match="n_sites must be an even integer"):
-                SweepSpec.approach("lambda", 1.0, 1.0, (1e-3, 5e-2), 8, n_sites=bad)
-        assert SweepSpec.approach("lambda", 1.0, 1.0, samples=np.int64(8)).values.size == 8
+        with pytest.raises(ValueError, match="vary must be"):
+            gap_sweep("sideways", 0.5, 0.0)
+        for window in ((1e-1, 1e-3), (0.0, 1e-1), (1e-2, 1e-2)):
+            with pytest.raises(ValueError, match="window must satisfy"):
+                gap_sweep("gamma", 0.5, 0.0, window=window)
 
 
 class TestFitExponent:
@@ -351,18 +344,15 @@ class TestFitExponent:
         assert fit.r_squared > 1 - 1e-12
 
     def test_ising_approach(self):
-        spec = SweepSpec.approach("lambda", 1.0, 1.0, samples=24, side=-1)
-        fit = fit_exponent(gap_sweep(spec), 1.0)
+        fit = fit_exponent(gap_sweep("lambda", 1.0, 1.0, samples=24, side=-1), 1.0)
         assert fit.exponent == pytest.approx(1.0, abs=0.02)
 
     def test_xx_approach(self):
-        spec = SweepSpec.approach("gamma", 0.5, 0.0, samples=24, side=+1)
-        fit = fit_exponent(gap_sweep(spec), 0.0)
+        fit = fit_exponent(gap_sweep("gamma", 0.5, 0.0, samples=24, side=+1), 0.0)
         assert fit.exponent == pytest.approx(1.0, abs=0.02)
 
     def test_window_robustness(self):
-        spec = SweepSpec.approach("lambda", 1.0, 1.0, samples=48, side=-1)
-        table = gap_sweep(spec)
+        table = gap_sweep("lambda", 1.0, 1.0, samples=48, side=-1)
         full = fit_exponent(table, 1.0, (1e-3, 1e-1))
         half = fit_exponent(table, 1.0, (1e-3, 5e-2))
         assert abs(full.exponent - half.exponent) < 0.01
@@ -371,12 +361,10 @@ class TestFitExponent:
         window = (1e-3, 1e-1)
         for vary, fixed, g_c, side in [("lambda", 1.0, 1.0, -1), ("gamma", 0.5, 0.0, +1)]:
             cont = fit_exponent(
-                gap_sweep(SweepSpec.approach(vary, fixed, g_c, window, 24, side)), g_c, window
+                gap_sweep(vary, fixed, g_c, window, 24, side), g_c, window
             )
             fin = fit_exponent(
-                gap_sweep(SweepSpec.approach(vary, fixed, g_c, window, 24, side, n_sites=4000)),
-                g_c,
-                window,
+                gap_sweep(vary, fixed, g_c, window, 24, side, n_sites=4000), g_c, window
             )
             assert abs(fin.exponent - cont.exponent) < 0.05
 
