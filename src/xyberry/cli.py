@@ -34,14 +34,8 @@ from .model import (
     classify_criticality,
     ground_energy,
 )
-from .observables import magnetization_analytic
-from .oracle import (
-    check_sites,
-    discrete_loop_phase,
-    ed_ground_energy,
-    magnetization_ed,
-    sz_cumulants,
-)
+from .observables import magnetization_analytic, phase_magnetization_identity
+from .oracle import check_sites, discrete_loop_phase, ed_ground_energy, magnetization_ed
 from .phases import (
     circular_distance,
     ground_phase,
@@ -67,7 +61,7 @@ __all__ = [
 
 # Verification thresholds: discrete-vs-closed-form loop phase, energy and
 # magnetization against the dense oracle.  The identity row is a ratio to a
-# derived bound (see ``_identity_ratio``), so it passes below 1.
+# derived bound (see ``phase_magnetization_identity``), so it passes below 1.
 VERIFY_PHASE_TOL = 1e-3
 VERIFY_ENERGY_TOL = 1e-8
 VERIFY_MAGNETIZATION_TOL = 1e-8
@@ -399,20 +393,6 @@ def _worst(found) -> tuple:
     return max(found, key=lambda pair: (math.isnan(pair[0]), pair[0]))
 
 
-def _identity_ratio(xp: XYParams, steps: int, loop_phase: float, magnetization: float) -> float:
-    """Oracle loop phase against the paper's pi (N + <S^z>_ED) / 2, as residual / bound.
-
-    Over m steps the cumulant expansion of the loop phase is pi (N + kappa_1) / 2
-    - pi^3 kappa_3 / (48 m^2) + pi^5 kappa_5 / (3840 m^4) - ...  The first two
-    terms are the target; the bound is twice the third term, plus 1e-13 m for
-    the rounding of arg chi, which the loop phase multiplies by m.
-    """
-    _, _, k3, _, k5 = sz_cumulants(xp)
-    target = math.pi * (xp.n_sites + magnetization) / 2 - math.pi**3 * k3 / (48 * steps**2)
-    bound = 2 * math.pi**5 * abs(k5) / (3840 * steps**4) + 1e-13 * steps
-    return circular_distance(loop_phase, target) / bound
-
-
 def _run_verify(cfg: RunConfig) -> int:
     p = cfg.parameters
     for n in p["n_sites"]:  # the oracle's size cap, before any point is drawn
@@ -425,12 +405,13 @@ def _run_verify(cfg: RunConfig) -> int:
             xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
             discrete = discrete_loop_phase(xp, "ground", p["steps"]).wrapped
             magnetization = magnetization_ed(xp)
+            predicted, bound = phase_magnetization_identity(xp, p["steps"], magnetization)
             at = {"lambda": lam, "gamma": gamma, "n": n}
             for key, value in {
                 "phase": circular_distance(discrete, ground_phase(xp).wrapped),
                 "energy": abs(ground_energy(xp) - ed_ground_energy(xp)),
                 "magnetization": abs(magnetization_analytic(xp) - magnetization),
-                "identity": _identity_ratio(xp, p["steps"], discrete, magnetization),
+                "identity": circular_distance(discrete, predicted) / bound,
             }.items():
                 found[key].append((value, at))
     worst = {key: _worst(pairs) for key, pairs in found.items()}

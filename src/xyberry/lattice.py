@@ -143,6 +143,8 @@ def mott_regime_check(lp: LatticeParams, threshold: float = 0.1) -> MottCheck:
     Passes only strictly below the threshold (the boundary fails); the
     ratio itself is returned as the margin.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     margin = max(lp.j_a, lp.j_b, lp.j_c) / lp.u_ab

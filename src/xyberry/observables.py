@@ -4,15 +4,18 @@ A Hermitian operator O that rotates the ground state back to itself after
 time T relates its expectation value to the loop phase through
 phase = lam_T * <O>.  For the XY chain the rotation generator is the total
 z magnetization, which turns the ground-state phase into an order-parameter
-readout: phi_g = pi * (N + M_z) / 2.
+readout: phi_g = pi * (N + M_z) / 2.  ``phase_magnetization_identity``
+predicts the oracle's discrete loop phase from M_z, so the identity is checked
+on the oracle; ``cli._run_verify`` computes ``verify``'s ``identity`` row from it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .model import XYParams
-from .phases import _point_occupation, ground_phase
+from .model import XYParams, _require_count
+from .oracle import sz_cumulants
+from .phases import _point_occupation
 
 __all__ = ["magnetization_analytic", "phase_magnetization_identity"]
 
@@ -28,8 +31,20 @@ def magnetization_analytic(params: XYParams) -> float:
     return 2.0 * float(n_f) - params.n_sites
 
 
-def phase_magnetization_identity(params: XYParams) -> tuple[float, float]:
-    """Both sides of phi_g = pi (N + M_z) / 2; equal in exact arithmetic."""
-    lhs = ground_phase(params).value
-    rhs = 0.5 * np.pi * (params.n_sites + magnetization_analytic(params))
-    return lhs, float(rhs)
+def phase_magnetization_identity(
+    params: XYParams, steps: int, magnetization: float
+) -> tuple[float, float]:
+    """The oracle's m-step ground loop phase predicted from M_z = ``magnetization``.
+
+    Over m = ``steps`` (an integer >= 8) the cumulant expansion of
+    ``discrete_loop_phase(params, "ground", steps)`` is pi (N + kappa_1) / 2
+    - pi^3 kappa_3 / (48 m^2) + pi^5 kappa_5 / (3840 m^4) - ..., kappa_n the
+    cumulants of S^z (``sz_cumulants``).  Returns (predicted, bound): the first
+    two terms with kappa_1 = ``magnetization``, and twice the third term plus
+    1e-13 m for the rounding of arg chi, which the loop phase multiplies by m.
+    """
+    steps = _require_count("steps", steps, 8)
+    _, _, k3, _, k5 = sz_cumulants(params)
+    predicted = math.pi * (params.n_sites + magnetization) / 2 - math.pi**3 * k3 / (48 * steps**2)
+    bound = 2 * math.pi**5 * abs(k5) / (3840 * steps**4) + 1e-13 * steps
+    return predicted, bound

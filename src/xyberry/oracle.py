@@ -95,7 +95,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "DEFAULT_MAX_SITES",
-    "PANCHARATNAM_SIGN",
     "LoopTrace",
     "eigh",
     "max_sites",
@@ -116,11 +115,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 DEFAULT_MAX_SITES = 10
-
-# Sign of the overlap-product phase, fixed once: with +1 the tracked lower
-# spin-1/2 level acquires +pi on the equatorial loop and the chain's ground
-# level reproduces its closed-form phase (mod 2 pi).
-PANCHARATNAM_SIGN = +1
 
 # Eigenvalue distance below which two tracked levels are treated as one
 # degenerate cluster (flagged, then tracked by subspace projection).
@@ -548,8 +542,10 @@ class LoopTrace:
 def pancharatnam_phase(vectors) -> float:
     """Phase of the closed overlap product, in (-pi, pi].
 
-    Each factor is normalized to unit modulus before accumulating, so long
-    loops cannot underflow; only the argument matters.
+    The sign convention of every oracle loop phase: +arg prod_j <psi_j|psi_{j+1}>,
+    under which the lower spin-1/2 level acquires +pi on the equatorial loop and
+    the chain's ground level reproduces its closed-form phase (mod 2 pi).  Each
+    factor is normalized to unit modulus, so long loops cannot underflow.
     """
     states = np.asarray(vectors)
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
@@ -559,7 +555,7 @@ def pancharatnam_phase(vectors) -> float:
         raise DiscretizationError(
             f"orthogonal consecutive states at segment {orthogonal[0]}"
         )
-    return PANCHARATNAM_SIGN * float(np.angle(np.prod(overlaps / sizes)))
+    return float(np.angle(np.prod(overlaps / sizes)))
 
 
 class _LoopStart(NamedTuple):
@@ -680,10 +676,10 @@ def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult
 
         phase = m arg chi - pi N / 2 (+ pi if odd)
 
-    (times PANCHARATNAM_SIGN, mod 2 pi), at O(2^(N-1)) cost and with no loop
-    vectors.  Its m -> infinity limit is pi (N + <S^z>) / 2; the cumulant
-    expansion of ln chi puts the discretization error at
-    -pi^3 kappa_3 / (48 m^2), kappa_3 the third cumulant of S^z.
+    (mod 2 pi, signed as in ``pancharatnam_phase``), at O(2^(N-1)) cost and
+    with no loop vectors.  Its m -> infinity limit is pi (N + <S^z>) / 2; the
+    cumulant expansion of ln chi puts the discretization error at
+    -pi^3 kappa_3 / (48 m^2) (``observables.phase_magnetization_identity``).
     A degenerate level takes the stepped subspace projection of
     ``loop_states`` and ``pancharatnam_phase``.  The product determines the
     phase only up to whole turns, so ``value`` and ``wrapped`` coincide
@@ -696,7 +692,7 @@ def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult
     # The closing constant is the sign (-1)^(N/2 + odd): N is even.
     flips = (params.n_sites // 2 + (level == "excited")) % 2
     angle = steps * cmath.phase(start.chi) + math.pi * flips
-    return PhaseResult.from_value(wrap_angle(PANCHARATNAM_SIGN * angle))
+    return PhaseResult.from_value(wrap_angle(angle))
 
 
 def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> PhaseResult:

@@ -191,7 +191,7 @@ def relative_phase_thermo(lam: float, gamma: float) -> PhaseResult:
         -pi + pi * lam * gamma / sqrt((1 - gamma^2)(1 - gamma^2 - lam^2)),
 
     a topological -pi plus a geometric remainder that is odd in lam.  The
-    XX segment gamma = 0, |lam| < 1 is excluded (critical line).  A view on
+    XX segment gamma = 0, |lam| <= 1 is excluded (critical line).  A view on
     ``relative_phase_thermo_arrays`` at one point.
     """
     value = float(relative_phase_thermo_arrays(lam, gamma))

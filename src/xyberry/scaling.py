@@ -212,15 +212,20 @@ def gap_sweep(
     ``vary`` names the scanned coupling ('lambda' or 'gamma') and
     ``fixed_value`` pins the other one.  The scan points are
     g = critical_value + side * geomspace(lo, hi, samples) for
-    ``window`` = (lo, hi), 0 < lo < hi, so they approach the critical value
-    from one side and never touch it; ``samples`` is an integer >= 8.  Each row is
-    (g, min_gap): the continuum minimum over q in [0, pi] for
-    ``n_sites=None``, else the minimum over that chain's momentum grid,
-    whose ``momentum_grid`` checks ``n_sites`` before any gap is formed.
+    ``window`` = (lo, hi), finite with 0 < lo < hi, and ``side`` = -1 or +1,
+    so they approach the critical value from one side and never touch it;
+    ``samples`` is an integer >= 8.  Each row is (g, min_gap): the continuum
+    minimum over q in [0, pi] for ``n_sites=None``, else the minimum over that
+    chain's momentum grid, whose ``momentum_grid`` checks ``n_sites`` before
+    any gap is formed.
     """
     if vary not in ("lambda", "gamma"):
         raise ValueError(f"vary must be 'lambda' or 'gamma', got {vary!r}")
+    if side not in (-1, 1):
+        raise ValueError(f"side must be -1 or +1, got {side!r}")
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window must be finite, got {window}")
     if not 0 < lo < hi:
         raise ValueError(f"window must satisfy 0 < lo < hi, got {window}")
     values = critical_value + side * np.geomspace(lo, hi, _require_count("samples", samples, 8))

@@ -14,6 +14,7 @@ from xyberry import (
     CriticalPointError,
     PhaseResult,
     XYParams,
+    circular_distance,
     classify_criticality,
     cli,
     continuum_min_gap,
@@ -23,6 +24,7 @@ from xyberry import (
     ground_phase,
     magnetization_ed,
     model,
+    phase_magnetization_identity,
     phases,
     relative_phase_finite,
     scaling,
@@ -1017,13 +1019,13 @@ class TestVerifyCommand:
             _, _, k3, _, _ = sz_cumulants(xp)
             for steps in (8, 50, 2000, 20000):
                 loop_phase = discrete_loop_phase(xp, "ground", steps).wrapped
-                assert cli._identity_ratio(xp, steps, loop_phase, magnetization) < 1.0
-                # Without its kappa_3 term the target misses by more than the
-                # bound wherever kappa_3 is not negligible.
+                predicted, bound = phase_magnetization_identity(xp, steps, magnetization)
+                assert circular_distance(loop_phase, predicted) < bound
+                # Without its kappa_3 term the prediction moves by more than
+                # the bound wherever kappa_3 is not negligible.
                 plain = math.pi * (n + magnetization) / 2
                 if steps in (50, 2000) and abs(k3) > 1e-3:
-                    drop = cli._identity_ratio(xp, steps, plain, magnetization)
-                    assert drop > 1.0
+                    assert circular_distance(plain, predicted) > bound
 
     def test_ties_name_the_first_point(self, monkeypatch, capsys):
         # Every point and N misses by the same 1e-9, above the rounding floor.

@@ -155,3 +155,6 @@ class TestMottCheck:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             mott_regime_check(lattice(), threshold=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"threshold must be finite, got {bad}"):
+                mott_regime_check(lattice(), threshold=bad)

@@ -17,6 +17,7 @@ from xyberry import (
     ground_energy,
     loop_states,
     momentum_grid,
+    phase_magnetization_identity,
     spin_half_loop_phase,
 )
 from xyberry import model
@@ -76,6 +77,9 @@ COUNT_ARGUMENTS = {
     "spin_half_loop_phase-steps": ("steps", lambda n: spin_half_loop_phase(1.0, n)),
     "gap_sweep-samples": ("samples", lambda n: gap_sweep("lambda", 1.0, 1.0, samples=n)),
     "gap_sweep-n_sites": ("n_sites", lambda n: gap_sweep("lambda", 1.0, 1.0, n_sites=n)),
+    "phase_magnetization_identity-steps": (
+        "steps", lambda n: phase_magnetization_identity(params(0.5, 0.5, 4), n, 0.0)
+    ),
 }
 
 

@@ -332,6 +332,12 @@ class TestGapSweep:
         for window in ((1e-1, 1e-3), (0.0, 1e-1), (1e-2, 1e-2)):
             with pytest.raises(ValueError, match="window must satisfy"):
                 gap_sweep("gamma", 0.5, 0.0, window=window)
+        for window in ((1e-3, math.inf), (math.nan, 1e-1), (-math.inf, 1e-1)):
+            with pytest.raises(ValueError, match="window must be finite"):
+                gap_sweep("gamma", 0.5, 0.0, window=window)
+        for side in (0, 2, -2, 0.5, math.nan):
+            with pytest.raises(ValueError, match="side must be -1 or \\+1"):
+                gap_sweep("lambda", 1.0, 1.0, side=side)
 
 
 class TestFitExponent:
