@@ -27,18 +27,12 @@ import numpy as np
 from . import __version__
 from .errors import XYBerryError
 from .lattice import LatticeParams, effective_xy, mott_regime_check
-from .model import (
-    DEFAULT_CRITICAL_TOL,
-    XYParams,
-    _require_count,
-    classify_criticality,
-    ground_energy,
-)
-from .observables import magnetization_analytic, phase_magnetization_identity
+from .model import DEFAULT_CRITICAL_TOL, XYParams, _require_count, classify_criticality
+from .observables import _ground_state_rows, phase_magnetization_identity
 from .oracle import check_sites, discrete_loop_phase, ed_ground_energy, magnetization_ed
 from .phases import (
+    _require_noncritical_arrays,
     circular_distance,
-    ground_phase,
     phase_surface,
     relative_phase_thermo_arrays,
     write_phase_surface_csv,
@@ -393,27 +387,42 @@ def _worst(found) -> tuple:
     return max(found, key=lambda pair: (math.isnan(pair[0]), pair[0]))
 
 
+def _verify_points(points, n_sites, steps) -> dict:
+    """verify's (discrepancy, point) pairs per row, over every N of ``n_sites`` in
+    turn and the ``points`` in order.
+
+    The draws are classified once, and the closed forms of all of them at
+    one N come from one ``_ground_state_rows`` pass; the oracle is read per
+    point.
+    """
+    lams, gammas = np.array(points).T
+    _require_noncritical_arrays(lams, gammas)
+    found = {key: [] for key in VERIFY_THRESHOLDS}
+    for n in n_sites:
+        closed_forms = zip(*(row.tolist() for row in _ground_state_rows(lams, gammas, n)))
+        for (lam, gamma), (phase, energy, closed_magnetization) in zip(points, closed_forms):
+            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
+            discrete = discrete_loop_phase(xp, "ground", steps).wrapped
+            magnetization = magnetization_ed(xp)
+            predicted, bound = phase_magnetization_identity(xp, steps, magnetization)
+            at = {"lambda": lam, "gamma": gamma, "n": n}
+            for key, value in {
+                "phase": circular_distance(discrete, phase),
+                "energy": abs(energy - ed_ground_energy(xp)),
+                "magnetization": abs(closed_magnetization - magnetization),
+                "identity": circular_distance(discrete, predicted) / bound,
+            }.items():
+                found[key].append((value, at))
+    return found
+
+
 def _run_verify(cfg: RunConfig) -> int:
     p = cfg.parameters
     for n in p["n_sites"]:  # the oracle's size cap, before any point is drawn
         check_sites(n)
     rng = np.random.default_rng(cfg.seed)
     points = draw_noncritical_points(rng, p["draws"])
-    found = {key: [] for key in VERIFY_THRESHOLDS}  # (discrepancy, point) pairs per row
-    for n in p["n_sites"]:
-        for lam, gamma in points:
-            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
-            discrete = discrete_loop_phase(xp, "ground", p["steps"]).wrapped
-            magnetization = magnetization_ed(xp)
-            predicted, bound = phase_magnetization_identity(xp, p["steps"], magnetization)
-            at = {"lambda": lam, "gamma": gamma, "n": n}
-            for key, value in {
-                "phase": circular_distance(discrete, ground_phase(xp).wrapped),
-                "energy": abs(ground_energy(xp) - ed_ground_energy(xp)),
-                "magnetization": abs(magnetization_analytic(xp) - magnetization),
-                "identity": circular_distance(discrete, predicted) / bound,
-            }.items():
-                found[key].append((value, at))
+    found = _verify_points(points, p["n_sites"], p["steps"])
     worst = {key: _worst(pairs) for key, pairs in found.items()}
     failed = [k for k, tol in VERIFY_THRESHOLDS.items() if not worst[k][0] < tol]
     summary = {

@@ -158,10 +158,16 @@ def _mode_components(cos_q, sines, lam):
     return eps, np.hypot(eps, sines)
 
 
-def _point_modes(params: XYParams):
-    """(epsilon, gap) of every mode of ``momentum_grid`` at one point."""
-    q = momentum_grid(params.n_sites)
-    return _mode_components(np.cos(q), abs(params.gamma) * np.sin(q), params.lam)
+def _modes(lam, gamma, n_sites: int):
+    """(epsilon, gap) of every mode of ``momentum_grid(n_sites)`` at each point.
+
+    ``lam`` and ``gamma`` are scalars or 1-d arrays of one length; the modes
+    run along the last axis, so one point gives (N/2,) arrays and P points
+    (P, N/2) arrays, each value the same bits either way.
+    """
+    q = momentum_grid(n_sites)
+    sines = np.abs(np.asarray(gamma, dtype=float))[..., None] * np.sin(q)
+    return _mode_components(np.cos(q), sines, np.asarray(lam, dtype=float)[..., None])
 
 
 def mode_angle_arrays(q, lam: float, gamma: float):
@@ -221,12 +227,17 @@ def argmin_gap(gaps):
     return int(k) if gaps.ndim == 1 else k
 
 
+def _ground_energies(gap):
+    """E_g = -2 sum_{k>0} gap_k along the last axis of ``gap``."""
+    return -GROUND_ENERGY_PREFACTOR * np.add.reduce(gap, axis=-1)
+
+
 def ground_energy(params: XYParams) -> float:
     """Ground-state energy E_g = -2 sum_{k>0} gap_k.
 
     Independent of params.phi: the in-plane rotation is isospectral.
     """
-    return -GROUND_ENERGY_PREFACTOR * float(_point_modes(params)[1].sum())
+    return float(_ground_energies(_modes(params.lam, params.gamma, params.n_sites)[1]))
 
 
 def _require_tol(tol: float) -> None:

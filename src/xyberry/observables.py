@@ -6,16 +6,16 @@ phase = lam_T * <O>.  For the XY chain the rotation generator is the total
 z magnetization, which turns the ground-state phase into an order-parameter
 readout: phi_g = pi * (N + M_z) / 2.  ``phase_magnetization_identity``
 predicts the oracle's discrete loop phase from M_z, so the identity is checked
-on the oracle; ``cli._run_verify`` computes ``verify``'s ``identity`` row from it.
+on the oracle; ``cli._verify_points`` computes ``verify``'s ``identity`` row from it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import XYParams, _require_count
+from .model import XYParams, _ground_energies, _modes, _require_count
 from .oracle import sz_cumulants
-from .phases import _point_occupation
+from .phases import _ground_phases, _occupation, _point_occupation, _wrap_angles
 
 __all__ = ["magnetization_analytic", "phase_magnetization_identity"]
 
@@ -28,7 +28,27 @@ def magnetization_analytic(params: XYParams) -> float:
     calibrated once against the dense oracle.
     """
     _, n_f, _ = _point_occupation(params)
-    return 2.0 * float(n_f) - params.n_sites
+    return float(_magnetizations(n_f, params.n_sites))
+
+
+def _magnetizations(n_f, n_sites: int):
+    """M_z = 2 N_f - N of occupations ``n_f`` (see ``magnetization_analytic``)."""
+    return 2.0 * n_f - n_sites
+
+
+def _ground_state_rows(lam, gamma, n_sites: int):
+    """(phi_g wrapped, E_g, M_z) at each point of the 1-d arrays ``lam`` and ``gamma``.
+
+    One call of the mode kernel on a (points, N/2) array and one reduction
+    of its occupations.  Each value equals, bit for bit, ``ground_phase(p).
+    wrapped``, ``ground_energy(p)`` and ``magnetization_analytic(p)`` at that
+    point.  The points are not classified here: the caller rejects critical
+    ones first (``phases._require_noncritical_arrays``), as the scalar
+    readers do.
+    """
+    eps, gap = _modes(lam, gamma, n_sites)
+    _, n_f = _occupation(eps, gap)
+    return _wrap_angles(_ground_phases(n_f)), _ground_energies(gap), _magnetizations(n_f, n_sites)
 
 
 def phase_magnetization_identity(

@@ -170,11 +170,17 @@ def eigh(a, subset_by_index=None):
     are left out.  ``subset_by_index=[lo, hi]`` asks for levels lo..hi
     (range 'I') and trims the output to the m levels found.  The input is
     never overwritten.  A non-finite entry raises ValueError before LAPACK
-    runs, and a nonzero LAPACK ``info`` raises LinAlgError.
+    runs, and a nonzero LAPACK ``info`` raises LinAlgError.  As in scipy, an
+    input that is not a square matrix raises ValueError, and a 0 x 0 one has
+    no eigenpairs.
     """
     a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError('expected square "a" matrix')
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
+    if a.size == 0:  # LAPACK takes no order-0 matrix
+        return np.empty(0, dtype=a.real.dtype), np.empty((0, 0), dtype=a.dtype)
     driver, label, work = _evr_driver(a.dtype, a.shape[0])
     if subset_by_index is None:
         w, v, _, _, info = driver(a, lower=True, **work)
@@ -519,8 +525,10 @@ def sz_cumulants(params: XYParams) -> tuple:
     """
     _, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
     weights = np.abs(vecs[:, 0]) ** 2
-    mean = float(np.sum(sz * weights))
-    mu2, mu3, mu4, mu5 = (float(np.sum(weights * (sz - mean) ** k)) for k in range(2, 6))
+    # add.reduce is the reduction np.sum calls, without its Python wrapper.
+    mean = float(np.add.reduce(sz * weights))
+    deviation = sz - mean
+    mu2, mu3, mu4, mu5 = (float(np.add.reduce(weights * deviation**k)) for k in range(2, 6))
     return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
 
 

@@ -19,13 +19,14 @@ import numpy as np
 
 from .errors import CriticalPointError
 from .model import (
+    CRITICALITY_TAGS,
     DEFAULT_CRITICAL_TOL,
     Criticality,
     XYParams,
     _finite_points,
     _mode_components,
     _mode_tiles,
-    _point_modes,
+    _modes,
     argmin_gap,
     classify_criticality,
     classify_criticality_arrays,
@@ -119,19 +120,39 @@ def spin_half_phase(theta: float, branch: str = "upper") -> PhaseResult:
     return PhaseResult.from_value(value)
 
 
+def _critical_point(lam, gamma, tag: Criticality, distance) -> CriticalPointError:
+    """The error for a phase asked for at (lam, gamma), classified ``tag``."""
+    return CriticalPointError(
+        f"phase undefined at degeneracy: (lam={lam}, gamma={gamma}) "
+        f"classified {tag.value} (distance {distance:.3g})"
+    )
+
+
 def _require_noncritical(params: XYParams):
     c = classify_criticality(params.lam, params.gamma, DEFAULT_CRITICAL_TOL)
     if c.tag is not Criticality.NON_CRITICAL:
-        raise CriticalPointError(
-            f"phase undefined at degeneracy: (lam={params.lam}, gamma={params.gamma}) "
-            f"classified {c.tag.value} (distance {c.distance:.3g})"
-        )
+        raise _critical_point(params.lam, params.gamma, c.tag, c.distance)
+
+
+def _require_noncritical_arrays(lam, gamma):
+    """``_require_noncritical`` for the points of 1-d arrays ``lam`` and ``gamma``, in
+    one classification; the error names the first critical point."""
+    codes, distance = classify_criticality_arrays(lam, gamma, DEFAULT_CRITICAL_TOL)
+    critical = np.flatnonzero(codes)
+    if critical.size:
+        i = critical[0]
+        raise _critical_point(lam[i], gamma[i], CRITICALITY_TAGS[codes[i]], distance[i])
 
 
 def _occupation(eps, gap):
     """cos theta_k = eps_k / gap_k and N_f = sum_k (1 - cos theta_k), along the last axis."""
     cos_theta = eps / gap
     return cos_theta, np.add.reduce(1.0 - cos_theta, axis=-1)
+
+
+def _ground_phases(n_f):
+    """The raw ground-state phase pi N_f of occupations ``n_f`` (see ``ground_phase``)."""
+    return np.pi * n_f
 
 
 def _frozen_term(cos_theta, gap):
@@ -144,7 +165,7 @@ def _frozen_term(cos_theta, gap):
 def _point_occupation(params: XYParams):
     """(cos theta, N_f, gap) of one point; raises within DEFAULT_CRITICAL_TOL of criticality."""
     _require_noncritical(params)
-    eps, gap = _point_modes(params)
+    eps, gap = _modes(params.lam, params.gamma, params.n_sites)
     return (*_occupation(eps, gap), gap)
 
 
@@ -158,7 +179,7 @@ def ground_phase(params: XYParams) -> PhaseResult:
     degeneracy makes the phase undefined.
     """
     _, n_f, _ = _point_occupation(params)
-    return PhaseResult.from_value(float(np.pi * n_f))
+    return PhaseResult.from_value(float(_ground_phases(n_f)))
 
 
 def relative_phase_finite(params: XYParams) -> PhaseResult:
@@ -267,7 +288,7 @@ def phase_surface(
     def reduce_tile(rows, cols, args):
         eps, gap = _mode_components(*args)
         cos_theta, n_f = _occupation(eps, gap)
-        raw[rows, cols] = np.pi * n_f
+        raw[rows, cols] = _ground_phases(n_f)
         phi_eg[rows, cols] = -np.pi * _frozen_term(cos_theta, gap)
 
     _run_tiles(reduce_tile, _mode_tiles(lams, gammas, n_sites))

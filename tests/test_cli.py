@@ -35,6 +35,8 @@ from xyberry.cli import MAX_RANGE_POINTS, main, parse_config, parse_range
 from xyberry.model import grid_points
 from xyberry.cli import UsageError
 
+import verify_reference
+
 
 class TestRangeParsing:
     def test_basic_grid(self):
@@ -947,6 +949,21 @@ class TestVerifyCommand:
         }
         assert calls == []
 
+    def test_critical_draw_is_refused_before_the_oracle(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "discrete_loop_phase", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "draw_noncritical_points",
+                            lambda rng, draws: [(0.5, 0.5), (-1.0, 0.3), (0.2, 0.0)])
+        assert main(["verify", "--n", "4,6", "--draws", "3", "--steps", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CriticalPointError",
+            "message": "phase undefined at degeneracy: (lam=-1.0, gamma=0.3) "
+                       "classified IsingPlane (distance 0)",
+        }
+        assert calls == []
+
     def test_twelve_sites_under_a_raised_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("XYBERRY_MAX_N", "12")
         assert main(["verify", "--n", "12", "--draws", "2", "--steps", "200"]) == 0
@@ -1013,23 +1030,41 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_identity_bound_holds_across_loop_grids(self, n):
         rng = np.random.default_rng(90 + n)
-        for lam, gamma in cli.draw_noncritical_points(rng, 4):
+        draws = [(point, (8, 50, 2000, 20000)) for point in cli.draw_noncritical_points(rng, 4)]
+        # In a strong field the kappa_5 term is below 1e-15, so the bound is
+        # its 1e-13 m rounding allowance alone.
+        strong = [(point, (2000, 20000, 200000))
+                  for point in ((100.0, 0.3), (-100.0, 0.5), (1000.0, 0.4))]
+        for (lam, gamma), grids in draws + strong:
+            strong_field = abs(lam) >= 100
             xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
             magnetization = magnetization_ed(xp)
-            _, _, k3, _, _ = sz_cumulants(xp)
-            for steps in (8, 50, 2000, 20000):
+            _, _, k3, _, k5 = sz_cumulants(xp)
+            for steps in grids:
                 loop_phase = discrete_loop_phase(xp, "ground", steps).wrapped
                 predicted, bound = phase_magnetization_identity(xp, steps, magnetization)
-                assert circular_distance(loop_phase, predicted) < bound
+                residual = circular_distance(loop_phase, predicted)
+                assert residual < bound
                 # Without its kappa_3 term the prediction moves by more than
                 # the bound wherever kappa_3 is not negligible.
                 plain = math.pi * (n + magnetization) / 2
-                if steps in (50, 2000) and abs(k3) > 1e-3:
+                if steps in (50, 2000) and abs(k3) > 1e-3 and not strong_field:
                     assert circular_distance(plain, predicted) > bound
+                if strong_field:
+                    # The rounding of m arg chi is relative to the whole phase,
+                    # so it stays flat in m, far inside the 2e-10 to 2e-8 allowance.
+                    assert 2 * math.pi**5 * abs(k5) / (3840 * steps**4) < 1e-15
+                    assert residual < 1e-12
 
     def test_ties_name_the_first_point(self, monkeypatch, capsys):
         # Every point and N misses by the same 1e-9, above the rounding floor.
-        monkeypatch.setattr(cli, "ground_energy", lambda xp: 1e-9)
+        rows = cli._ground_state_rows
+
+        def energies_at_1e_9(lam, gamma, n_sites):
+            phase, energy, magnetization = rows(lam, gamma, n_sites)
+            return phase, np.full_like(energy, 1e-9), magnetization
+
+        monkeypatch.setattr(cli, "_ground_state_rows", energies_at_1e_9)
         monkeypatch.setattr(cli, "ed_ground_energy", lambda xp: 0.0)
         assert main(["verify", "--n", "4,6", "--steps", "100", "--draws", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -1038,6 +1073,23 @@ class TestVerifyCommand:
         assert payload["max_discrepancy_at"]["energy"] == {
             "lambda": first[0], "gamma": first[1], "n": 4
         }
+
+    @pytest.mark.parametrize("argv,max_n", [
+        *(pytest.param(["--seed", str(seed)], None, id=f"seed{seed}") for seed in range(10)),
+        pytest.param(["--n", "8,10"], None, id="n8,10"),
+        pytest.param(["--steps", "8"], None, id="steps8"),
+        pytest.param(["--n", "12"], "12", id="n12"),
+    ])
+    def test_summary_matches_the_per_point_reference(self, argv, max_n, monkeypatch, capsys):
+        # The README's verify defaults, then one flag changed at a time.
+        if max_n is not None:
+            monkeypatch.setenv("XYBERRY_MAX_N", max_n)
+        argv = ["verify", "--n", "4,6", "--steps", "2000", "--draws", "10", *argv]
+        status = main(argv)
+        got = capsys.readouterr()
+        monkeypatch.setattr(cli, "_verify_points", verify_reference.verify_points)
+        assert main(argv) == status
+        assert capsys.readouterr() == got
 
     def test_seed_changes_points(self, capsys):
         assert main(["verify", "--n", "4", "--steps", "600", "--draws", "1", "--seed", "1"]) == 0

@@ -8,9 +8,13 @@ from xyberry import (
     XYParams,
     circular_distance,
     classify_criticality,
+    classify_criticality_arrays,
     discrete_loop_phase,
+    ground_energy,
+    ground_phase,
     magnetization_analytic,
     magnetization_ed,
+    observables,
     phase_magnetization_identity,
 )
 
@@ -34,6 +38,22 @@ class TestMagnetizationAnalytic:
     def test_rejects_critical(self):
         with pytest.raises(CriticalPointError):
             magnetization_analytic(params(1.0, 0.5, 6))
+
+
+def test_ground_state_rows_equal_the_scalar_readers():
+    # verify's one pass per chain length, against the readers it replaced
+    # there: lam = 0 (a q <-> pi - q tie), negative gamma and a long chain too.
+    rng = np.random.default_rng(24)
+    lam = np.concatenate([[0.0, -0.5, 3.0], rng.uniform(-2, 2, 30)])
+    gamma = np.concatenate([[0.5, -0.7, 0.2], rng.uniform(-1.5, 1.5, 30)])
+    keep = classify_criticality_arrays(lam, gamma)[1] > 1e-3
+    lam, gamma = lam[keep], gamma[keep]
+    for n in (4, 10, 1000):
+        rows = zip(*(row.tolist() for row in observables._ground_state_rows(lam, gamma, n)))
+        for lam_i, gamma_i, got in zip(lam.tolist(), gamma.tolist(), rows):
+            p = params(lam_i, gamma_i, n)
+            want = (ground_phase(p).wrapped, ground_energy(p), magnetization_analytic(p))
+            assert got == want, (lam_i, gamma_i, n)
 
 
 class TestPhaseMagnetizationIdentity:

@@ -408,6 +408,23 @@ class TestEigensolveBinding:
                 assert np.array_equal(vecs, want_vecs), where
             assert np.array_equal(a, kept), "the input must not be overwritten"
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_and_non_square_input_as_scipy(self, dtype):
+        # LAPACK's own argument checks would raise f2py errors on all three.
+        empty = np.empty((0, 0), dtype=dtype)
+        for subset in (None, [0, 0]):
+            want = eigh(empty, subset_by_index=subset)
+            got = oracle.eigh(empty, subset_by_index=subset)
+            for array, want_array in zip(got, want):
+                assert array.shape == want_array.shape, subset
+                assert array.dtype == want_array.dtype, subset
+        for shape in ((3,), (2, 3)):
+            with pytest.raises(ValueError) as want:
+                eigh(np.ones(shape, dtype=dtype))
+            with pytest.raises(ValueError) as got:
+                oracle.eigh(np.ones(shape, dtype=dtype))
+            assert str(got.value) == str(want.value), shape
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_non_finite_input_raises_before_lapack(self, bad, dtype, monkeypatch):

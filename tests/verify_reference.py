@@ -1,0 +1,34 @@
+"""The per-point reference for ``verify``, which only tests read.
+
+``cli._verify_points`` classifies the draws once and takes the closed forms
+of all of them at one N from one array pass (``observables._ground_state_rows``).
+``verify_points`` is the loop it replaced: every point reads ``ground_phase``,
+``ground_energy`` and ``magnetization_analytic`` on its own.  Both must give
+the same pairs, so ``verify`` writes the same summary, byte for byte.
+"""
+
+from xyberry.cli import VERIFY_THRESHOLDS
+from xyberry.model import XYParams, ground_energy
+from xyberry.observables import magnetization_analytic, phase_magnetization_identity
+from xyberry.oracle import discrete_loop_phase, ed_ground_energy, magnetization_ed
+from xyberry.phases import circular_distance, ground_phase
+
+
+def verify_points(points, n_sites, steps) -> dict:
+    """(discrepancy, point) pairs per row, as ``cli._verify_points`` returns them."""
+    found = {key: [] for key in VERIFY_THRESHOLDS}
+    for n in n_sites:
+        for lam, gamma in points:
+            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
+            discrete = discrete_loop_phase(xp, "ground", steps).wrapped
+            magnetization = magnetization_ed(xp)
+            predicted, bound = phase_magnetization_identity(xp, steps, magnetization)
+            at = {"lambda": lam, "gamma": gamma, "n": n}
+            for key, value in {
+                "phase": circular_distance(discrete, ground_phase(xp).wrapped),
+                "energy": abs(ground_energy(xp) - ed_ground_energy(xp)),
+                "magnetization": abs(magnetization_analytic(xp) - magnetization),
+                "identity": circular_distance(discrete, predicted) / bound,
+            }.items():
+                found[key].append((value, at))
+    return found
