@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleTargetError,
     ResourceLimitError,
     StepDetectionError,
-    TrackingError,
     XYBerryError,
 )
 from .lattice import (

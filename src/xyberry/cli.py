@@ -31,7 +31,6 @@ from .model import DEFAULT_CRITICAL_TOL, XYParams, _require_count, classify_crit
 from .observables import _ground_state_rows, phase_magnetization_identity
 from .oracle import check_sites, discrete_loop_phase, ed_ground_energy, magnetization_ed
 from .phases import (
-    _require_noncritical_arrays,
     circular_distance,
     phase_surface,
     relative_phase_thermo_arrays,
@@ -168,6 +167,12 @@ def _positive(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise UsageError("must be a path, got ''")
+    return text
+
+
 def _parse_sites(text: str) -> list[int]:
     ns = [_require_count("n_sites", n, 4, even=True) for n in _parse_list(text, int)]
     if len(set(ns)) != len(ns):  # verify would solve every point twice
@@ -228,7 +233,7 @@ _GRID_FLAGS = {
     "lambda": _Flag("lam_values", parse_range, _REQUIRED, "field grid", "MIN:MAX:STEP"),
     "gamma": _Flag("gamma_values", parse_range, _REQUIRED, "anisotropy grid", "MIN:MAX:STEP"),
     "critical-tol": _Flag("tol", _positive, "%g" % DEFAULT_CRITICAL_TOL, "manifold tolerance"),
-    "out": _Flag("output_path", str, _REQUIRED, "output CSV path"),
+    "out": _Flag("output_path", _path, _REQUIRED, "output CSV path"),
 }
 # Every flag of every command, by flag name without the leading dashes.
 _FLAG_SPECS = {
@@ -245,7 +250,7 @@ _FLAG_SPECS = {
         "steps": _Flag("steps", _count(8), "2000", "loop discretization steps"),
         "draws": _Flag("draws", _count(1), "10", "random parameter draws"),
         "seed": _Flag("seed", _count(0, math.inf), "0", "RNG seed for the draws"),
-        "out": _Flag("output_path", str, None, "summary JSON path (summary always printed)"),
+        "out": _Flag("output_path", _path, None, "summary JSON path (summary always printed)"),
     },
     "scaling-fit": {
         "approach": _Flag("approach", _parse_approach, _REQUIRED, "critical approach",
@@ -254,7 +259,7 @@ _FLAG_SPECS = {
                         "fit window in |g - g_c|", "LO:HI"),
         "samples": _Flag("samples", _count(8), "24", "sweep samples"),
         "n": _Flag("n_sites", _parse_one_site, None, "chain length; omit for continuum sweeps"),
-        "out": _Flag("output_path", str, None, "fit JSON path (JSON always printed)"),
+        "out": _Flag("output_path", _path, None, "fit JSON path (JSON always printed)"),
     },
     "step-trace": {
         "gamma": _Flag("gammas", _parse_gammas, _REQUIRED, "nonzero anisotropies", "G[,G...]"),
@@ -264,7 +269,7 @@ _FLAG_SPECS = {
     "lattice-map": {
         "input": _Flag("input", str, _REQUIRED, "lattice parameters JSON file"),
         "threshold": _Flag("threshold", _positive, "0.1", "Mott-regime threshold"),
-        "out": _Flag("output_path", str, None, "output JSON path (JSON always printed)"),
+        "out": _Flag("output_path", _path, None, "output JSON path (JSON always printed)"),
     },
 }
 
@@ -391,12 +396,11 @@ def _verify_points(points, n_sites, steps) -> dict:
     """verify's (discrepancy, point) pairs per row, over every N of ``n_sites`` in
     turn and the ``points`` in order.
 
-    The draws are classified once, and the closed forms of all of them at
-    one N come from one ``_ground_state_rows`` pass; the oracle is read per
-    point.
+    The closed forms of all the points at one N come from one
+    ``_ground_state_rows`` pass; the oracle is read per point.  The points
+    come from ``draw_noncritical_points``, so none is near criticality.
     """
     lams, gammas = np.array(points).T
-    _require_noncritical_arrays(lams, gammas)
     found = {key: [] for key in VERIFY_THRESHOLDS}
     for n in n_sites:
         closed_forms = zip(*(row.tolist() for row in _ground_state_rows(lams, gammas, n)))

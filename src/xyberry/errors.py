@@ -18,11 +18,6 @@ class ResourceLimitError(XYBerryError, ValueError):
     """Raised when a dense-matrix request exceeds the configured site cap."""
 
 
-class TrackingError(XYBerryError, RuntimeError):
-    """Raised when eigenstate tracking along a loop becomes unreliable
-    (gap below tolerance at some grid angle)."""
-
-
 class DiscretizationError(XYBerryError, RuntimeError):
     """Raised when consecutive loop states overlap too weakly, i.e. the
     loop grid is too coarse for reliable state tracking."""

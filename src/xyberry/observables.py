@@ -42,9 +42,8 @@ def _ground_state_rows(lam, gamma, n_sites: int):
     One call of the mode kernel on a (points, N/2) array and one reduction
     of its occupations.  Each value equals, bit for bit, ``ground_phase(p).
     wrapped``, ``ground_energy(p)`` and ``magnetization_analytic(p)`` at that
-    point.  The points are not classified here: the caller rejects critical
-    ones first (``phases._require_noncritical_arrays``), as the scalar
-    readers do.
+    point.  The points are not classified here: ``verify`` draws them more
+    than ``cli.NONCRITICAL_MARGIN`` from every critical manifold.
     """
     eps, gap = _modes(lam, gamma, n_sites)
     _, n_f = _occupation(eps, gap)

@@ -81,12 +81,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import (
-    DegenerateLevelWarning,
-    DiscretizationError,
-    ResourceLimitError,
-    TrackingError,
-)
+from .errors import DegenerateLevelWarning, DiscretizationError, ResourceLimitError
 from .model import XYParams, _require_count
 from .phases import PhaseResult, _require_polar_angle, wrap_angle
 
@@ -119,10 +114,6 @@ DEFAULT_MAX_SITES = 10
 # Eigenvalue distance below which two tracked levels are treated as one
 # degenerate cluster (flagged, then tracked by subspace projection).
 DEGENERACY_TOL = 1e-8
-
-# Smallest gap from a tracked level's degenerate cluster to the next level
-# at which ``loop_states`` and ``discrete_loop_phase`` still follow it.
-LOOP_GAP_TOL = 1e-9
 
 # Levels computed at the start of a loop: enough to hold the tracked level's
 # degenerate cluster and the nearest level above it.
@@ -580,11 +571,10 @@ class _LoopStart(NamedTuple):
 def _loop_start(params, level, steps) -> _LoopStart:
     """Validate a loop request and run the checks every loop readout shares.
 
-    Raises ValueError on a bad ``level`` or ``steps``, TrackingError when
-    the tracked level's cluster lies within ``LOOP_GAP_TOL`` of the next
-    level, and, for a non-degenerate level, DiscretizationError when
-    consecutive loop states overlap by |chi| < 0.5.  A degenerate cluster's
-    projection checks each of its steps itself.
+    Raises ValueError on a bad ``level`` or ``steps`` and, for a
+    non-degenerate level, DiscretizationError when consecutive loop states
+    overlap by |chi| < 0.5.  A degenerate cluster's projection checks each
+    of its steps itself.
     """
     if level not in ("ground", "excited"):
         raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
@@ -592,15 +582,10 @@ def _loop_start(params, level, steps) -> _LoopStart:
     parity = +1 if level == "ground" else -1
     vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
 
-    # Gap from the tracked level's degenerate cluster to the nearest level
-    # outside it; below tolerance the adiabatic level is ill-defined.
+    # Every level outside the cluster lies at least DEGENERACY_TOL above vals[0].
     cluster = vals - vals[0] < DEGENERACY_TOL
     rest = vals[~cluster]
     gap = float(rest[0] - vals[0]) if rest.size else math.inf
-    if gap < LOOP_GAP_TOL:
-        raise TrackingError(
-            f"spectral gap {gap:.3e} below tolerance {LOOP_GAP_TOL:.1e} at phi={params.phi:.6f}"
-        )
 
     chi = None
     if np.count_nonzero(cluster) == 1:

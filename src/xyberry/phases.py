@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import CriticalPointError
 from .model import (
-    CRITICALITY_TAGS,
     DEFAULT_CRITICAL_TOL,
     Criticality,
     XYParams,
@@ -120,28 +119,13 @@ def spin_half_phase(theta: float, branch: str = "upper") -> PhaseResult:
     return PhaseResult.from_value(value)
 
 
-def _critical_point(lam, gamma, tag: Criticality, distance) -> CriticalPointError:
-    """The error for a phase asked for at (lam, gamma), classified ``tag``."""
-    return CriticalPointError(
-        f"phase undefined at degeneracy: (lam={lam}, gamma={gamma}) "
-        f"classified {tag.value} (distance {distance:.3g})"
-    )
-
-
 def _require_noncritical(params: XYParams):
     c = classify_criticality(params.lam, params.gamma, DEFAULT_CRITICAL_TOL)
     if c.tag is not Criticality.NON_CRITICAL:
-        raise _critical_point(params.lam, params.gamma, c.tag, c.distance)
-
-
-def _require_noncritical_arrays(lam, gamma):
-    """``_require_noncritical`` for the points of 1-d arrays ``lam`` and ``gamma``, in
-    one classification; the error names the first critical point."""
-    codes, distance = classify_criticality_arrays(lam, gamma, DEFAULT_CRITICAL_TOL)
-    critical = np.flatnonzero(codes)
-    if critical.size:
-        i = critical[0]
-        raise _critical_point(lam[i], gamma[i], CRITICALITY_TAGS[codes[i]], distance[i])
+        raise CriticalPointError(
+            f"phase undefined at degeneracy: (lam={params.lam}, gamma={params.gamma}) "
+            f"classified {c.tag.value} (distance {c.distance:.3g})"
+        )
 
 
 def _occupation(eps, gap):

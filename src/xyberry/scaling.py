@@ -81,26 +81,28 @@ def continuum_min_gap_arrays(lam, gamma) -> np.ndarray:
     With x = cos q the squared gap (x - lam)^2 + gamma^2 (1 - x^2) is
     quadratic in x; the minimizer is lam / (1 - gamma^2) clamped to [-1, 1]
     when the parabola opens upward, and an endpoint otherwise.  The
-    candidates are tried in the order 1, -1, clamped vertex.  The square
-    goes through ``np.float_power``, which calls C pow as Python's float
-    ``**`` does; ``**`` on arrays squares by multiplication, which differs
-    in the last bit for about one value in a thousand.  Non-finite input raises
-    ValueError; an overflowing square OverflowError, as float ``**`` does.
+    candidates are tried in the order 1, -1, clamped vertex.  At the
+    endpoints 1 - x^2 = 0, so a gamma^2 that overflows (|gamma| > 1.34e154)
+    leaves the gap ||lam| - 1|.  The square goes through ``np.float_power``,
+    which calls C pow as Python's float ``**`` does; ``**`` on arrays squares
+    by multiplication, which differs in the last bit for about one value in
+    a thousand.  Non-finite input raises ValueError; an overflowing square
+    at an endpoint OverflowError, as float ``**`` does.
     """
     lam, gamma = _finite_points(lam, gamma)
-    g2 = gamma * gamma
-    a = 1.0 - g2
-    opens_up = a > 0.0
-    clamped = np.clip(lam / np.where(opens_up, a, 1.0), -1.0, 1.0)
-    best = np.full(lam.shape, math.inf)
-    for x, present in ((1.0, True), (-1.0, True), (clamped, opens_up)):
-        try:
-            with np.errstate(over="raise"):
-                val = np.float_power(x - lam, 2) + g2 * (1.0 - x * x)
-        except FloatingPointError as exc:
-            raise OverflowError(str(exc)) from None
-        # min(best, val) keeps best unless val < best, NaN included.
-        best = np.where(present & (val < best), val, best)
+    with np.errstate(over="ignore", invalid="ignore"):  # gamma^2 = inf: no vertex
+        g2 = gamma * gamma
+        a = 1.0 - g2
+        opens_up = a > 0.0
+        clamped = np.clip(lam / np.where(opens_up, a, 1.0), -1.0, 1.0)
+        vertex = np.float_power(clamped - lam, 2) + g2 * (1.0 - clamped * clamped)
+    try:
+        with np.errstate(over="raise"):
+            ends = np.minimum(np.float_power(1.0 - lam, 2), np.float_power(-1.0 - lam, 2))
+    except FloatingPointError as exc:
+        raise OverflowError(str(exc)) from None
+    # min(ends, vertex) keeps ends unless vertex < ends, NaN included.
+    best = np.where(opens_up & (vertex < ends), vertex, ends)
     return np.sqrt(np.maximum(best, 0.0))
 
 

@@ -71,24 +71,33 @@ def _atomic_write(path: str, write) -> None:
     and the process umask alone trims that, so the artifact gets the usual
     mode without the umask ever being changed.  It is removed if anything
     fails, so a failed run leaves neither a partial artifact nor a stray file.
+    An ``OSError`` that names the temporary file is raised again, of the same
+    type and errno, naming ``path`` instead.
     """
     stem = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.")
-    for _ in range(100):
-        tmp = f"{stem}{os.urandom(6).hex()}.tmp"
-        try:
-            fh = open(tmp, "x", encoding="utf-8", newline="\n")
-            break
-        except FileExistsError:
-            continue
-    else:
-        raise FileExistsError(f"no free temporary name beside {path}")
+    tmp = None
     try:
-        with fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        for _ in range(100):
+            tmp = f"{stem}{os.urandom(6).hex()}.tmp"
+            try:
+                fh = open(tmp, "x", encoding="utf-8", newline="\n")
+                break
+            except FileExistsError:
+                continue
+        else:
+            raise FileExistsError(f"no free temporary name beside {path}")
+        try:
+            with fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # Name the artifact, not its random temporary file, so reruns print alike.
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -471,6 +471,24 @@ class TestFlagTable:
                 explicit = parse_config(_argv(command, {**rest, name: flag.default}))
                 _assert_same_config(parse_config(_argv(command, rest)), explicit)
 
+    @pytest.mark.parametrize("command", sorted(FLAG_VALUES))
+    def test_empty_out_is_a_usage_error(self, command, tmp_path, monkeypatch, capsys):
+        # As a flag or in the config file, before any work: an empty path names no file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": ""}')
+        (tmp_path / "lp.json").write_text(json.dumps(
+            {"j_a": 1.0, "j_b": 1.0, "j_c": 1.0, "u_ab": 10.0, "omega": 0.5, "delta": 1.0}
+        ))
+        rest = _argv(command, {k: v for k, v in FLAG_VALUES[command].items() if k != "out"})
+        for tail in (["--out", ""], ["--out="], ["--config=cfg.json"]):
+            assert main(rest + tail) == 2, tail
+            captured = capsys.readouterr()
+            assert json.loads(captured.err) == {
+                "error": "usage", "message": "--out: must be a path, got ''"
+            }, tail
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lp.json"]
+
     def test_config_approach_is_checked_like_argv(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"approach": "sideways"}))
@@ -589,6 +607,20 @@ class TestGapMapCommand:
         row = rows[("1.5", "0.5")]
         assert row[3] == "NonCritical" and row[5] == "ok"
         assert float(row[2]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_huge_gamma_gap_is_the_endpoint_gap(self, tmp_path):
+        # gamma^2 overflows to inf; the gap is ||lam| - 1|, and nothing is warned.
+        out = tmp_path / "g.csv"
+        argv = ["gap-map", "--lambda", "0:2:0.5", "--gamma", "1e200:1e201:1e200",
+                "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-m", "xyberry.cli", *argv],
+                                capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr) == (0, "")
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 4 * 9
+        assert {(r[0], r[2]) for r in rows} == {("0", "1"), ("0.5", "0.5"), ("1", "0"),
+                                                 ("1.5", "0.5")}
 
     def test_finite_size_gap_map(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -946,21 +978,6 @@ class TestVerifyCommand:
             "error": "ResourceLimitError",
             "message": "n_sites=12 exceeds the dense-matrix cap of 10 "
                        "(set XYBERRY_MAX_N to raise it)",
-        }
-        assert calls == []
-
-    def test_critical_draw_is_refused_before_the_oracle(self, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(cli, "discrete_loop_phase", lambda *args: calls.append(args))
-        monkeypatch.setattr(cli, "draw_noncritical_points",
-                            lambda rng, draws: [(0.5, 0.5), (-1.0, 0.3), (0.2, 0.0)])
-        assert main(["verify", "--n", "4,6", "--draws", "3", "--steps", "8"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err) == {
-            "error": "CriticalPointError",
-            "message": "phase undefined at degeneracy: (lam=-1.0, gamma=0.3) "
-                       "classified IsingPlane (distance 0)",
         }
         assert calls == []
 

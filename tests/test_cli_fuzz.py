@@ -139,6 +139,7 @@ def _run(argv, work):
 @example(line=(["gap-map", "--lambda", "-1:1:0.5", "--gamma", "0:1:0.25", "--n", "4,6"], {}))
 @example(line=(["step-trace", "--gamma", "-0.5", "--out", "{dir}/out.dat"], {}))
 @example(line=(["gap-map", "--lambda", "--", "--gamma", "0:1:0.25"], {}))
+@example(line=(["verify", "--draws=1", "--out", "{dir}/no/such/dir/out.dat"], {}))
 def test_exit_codes_and_json_errors(tmp_path_factory, line):
     work = tmp_path_factory.mktemp("argv")
     (work / "lattice.json").write_text(json.dumps(LATTICE))

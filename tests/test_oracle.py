@@ -1,6 +1,7 @@
 """Full-matrix assembly, sector eigenpairs, and discrete loop phases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from xyberry import (
     DegenerateLevelWarning,
     DiscretizationError,
     ResourceLimitError,
-    TrackingError,
     XYParams,
     circular_distance,
     discrete_loop_phase,
@@ -746,11 +746,6 @@ class TestChainLoop:
         ]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
-    def test_gap_tolerance_raises_tracking_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
-        with pytest.raises(TrackingError):
-            discrete_loop_phase(params(0.5, 0.5, 4), "ground", 16)
-
     def test_loop_validation(self):
         p = params(0.5, 0.5, 4)
         for readout in (loop_states, discrete_loop_phase):
@@ -808,7 +803,7 @@ class TestCharacteristicFunctionPath:
     def _outcome(fn):
         try:
             return fn()
-        except (TrackingError, DiscretizationError) as exc:
+        except DiscretizationError as exc:
             return type(exc), str(exc)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
@@ -834,15 +829,6 @@ class TestCharacteristicFunctionPath:
         monkeypatch.setattr(oracle, "pancharatnam_phase", fail)
         for level in ("ground", "excited"):
             discrete_loop_phase(params(0.5, 0.5, 6), level, 2000)
-
-    def test_tracking_error_from_both(self, monkeypatch):
-        monkeypatch.setattr(oracle, "LOOP_GAP_TOL", 10.0)
-        p = params(0.5, 0.5, 4)
-        steps = 16
-        for level in ("ground", "excited"):
-            a = self._outcome(lambda: loop_states(p, level, steps))
-            b = self._outcome(lambda: discrete_loop_phase(p, level, steps))
-            assert a[0] is TrackingError and a == b
 
     def test_discretization_error_from_both(self, monkeypatch):
         # No physical point trips |chi| < 0.5 at steps >= 8, so hand-build a
@@ -925,3 +911,35 @@ class TestEnergiesAlongLoop:
     def test_energies_constant_and_gap_positive(self):
         trace = loop_states(params(0.5, 0.5, 6), "ground", 32)
         assert trace.gap > 0
+
+    @pytest.mark.parametrize(
+        "splitting, degenerate",
+        [
+            (np.nextafter(oracle.DEGENERACY_TOL, 0.0), True),
+            (oracle.DEGENERACY_TOL, False),
+            (np.nextafter(oracle.DEGENERACY_TOL, 1.0), False),
+        ],
+    )
+    def test_cluster_leaves_a_gap_of_at_least_the_tolerance(
+        self, monkeypatch, splitting, degenerate
+    ):
+        # A hand-built spectrum puts the second level just below, at and just
+        # above DEGENERACY_TOL from the first: the cluster takes it exactly
+        # below the tolerance, so the gap to the rest is never smaller.
+        n = 4
+        states = parity_states(n, 1)
+        sz = total_sz_diagonal(n)[states]
+        vecs = np.eye(states.size)[:, :3]
+        spectrum = (np.array([0.0, splitting, 1.0]), vecs, states, sz)
+        monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
+        p = params(0.5, 0.5, n)
+        if degenerate:
+            with pytest.warns(DegenerateLevelWarning):
+                trace = loop_states(p, "ground", 16)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = loop_states(p, "ground", 16)
+        assert trace.degenerate is degenerate
+        assert trace.gap >= oracle.DEGENERACY_TOL
+        assert trace.gap == (1.0 if degenerate else splitting)

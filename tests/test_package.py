@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import xyberry
+from xyberry import errors
 
 TOP_LEVEL_NAMES = {
     "__version__",
@@ -24,7 +25,6 @@ TOP_LEVEL_NAMES = {
     "XYBerryError",
     "CriticalPointError",
     "ResourceLimitError",
-    "TrackingError",
     "DiscretizationError",
     "StepDetectionError",
     "InfeasibleTargetError",
@@ -82,7 +82,7 @@ TOP_LEVEL_NAMES = {
 
 
 def test_all_holds_the_top_level_names():
-    assert len(TOP_LEVEL_NAMES) == 52
+    assert len(TOP_LEVEL_NAMES) == 51
     assert len(xyberry.__all__) == len(set(xyberry.__all__))
     assert set(xyberry.__all__) == TOP_LEVEL_NAMES
 
@@ -144,6 +144,32 @@ def _package_reads() -> frozenset:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
     return frozenset(reads)
+
+
+def _raised_names() -> set:
+    """Names the package's code raises, or passes to ``warnings.warn`` as the category."""
+    named = set()
+    for path in Path(xyberry.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                targets = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "warnings.warn":
+                targets = node.args[1:2] + [k.value for k in node.keywords if k.arg == "category"]
+            else:
+                continue
+            named.update(t.id if isinstance(t, ast.Name) else t.attr for t in targets
+                         if isinstance(t, (ast.Name, ast.Attribute)))
+    return named
+
+
+def test_every_error_type_is_raised():
+    # An error type that nothing raises guards against no input.
+    kinds = [v for v in vars(errors).values()
+             if inspect.isclass(v) and v.__module__ == errors.__name__]
+    used = [kind for kind in kinds if kind.__name__ in _raised_names()]
+    unused = [kind.__name__ for kind in kinds
+              if not any(issubclass(other, kind) for other in used)]
+    assert not unused, f"never raised or warned: {unused}"
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Gap sweeps, exponent fits, step detection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,18 +28,16 @@ def continuum_min_gap_reference(lam: float, gamma: float) -> float:
     """The continuum minimum gap per point in Python floats, the array path's reference.
 
     With x = cos q the squared gap (x - lam)^2 + gamma^2 (1 - x^2) is
-    quadratic in x; the candidates are the endpoints and, when the parabola
-    opens upward, the vertex lam / (1 - gamma^2) clamped to [-1, 1].
+    quadratic in x; the candidates are the endpoints, where 1 - x^2 = 0, and,
+    when the parabola opens upward, the vertex lam / (1 - gamma^2) clamped
+    to [-1, 1].
     """
     g2 = gamma * gamma
-    candidates = [1.0, -1.0]
+    best = min((1.0 - lam) ** 2, (-1.0 - lam) ** 2)
     a = 1.0 - g2
     if a > 0.0:
-        candidates.append(min(1.0, max(-1.0, lam / a)))
-    best = math.inf
-    for x in candidates:
-        val = (x - lam) ** 2 + g2 * (1.0 - x * x)
-        best = min(best, val)
+        x = min(1.0, max(-1.0, lam / a))
+        best = min(best, (x - lam) ** 2 + g2 * (1.0 - x * x))
     return math.sqrt(max(best, 0.0))
 
 
@@ -126,6 +125,17 @@ class TestContinuumMinGapArrays:
         assert gaps.tolist() == [
             continuum_min_gap_reference(0.5, 0.5), continuum_min_gap_reference(1.5, 0.5)
         ]
+
+    @pytest.mark.parametrize("gamma", [1e155, 1e200, 1e300])
+    def test_huge_gamma_leaves_the_endpoint_gap(self, gamma):
+        # gamma^2 overflows to inf, and 1 - x^2 = 0 at the endpoints x = +-1.
+        lam = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+        for g in (gamma, -gamma):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gaps = continuum_min_gap_arrays(lam, g)
+            assert gaps.tolist() == np.abs(np.abs(lam) - 1.0).tolist()
+            self.assert_equals_reference(lam, np.full(lam.shape, g), view=True)
 
     @pytest.mark.parametrize("lam,gamma", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5),
                                            (0.5, -np.inf)])
