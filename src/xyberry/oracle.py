@@ -7,7 +7,7 @@ invariant once the endpoint state is identified with the start state, so no
 phase smoothing of eigenvectors is ever needed.  The full matrix
 (``hamiltonian_phi_parts``) is built only as a reference for the tests.
 
-Five structural facts are exploited throughout:
+Six structural facts are exploited throughout:
 
 * The chain Hamiltonian commutes with the spin-flip parity prod_l sigma^z_l
   for every rotation angle, so it is block diagonal in the parity basis.
@@ -22,10 +22,10 @@ Five structural facts are exploited throughout:
   of a basis index, and bit value 0 is sigma^z = +1.
 * The loop is a rotation: H(phi) = U(phi) H(0) U(phi)^dagger with the
   diagonal U(phi) = exp(i phi S^z / 2), S^z = sum_l sigma^z_l, so the
-  eigenvector at phi is U(phi) psi(0).  Energy, magnetization and every
-  loop state share ONE memoized, read-only solve of the real phi = 0
-  block of a parity sector; the full matrices are off that path.
-* That solve runs on crystal-momentum blocks.  The periodic chain also
+  eigenvector at phi is U(phi) psi(0).  So every readout comes from a
+  memoized, read-only solve of the real H(0); the full matrices are off
+  that path.
+* The solves run on crystal-momentum blocks.  The periodic chain also
   commutes with the one-site translation T, so a parity block splits into
   blocks k = 2 pi m / N spanned by the orbits of T (Sandvik, section 4), each
   about 1/N of its 2^(N-1) states.  H(0) is real and T a real
@@ -45,15 +45,28 @@ Five structural facts are exploited throughout:
   the factorization and in the eigensolve, so the levels kept and their
   bits are those of solving every block.  Everything here works on spin
   states, never on the fermion momentum grid of the closed forms.
+* The even sector's ground state and the level above it sit, at all but a
+  few points, in the k = 0 block: the paired-mode vacuum and its lowest
+  pair excitation (k0, -k0) carry no momentum.  So the energy, the magnetization, the S^z cumulants
+  and the ground loop phase read ONE memoized even-ground reader
+  (``_even_ground``), which solves the k = 0 block alone and shows that
+  every other block's levels lie above that block's second level: by the
+  Cholesky certificate, or by a solve for a block of 1 or 2 rows, too
+  small for the certificate's proof.  The two lowest levels are then bit-identical to the
+  sector's, and since S^z is constant on an orbit the ground state's S^z
+  distribution takes one weight |c_r|^2 per orbit, with no expansion to
+  parity-block coordinates.  Where a block fails its check, the reader
+  takes the sector's solve.  That solve also serves ``loop_states``, the
+  odd sector and a ground level degenerate within DEGENERACY_TOL.
 * So the overlap product has a closed form.  Over the m = steps segments
   of the one circuit phi: 0 -> pi every overlap but the closing one is the
   characteristic function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at
   delta = pi / m, and on one parity block the closing one differs by the
   constant exp(-i pi S^z / 2).  The loop phase of a non-degenerate level
-  is m arg chi - pi N / 2 (+ pi in the odd sector), one O(2^(N-1)) pass
-  with no loop vectors.  Expanding ln chi in the cumulants kappa_n of S^z
-  gives the limit pi (N + <S^z>) / 2 and the discretization error
-  -pi^3 kappa_3 / (48 m^2).  Only a degenerate level is stepped around the
+  is m arg chi - pi N / 2 (+ pi in the odd sector), one pass over the
+  level's |psi|^2 weights with no loop vectors.  Expanding ln chi in the
+  cumulants kappa_n of S^z gives the limit pi (N + <S^z>) / 2 and the
+  discretization error -pi^3 kappa_3 / (48 m^2).  Only a degenerate level is stepped around the
   loop, by subspace projection.
 
 Every eigensolve goes through one entry point, ``eigh``.  It calls the
@@ -119,13 +132,17 @@ DEGENERACY_TOL = 1e-8
 # degenerate cluster and the nearest level above it.
 LOOP_LEVELS = 6
 
-# Blocks of at most this many rows are solved whole (see ``_lowest_eigh``)
-# and never tested by the Cholesky certificate of ``_holds_no_level_below``.
+# Blocks of at most this many rows are solved whole (see ``_lowest_eigh``),
+# and ``_solve_sector`` never tests them by the Cholesky certificate of
+# ``_holds_no_level_below``.
 _SMALL_BLOCK_ROWS = 16
 
-# Parity-block solves memoized by ``_sector_spectrum``: a verify point reads
-# one four times (loop, energy, magnetization, S^z cumulants).  About 50 KB
-# each at N = 10.
+# Entries in each of the two memoized solves.  ``_even_ground`` keeps a
+# point's two lowest even levels and its ground state's S^z weights, about
+# 1 KB at N = 10; a verify point reads it four times (loop phase, energy,
+# magnetization, S^z cumulants).  ``_sector_spectrum`` keeps a parity
+# block's LOOP_LEVELS expanded vectors, about 50 KB each at N = 10, for
+# ``loop_states``, the odd sector and the reader's fallback.
 SPECTRUM_CACHE_SIZE = 32
 
 
@@ -258,8 +275,16 @@ def _holds_no_level_below(h: np.ndarray, tau: float, scale: float) -> bool:
 
 
 def max_sites() -> int:
-    """Dense-matrix site cap; XYBERRY_MAX_N overrides the default of 10."""
-    raw = os.environ.get("XYBERRY_MAX_N")
+    """Dense-matrix site cap; XYBERRY_MAX_N overrides the default of 10.
+
+    The variable is read on every call, so a changed value binds at once;
+    only its parse is memoized.
+    """
+    return _parse_max_sites(os.environ.get("XYBERRY_MAX_N"))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_max_sites(raw: Optional[str]) -> int:
     if raw is None:
         return DEFAULT_MAX_SITES
     try:
@@ -341,6 +366,7 @@ class _MomentumBlock(NamedTuple):
     """
 
     reps: np.ndarray  # layout indices of the block's representatives
+    sz: np.ndarray  # S^z of each representative, constant on its orbit
     pos: np.ndarray  # flat positions of the block's nonzero entries
     coef: np.ndarray  # (3, nnz) field, parallel-bond and antiparallel-bond parts
     expand: np.ndarray  # e^{-ikd} / sqrt(L_r) at each parity-block state s = T^d r
@@ -414,7 +440,8 @@ def _translation_layout(n_sites: int, parity: int) -> _Layout:
         # Each entry's column among the distinct positions, diagonal first.
         pos, column = np.unique(np.r_[np.arange(dim) * (dim + 1), flat], return_inverse=True)
         coef = np.zeros((3, pos.size), dtype=complex)
-        coef[0, column[:dim]] = sz[is_rep][compatible]
+        block_sz = sz[is_rep][compatible]
+        coef[0, column[:dim]] = block_sz
         column = column[dim:]
         for row, bonds in ((1, parallel[keep]), (2, ~parallel[keep])):
             terms = phase[bonds]  # bincount sums real weights only
@@ -425,7 +452,8 @@ def _translation_layout(n_sites: int, parity: int) -> _Layout:
         expand = roots[-m * shift % n_sites] / np.sqrt(length)
         if real:
             coef, expand = coef.real.copy(), expand.real.copy()
-        blocks.append(_MomentumBlock(np.flatnonzero(compatible), pos, coef, expand))
+        block_sz.setflags(write=False)
+        blocks.append(_MomentumBlock(np.flatnonzero(compatible), block_sz, pos, coef, expand))
     for array in (states, sz, state_rep):
         array.setflags(write=False)
     return _Layout(states, sz, state_rep, reps.size, tuple(blocks))
@@ -442,19 +470,31 @@ def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
     return _solve_sector(n_sites, lam, gamma, parity)
 
 
+def _block_hamiltonian(block: _MomentumBlock, lam: float, gamma: float) -> np.ndarray:
+    """H(0) on the momentum states of ``block``, as a dense matrix."""
+    dim = block.reps.size
+    h = np.zeros((dim, dim), dtype=block.coef.dtype)
+    h.flat[block.pos] = np.array([-lam, -gamma, -1.0]) @ block.coef
+    return h
+
+
+def _norm_bound(n_sites: int, lam: float, gamma: float) -> float:
+    """A bound on ||H(0)||_2, and so on that of each block of it.
+
+    Each of the N bonds has norm at most |gamma| + 1 and the field |lam| per site.
+    """
+    return n_sites * (abs(lam) + abs(gamma) + 1.0)
+
+
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _solve_sector(n_sites, lam, gamma, parity):
     layout = _translation_layout(n_sites, parity)
     count = min(LOOP_LEVELS, layout.states.size)
-    weights = np.array([-lam, -gamma, -1.0])
-    # Each of the N bonds has norm at most |gamma| + 1 and the field |lam|
-    # per site, so this bounds ||H(0)||_2 and that of each block of it.
-    scale = n_sites * (abs(lam) + abs(gamma) + 1.0)
+    scale = _norm_bound(n_sites, lam, gamma)
     values, levels = [], []  # levels: (block, eigenvectors, column, conjugate)
     for block in layout.blocks:
         dim = block.reps.size
-        h = np.zeros((dim, dim), dtype=block.coef.dtype)
-        h.flat[block.pos] = weights @ block.coef
+        h = _block_hamiltonian(block, lam, gamma)
         if dim > _SMALL_BLOCK_ROWS and len(levels) >= count:
             # A block with no level at or below the count-th lowest so far
             # (a +-k level counted twice) adds nothing to the stable argsort.
@@ -485,10 +525,91 @@ def _solve_sector(n_sites, lam, gamma, parity):
     return spectrum
 
 
+@dataclass(frozen=True, eq=False)
+class _EvenGround:
+    """The even sector's two lowest levels and the S^z distribution of its ground state.
+
+    ``weights`` are the ground state's |psi|^2 on basis states whose S^z is
+    ``sz``: one weight |c_r|^2 per translation orbit when the state is read
+    from the k = 0 block, one per parity-block state when it comes from the
+    whole sector's solve.  The arrays are read-only.
+    """
+
+    energy: float
+    next_level: float
+    weights: np.ndarray = field(repr=False)
+    sz: np.ndarray = field(repr=False)
+
+    @property
+    def splitting(self) -> float:
+        """E_1 - E_0; below DEGENERACY_TOL the ground level is degenerate."""
+        return self.next_level - self.energy
+
+    @functools.cached_property
+    def cumulants(self) -> tuple:
+        """(kappa_1, ..., kappa_5) of S^z, formed once per reading (see ``sz_cumulants``)."""
+        # add.reduce is the reduction np.sum calls, without its Python wrapper.
+        mean = float(np.add.reduce(self.sz * self.weights))
+        deviation = self.sz - mean
+        mu2, mu3, mu4, mu5 = (
+            float(np.add.reduce(self.weights * deviation**k)) for k in range(2, 6)
+        )
+        return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
+
+
+def _even_ground(n_sites: int, lam: float, gamma: float) -> _EvenGround:
+    """The memoized even-ground reading at (N, lam, gamma).
+
+    The site cap is checked before the cache lookup, so lowering it binds.
+    """
+    check_sites(n_sites)
+    return _solve_even_ground(n_sites, lam, gamma)
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _solve_even_ground(n_sites, lam, gamma) -> _EvenGround:
+    """Read the even ground state from the k = 0 block, or from the sector's solve.
+
+    The k = 0 block is solved by the call ``_solve_sector`` makes on it.  If
+    every other block holds no level at or below that block's second level
+    (``_levels_above``), the sector's two lowest levels are the block's two
+    lowest, bit for bit, and so is its ground vector; otherwise the sector
+    is solved whole.
+    """
+    layout = _translation_layout(n_sites, +1)
+    zero, *others = layout.blocks
+    h = _block_hamiltonian(zero, lam, gamma)
+    vals, vecs = _lowest_eigh(h, min(LOOP_LEVELS, zero.reps.size))
+    sz = zero.sz
+    if not _levels_above(others, lam, gamma, float(vals[1]), _norm_bound(n_sites, lam, gamma)):
+        vals, vecs, _, sz = _solve_sector(n_sites, lam, gamma, +1)
+    weights = np.abs(vecs[:, 0]) ** 2
+    weights.setflags(write=False)
+    return _EvenGround(float(vals[0]), float(vals[1]), weights, sz)
+
+
+def _levels_above(blocks, lam: float, gamma: float, tau: float, scale: float) -> bool:
+    """True only if every level ``eigh`` computes for ``blocks`` lies above ``tau``.
+
+    Each block is tested by the Cholesky certificate of
+    ``_holds_no_level_below``, whose proof needs at least 3 rows; a block of
+    1 or 2 rows is solved instead.  So at N >= 6 no block but k = 0 is
+    solved.  ``scale`` bounds the norm of every block.
+    """
+    for block in blocks:
+        h = _block_hamiltonian(block, lam, gamma)
+        if block.reps.size >= 3:
+            above = _holds_no_level_below(h, tau, scale)
+        else:
+            above = eigh(h)[0][0] > tau
+        if not above:
+            return False
+    return True
+
+
 def ed_ground_energy(params: XYParams) -> float:
     """Energy of the even-sector ground state (the paired-mode vacuum)."""
-    vals, _, _, _ = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
-    return float(vals[0])
+    return _even_ground(params.n_sites, params.lam, params.gamma).energy
 
 
 def magnetization_ed(params: XYParams) -> float:
@@ -497,14 +618,14 @@ def magnetization_ed(params: XYParams) -> float:
     Warns if that level is degenerate within its sector, in which case the
     expectation value is basis dependent.
     """
-    vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
-    if vals[1] - vals[0] < DEGENERACY_TOL:
+    ground = _even_ground(params.n_sites, params.lam, params.gamma)
+    if ground.splitting < DEGENERACY_TOL:
         warnings.warn(
-            f"even-sector ground state degenerate (splitting {vals[1] - vals[0]:.3e})",
+            f"even-sector ground state degenerate (splitting {ground.splitting:.3e})",
             DegenerateLevelWarning,
             stacklevel=2,
         )
-    return float(np.sum(sz * np.abs(vecs[:, 0]) ** 2))
+    return ground.cumulants[0]
 
 
 def sz_cumulants(params: XYParams) -> tuple:
@@ -514,13 +635,7 @@ def sz_cumulants(params: XYParams) -> tuple:
     set the discrete loop phase: kappa_1 = <S^z> its limit, kappa_3 its
     leading discretization error and kappa_5 the next term.
     """
-    _, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, +1)
-    weights = np.abs(vecs[:, 0]) ** 2
-    # add.reduce is the reduction np.sum calls, without its Python wrapper.
-    mean = float(np.add.reduce(sz * weights))
-    deviation = sz - mean
-    mu2, mu3, mu4, mu5 = (float(np.add.reduce(weights * deviation**k)) for k in range(2, 6))
-    return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
+    return _even_ground(params.n_sites, params.lam, params.gamma).cumulants
 
 
 @dataclass
@@ -568,18 +683,39 @@ class _LoopStart(NamedTuple):
     chi: Optional[complex]  # <psi(0)|U(delta)|psi(0)>; None for a degenerate cluster
 
 
+def _loop_parity(level, steps) -> int:
+    """The parity sector of a loop request; ValueError on a bad ``level`` or ``steps``."""
+    if level not in ("ground", "excited"):
+        raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
+    _require_count("steps", steps, 8)
+    return +1 if level == "ground" else -1
+
+
+def _step_overlap(weights: np.ndarray, sz: np.ndarray, steps: int) -> complex:
+    """chi = <psi(0)|U(delta)|psi(0)>, delta = pi / ``steps``, from the |psi|^2
+    ``weights`` on basis states of S^z ``sz``.
+
+    Raises DiscretizationError when consecutive loop states overlap by
+    |chi| < 0.5.
+    """
+    delta = math.pi / steps
+    chi = complex(np.dot(weights, np.exp(0.5j * delta * sz)))
+    if abs(chi) < 0.5:
+        raise DiscretizationError(
+            f"overlap {abs(chi):.3e} below 0.5 between consecutive loop states "
+            f"(step {delta:.6f}); refine the loop grid"
+        )
+    return chi
+
+
 def _loop_start(params, level, steps) -> _LoopStart:
     """Validate a loop request and run the checks every loop readout shares.
 
     Raises ValueError on a bad ``level`` or ``steps`` and, for a
-    non-degenerate level, DiscretizationError when consecutive loop states
-    overlap by |chi| < 0.5.  A degenerate cluster's projection checks each
-    of its steps itself.
+    non-degenerate level, DiscretizationError from ``_step_overlap``.  A
+    degenerate cluster's projection checks each of its steps itself.
     """
-    if level not in ("ground", "excited"):
-        raise ValueError(f"level must be 'ground' or 'excited', got {level!r}")
-    _require_count("steps", steps, 8)
-    parity = +1 if level == "ground" else -1
+    parity = _loop_parity(level, steps)
     vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
 
     # Every level outside the cluster lies at least DEGENERACY_TOL above vals[0].
@@ -589,13 +725,7 @@ def _loop_start(params, level, steps) -> _LoopStart:
 
     chi = None
     if np.count_nonzero(cluster) == 1:
-        delta = math.pi / steps
-        chi = complex(np.dot(np.abs(vecs[:, 0]) ** 2, np.exp(0.5j * delta * sz)))
-        if abs(chi) < 0.5:
-            raise DiscretizationError(
-                f"overlap {abs(chi):.3e} below 0.5 between consecutive loop states "
-                f"(step {delta:.6f}); refine the loop grid"
-            )
+        chi = _step_overlap(np.abs(vecs[:, 0]) ** 2, sz, steps)
     return _LoopStart(vals, vecs, sz, cluster, gap, chi)
 
 
@@ -669,22 +799,30 @@ def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult
 
         phase = m arg chi - pi N / 2 (+ pi if odd)
 
-    (mod 2 pi, signed as in ``pancharatnam_phase``), at O(2^(N-1)) cost and
-    with no loop vectors.  Its m -> infinity limit is pi (N + <S^z>) / 2; the
-    cumulant expansion of ln chi puts the discretization error at
-    -pi^3 kappa_3 / (48 m^2) (``observables.phase_magnetization_identity``).
-    A degenerate level takes the stepped subspace projection of
+    (mod 2 pi, signed as in ``pancharatnam_phase``), one sum over the
+    level's |psi|^2 weights with no loop vectors: the ground level's come
+    from the even-ground reader (one per k = 0 orbit), the excited level's
+    from the odd sector's solve.  Its m -> infinity limit is
+    pi (N + <S^z>) / 2; the cumulant expansion of ln chi puts the
+    discretization error at -pi^3 kappa_3 / (48 m^2)
+    (``observables.phase_magnetization_identity``).  A level degenerate
+    within DEGENERACY_TOL takes the stepped subspace projection of
     ``loop_states`` and ``pancharatnam_phase``.  The product determines the
     phase only up to whole turns, so ``value`` and ``wrapped`` coincide
     here; compare against closed forms with a circular distance.
     """
-    start = _loop_start(params, level, steps)
-    if start.chi is None:
+    if _loop_parity(level, steps) == +1:
+        ground = _even_ground(params.n_sites, params.lam, params.gamma)
+        degenerate = ground.splitting < DEGENERACY_TOL
+        chi = None if degenerate else _step_overlap(ground.weights, ground.sz, steps)
+    else:
+        chi = _loop_start(params, level, steps).chi
+    if chi is None:
         trace = loop_states(params, level, steps)
         return PhaseResult.from_value(pancharatnam_phase(trace.vectors))
     # The closing constant is the sign (-1)^(N/2 + odd): N is even.
     flips = (params.n_sites // 2 + (level == "excited")) % 2
-    angle = steps * cmath.phase(start.chi) + math.pi * flips
+    angle = steps * cmath.phase(chi) + math.pi * flips
     return PhaseResult.from_value(wrap_angle(angle))
 
 

@@ -274,7 +274,12 @@ def fit_exponent(
     g_c: float,
     window: tuple[float, float] = DEFAULT_FIT_WINDOW,
 ) -> ExponentFit:
-    """Slope of log(min_gap) against log|g - g_c| inside the window."""
+    """Slope of log(min_gap) against log|g - g_c| inside the window.
+
+    Raises ValueError when the window holds fewer than 6 points, a
+    nonpositive or non-finite gap, or a gap constant across it, which has
+    no power law and no r_squared.
+    """
     table = np.asarray(table, dtype=float)
     lo, hi = window
     dist = np.abs(table[:, 0] - g_c)
@@ -289,11 +294,15 @@ def fit_exponent(
         raise ValueError("nonpositive or non-finite gap inside the fit window; fit invalid")
     x = np.log(dist[mask])
     y = np.log(gaps)
+    if np.all(y == y[0]):
+        raise ValueError(
+            f"the gap is constant for |g - g_c| in [{lo}, {hi}]: no power law to fit"
+        )
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / ss_tot
     return ExponentFit(float(slope), float(intercept), min(max(r2, 0.0), 1.0), (lo, hi))
 
 

@@ -97,7 +97,8 @@ def translation_layout_dense(n_sites: int, parity: int) -> _Layout:
         phase = roots[m * dist[keep] % n_sites] * ratio[keep]
         flat = slot[target[keep]] * dim + slot[source[keep]]
         dense = np.zeros((3, dim * dim), dtype=complex)
-        dense[0, :: dim + 1] = sz[is_rep][compatible]
+        block_sz = sz[is_rep][compatible]
+        dense[0, :: dim + 1] = block_sz
         for row, bonds in ((1, parallel[keep]), (2, ~parallel[keep])):
             terms = phase[bonds]  # bincount sums real weights only
             dense[row] = np.bincount(flat[bonds], terms.real, dim * dim)
@@ -107,7 +108,7 @@ def translation_layout_dense(n_sites: int, parity: int) -> _Layout:
         expand = roots[-m * shift % n_sites] / np.sqrt(length)
         if real:
             coef, expand = coef.real.copy(), expand.real.copy()
-        blocks.append(_MomentumBlock(np.flatnonzero(compatible), pos, coef, expand))
+        blocks.append(_MomentumBlock(np.flatnonzero(compatible), block_sz, pos, coef, expand))
     for array in (states, sz, state_rep):
         array.setflags(write=False)
     return _Layout(states, sz, state_rep, reps.size, tuple(blocks))

@@ -766,6 +766,17 @@ class TestScalingFitCommand:
     def test_missing_approach(self, capsys):
         assert main(["scaling-fit"]) == 2
 
+    def test_window_where_the_gap_is_constant_fails(self, tmp_path, capsys):
+        # Above gamma = 1.34e154 the continuum gap is ||lam| - 1| = 0.5 at every sample.
+        out = tmp_path / "fit.json"
+        assert main(["scaling-fit", "xx", "--window", "1e160:1e170", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("the gap is constant")
+        assert not out.exists()
+
 
 class TestJsonEmitter:
     """Every JSON product prints and writes the same sorted, indented text."""

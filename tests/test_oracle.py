@@ -252,17 +252,24 @@ class TestSectorSpectrum:
         p = params(0.4, 0.6, 6)
         monkeypatch.setenv("XYBERRY_MAX_N", "6")
         energy = ed_ground_energy(p)
-        hits = oracle._solve_sector.cache_info().hits
+        for level in ("ground", "excited"):
+            loop_states(p, level, 16)
+        readers = (oracle._solve_even_ground, oracle._solve_sector, oracle._parse_max_sites)
+        hits = [reader.cache_info().hits for reader in readers]
         assert ed_ground_energy(p) == energy
-        assert oracle._solve_sector.cache_info().hits == hits + 1
+        loop_states(p, "ground", 16)
+        assert [reader.cache_info().hits for reader in readers] == [
+            hits[0] + 1, hits[1] + 1, hits[2] + 2
+        ]
         monkeypatch.setenv("XYBERRY_MAX_N", "4")
-        with pytest.raises(ResourceLimitError):
-            ed_ground_energy(p)
-        with pytest.raises(ResourceLimitError):
-            magnetization_ed(p)
+        for read in (ed_ground_energy, magnetization_ed, oracle.sz_cumulants):
+            with pytest.raises(ResourceLimitError):
+                read(p)
         for level in ("ground", "excited"):
             with pytest.raises(ResourceLimitError):
                 loop_states(p, level, 16)
+            with pytest.raises(ResourceLimitError):
+                discrete_loop_phase(p, level, 16)
 
     def test_degenerate_warning_on_every_call(self):
         # Same in-sector crossing as TestMagnetizationED; the second call is a
@@ -270,10 +277,10 @@ class TestSectorSpectrum:
         p = params(float(np.cos(np.pi / 4)), 0.0, 4)
         with pytest.warns(DegenerateLevelWarning):
             first = magnetization_ed(p)
-        hits = oracle._solve_sector.cache_info().hits
+        hits = oracle._solve_even_ground.cache_info().hits
         with pytest.warns(DegenerateLevelWarning):
             assert magnetization_ed(p) == first
-        assert oracle._solve_sector.cache_info().hits == hits + 1
+        assert oracle._solve_even_ground.cache_info().hits == hits + 1
 
     def test_returned_arrays_cannot_write_the_cache(self):
         p = params(0.5, 0.5, 4)
@@ -291,6 +298,14 @@ class TestSectorSpectrum:
         again = loop_states(p, "ground", 16)
         assert np.linalg.norm(again.vectors[0]) == pytest.approx(1.0, abs=1e-12)
         assert magnetization_ed(p) == magnetization
+
+
+def _read_even_ground_from(monkeypatch, spectrum, p):
+    """Make the even-ground reader take ``spectrum`` as the sector's solve at ``p``."""
+    monkeypatch.setattr(oracle, "_levels_above", lambda *args: False)
+    monkeypatch.setattr(oracle, "_solve_sector", lambda *args: spectrum)
+    ground = oracle._solve_even_ground.__wrapped__(p.n_sites, p.lam, p.gamma)
+    monkeypatch.setattr(oracle, "_even_ground", lambda *args: ground)
 
 
 def _momentum_points(rng):
@@ -357,6 +372,7 @@ class TestMomentumBlocks:
         assert circular_distance(*phases) <= 1e-10
         # Readouts of one complex vector of the pair weigh it by |psi|^2.
         want = np.vdot(vecs[:, 1], sz * vecs[:, 1]).real
+        _read_even_ground_from(monkeypatch, pair, p)
         with pytest.warns(DegenerateLevelWarning):
             assert magnetization_ed(p) == pytest.approx(want, abs=1e-12)
         assert oracle.sz_cumulants(p)[0] == pytest.approx(want, abs=1e-12)
@@ -582,6 +598,92 @@ class TestBlockSkipping:
     def test_overflowing_field_still_raises(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
             oracle._solve_sector(10, 1e308, 0.5, 1)
+
+
+def _moments(weights, sz):
+    """(kappa_1, ..., kappa_5) of S^z from the central moments of ``weights``."""
+    mean = float(np.sum(weights * sz))
+    mu2, mu3, mu4, mu5 = (float(np.sum(weights * (sz - mean) ** k)) for k in range(2, 6))
+    return [mean, mu2, mu3, mu4 - 3.0 * mu2**2, mu5 - 10.0 * mu3 * mu2]
+
+
+# Points where a level of some other block lies at or below the k = 0
+# block's second level, so the even-ground reader solves the whole sector.
+_FALLBACK_POINTS = ((8, 0.0, 0.5), (10, 0.0, 1.0))
+
+
+class TestEvenGroundReader:
+    """The k = 0 even-ground reader against the every-block solve."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_matches_every_block_solve(self, n):
+        rng = np.random.default_rng(2600 + n)
+        points = draw_noncritical_points(rng, 8) + [
+            (lam, float(rng.uniform(0.1, 1.5))) for lam in (1.0, -1.0, 1.0, -1.0)
+        ]
+        for lam, gamma in points:
+            ground = oracle._solve_even_ground.__wrapped__(n, lam, gamma)
+            vals, vecs, _, sz = solve_every_block(n, lam, gamma, +1)
+            where = (n, lam, gamma)
+            assert (ground.energy, ground.next_level) == (vals[0], vals[1]), where
+            want = _moments(np.abs(vecs[:, 0]) ** 2, sz)
+            assert abs(ground.cumulants[0] - want[0]) <= 1e-12, where
+            # kappa_5 reaches about 200 at N = 10; its rounding is relative.
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(np.subtract(ground.cumulants, want)) <= 1e-12 * scale), where
+            # One weight per k = 0 orbit: the ground state was read from that block.
+            assert ground.weights.shape == ground.sz.shape == oracle._translation_layout(
+                n, +1
+            ).blocks[0].sz.shape, where
+            for array in (ground.weights, ground.sz):
+                assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_one_eigensolve_per_point(self, n, monkeypatch):
+        # Every even-sector read of a verify point comes from one solve of
+        # the k = 0 block; from N = 6 on every other block has 3 rows or
+        # more, and the certificate shows it holds no lower level.
+        dims = []
+        binding = oracle.eigh
+
+        def counting(a, *args, **kwargs):
+            dims.append(np.shape(a)[0])
+            return binding(a, *args, **kwargs)
+
+        def no_sector_solve(*args):
+            raise AssertionError("sector solve reached")
+
+        monkeypatch.setattr(oracle, "eigh", counting)
+        monkeypatch.setattr(oracle, "_solve_sector", no_sector_solve)
+        zero = oracle._translation_layout(n, +1).blocks[0]
+        for lam, gamma in draw_noncritical_points(np.random.default_rng(2610 + n), 4):
+            p = params(lam, gamma, n)
+            dims.clear()
+            ed_ground_energy(p)
+            magnetization_ed(p)
+            oracle.sz_cumulants(p)
+            discrete_loop_phase(p, "ground", 2000)
+            assert dims == [zero.reps.size], (lam, gamma)
+
+    @pytest.mark.parametrize("n, lam, gamma", _FALLBACK_POINTS)
+    def test_fallback_equals_the_sector_solve(self, n, lam, gamma, monkeypatch):
+        calls = []
+        solve = oracle._solve_sector
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(oracle, "_solve_sector", spy)
+        ground = oracle._solve_even_ground.__wrapped__(n, lam, gamma)
+        assert calls == [(n, lam, gamma, +1)]
+        vals, vecs, _, sz = solve.__wrapped__(n, lam, gamma, +1)
+        assert (ground.energy, ground.next_level) == (vals[0], vals[1])
+        assert np.array_equal(ground.weights, np.abs(vecs[:, 0]) ** 2)
+        assert np.array_equal(ground.sz, sz)
+        # The cumulants are formed as sz_cumulants formed them from the vector.
+        weights = np.abs(vecs[:, 0]) ** 2
+        assert ground.cumulants[0] == float(np.sum(sz * weights))
 
 
 class TestLowestStates:
@@ -843,6 +945,7 @@ class TestCharacteristicFunctionPath:
         spectrum = (np.array([0.0, 1.0]), vecs, states, sz)
         monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
         p = params(0.5, 0.5, n)
+        _read_even_ground_from(monkeypatch, spectrum, p)
         steps = 8
         a = self._outcome(lambda: loop_states(p, "ground", steps))
         b = self._outcome(lambda: discrete_loop_phase(p, "ground", steps))

@@ -399,6 +399,13 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="non-finite gap"):
             fit_exponent(table, 1.0, (1e-3, 1.0))
 
+    def test_constant_gap_rejected(self):
+        # ss_tot = 0 read as r_squared 1.0, a perfect fit of a gap that never closes.
+        g = np.linspace(0.5, 0.95, 10)
+        table = np.column_stack([g, np.full_like(g, 0.5)])
+        with pytest.raises(ValueError, match="gap is constant"):
+            fit_exponent(table, 1.0, (1e-3, 1.0))
+
     def test_too_few_points_rejected(self):
         table = np.column_stack([[0.9, 0.95], [0.1, 0.05]])
         with pytest.raises(ValueError):
