@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .errors import XYBerryError
 from .lattice import LatticeParams, effective_xy, mott_regime_check
-from .model import DEFAULT_CRITICAL_TOL, XYParams, _require_count, classify_criticality
-from .observables import _ground_state_rows, phase_magnetization_identity
-from .oracle import check_sites, discrete_loop_phase, ed_ground_energy, magnetization_ed
+from .model import DEFAULT_CRITICAL_TOL, _require_count, classify_criticality
+from .observables import _ground_state_rows, _identity_terms
+from .oracle import _even_ground_rows, check_sites
 from .phases import (
     circular_distance,
     phase_surface,
@@ -54,7 +54,7 @@ __all__ = [
 
 # Verification thresholds: discrete-vs-closed-form loop phase, energy and
 # magnetization against the dense oracle.  The identity row is a ratio to a
-# derived bound (see ``phase_magnetization_identity``), so it passes below 1.
+# derived bound (see ``observables.phase_magnetization_identity``), so it passes below 1.
 VERIFY_PHASE_TOL = 1e-3
 VERIFY_ENERGY_TOL = 1e-8
 VERIFY_MAGNETIZATION_TOL = 1e-8
@@ -396,23 +396,25 @@ def _verify_points(points, n_sites, steps) -> dict:
     """verify's (discrepancy, point) pairs per row, over every N of ``n_sites`` in
     turn and the ``points`` in order.
 
-    The closed forms of all the points at one N come from one
-    ``_ground_state_rows`` pass; the oracle is read per point.  The points
-    come from ``draw_noncritical_points``, so none is near criticality.
+    At one N, the closed forms of all the points come from one
+    ``_ground_state_rows`` pass, and the oracle's readings from one
+    ``oracle._even_ground_rows`` pass.  The points come from
+    ``draw_noncritical_points``, so none is near criticality.
     """
     lams, gammas = np.array(points).T
     found = {key: [] for key in VERIFY_THRESHOLDS}
     for n in n_sites:
         closed_forms = zip(*(row.tolist() for row in _ground_state_rows(lams, gammas, n)))
-        for (lam, gamma), (phase, energy, closed_magnetization) in zip(points, closed_forms):
-            xp = XYParams(lam=lam, gamma=gamma, n_sites=n)
-            discrete = discrete_loop_phase(xp, "ground", steps).wrapped
-            magnetization = magnetization_ed(xp)
-            predicted, bound = phase_magnetization_identity(xp, steps, magnetization)
+        oracle_rows = zip(*(row.tolist() for row in _even_ground_rows(lams, gammas, n, steps)))
+        for (lam, gamma), (phase, energy, closed_magnetization), read in zip(
+            points, closed_forms, oracle_rows
+        ):
+            discrete, ed_energy, magnetization, k3, k5 = read
+            predicted, bound = _identity_terms(n, steps, magnetization, k3, k5)
             at = {"lambda": lam, "gamma": gamma, "n": n}
             for key, value in {
                 "phase": circular_distance(discrete, phase),
-                "energy": abs(energy - ed_ground_energy(xp)),
+                "energy": abs(energy - ed_energy),
                 "magnetization": abs(closed_magnetization - magnetization),
                 "identity": circular_distance(discrete, predicted) / bound,
             }.items():

@@ -6,7 +6,8 @@ phase = lam_T * <O>.  For the XY chain the rotation generator is the total
 z magnetization, which turns the ground-state phase into an order-parameter
 readout: phi_g = pi * (N + M_z) / 2.  ``phase_magnetization_identity``
 predicts the oracle's discrete loop phase from M_z, so the identity is checked
-on the oracle; ``cli._verify_points`` computes ``verify``'s ``identity`` row from it.
+on the oracle; ``cli._verify_points`` computes ``verify``'s ``identity`` row
+from the same terms (``_identity_terms``), fed by the oracle's pass over rows.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def phase_magnetization_identity(
     """
     steps = _require_count("steps", steps, 8)
     _, _, k3, _, k5 = sz_cumulants(params)
-    predicted = math.pi * (params.n_sites + magnetization) / 2 - math.pi**3 * k3 / (48 * steps**2)
+    return _identity_terms(params.n_sites, steps, magnetization, k3, k5)
+
+
+def _identity_terms(n_sites: int, steps: int, magnetization, k3, k5) -> tuple:
+    """(predicted, bound) of ``phase_magnetization_identity`` from kappa_1 =
+    ``magnetization``, kappa_3 = ``k3`` and kappa_5 = ``k5``."""
+    predicted = math.pi * (n_sites + magnetization) / 2 - math.pi**3 * k3 / (48 * steps**2)
     bound = 2 * math.pi**5 * abs(k5) / (3840 * steps**4) + 1e-13 * steps
     return predicted, bound

@@ -47,15 +47,19 @@ Six structural facts are exploited throughout:
   states, never on the fermion momentum grid of the closed forms.
 * The even sector's ground state and the level above it sit, at all but a
   few points, in the k = 0 block: the paired-mode vacuum and its lowest
-  pair excitation (k0, -k0) carry no momentum.  So the energy, the magnetization, the S^z cumulants
-  and the ground loop phase read ONE memoized even-ground reader
-  (``_even_ground``), which solves the k = 0 block alone and shows that
-  every other block's levels lie above that block's second level: by the
-  Cholesky certificate, or by a solve for a block of 1 or 2 rows, too
-  small for the certificate's proof.  The two lowest levels are then bit-identical to the
-  sector's, and since S^z is constant on an orbit the ground state's S^z
-  distribution takes one weight |c_r|^2 per orbit, with no expansion to
-  parity-block coordinates.  Where a block fails its check, the reader
+  pair excitation (k0, -k0) carry no momentum.  So the energy, the
+  magnetization, the S^z cumulants and the ground loop phase of a point
+  come from ONE solve-and-certify step (``_k0_ground``), which solves the
+  k = 0 block alone and shows that every other block's levels lie above
+  that block's second level: by the Cholesky certificate, by the entry of
+  a block of 1 row, or by a solve for a block of 2 rows, too small for the
+  certificate's proof.  The two lowest levels are then bit-identical to
+  the sector's, and since S^z is constant on an orbit the ground state's
+  S^z distribution takes one weight |c_r|^2 per orbit, with no expansion
+  to parity-block coordinates.  The per-point readers share one memoized
+  reading of that step (``_even_ground``); ``verify`` reads all its draws
+  at one N in one pass (``_even_ground_rows``), which reduces the stacked
+  weights once per cumulant.  Where a block fails its check, the point
   takes the sector's solve.  That solve also serves ``loop_states``, the
   odd sector and a ground level degenerate within DEGENERACY_TOL.
 * So the overlap product has a closed form.  Over the m = steps segments
@@ -139,8 +143,9 @@ _SMALL_BLOCK_ROWS = 16
 
 # Entries in each of the two memoized solves.  ``_even_ground`` keeps a
 # point's two lowest even levels and its ground state's S^z weights, about
-# 1 KB at N = 10; a verify point reads it four times (loop phase, energy,
-# magnetization, S^z cumulants).  ``_sector_spectrum`` keeps a parity
+# 1 KB at N = 10, for the per-point readers (loop phase, energy,
+# magnetization, S^z cumulants); ``verify``'s pass over rows does not
+# keep its readings.  ``_sector_spectrum`` keeps a parity
 # block's LOOP_LEVELS expanded vectors, about 50 KB each at N = 10, for
 # ``loop_states``, the odd sector and the reader's fallback.
 SPECTRUM_CACHE_SIZE = 32
@@ -548,13 +553,22 @@ class _EvenGround:
     @functools.cached_property
     def cumulants(self) -> tuple:
         """(kappa_1, ..., kappa_5) of S^z, formed once per reading (see ``sz_cumulants``)."""
-        # add.reduce is the reduction np.sum calls, without its Python wrapper.
-        mean = float(np.add.reduce(self.sz * self.weights))
-        deviation = self.sz - mean
-        mu2, mu3, mu4, mu5 = (
-            float(np.add.reduce(self.weights * deviation**k)) for k in range(2, 6)
-        )
-        return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
+        return tuple(map(float, _cumulant_rows(self.weights, self.sz)))
+
+
+def _cumulant_rows(weights: np.ndarray, sz: np.ndarray) -> tuple:
+    """(kappa_1, ..., kappa_5) of S^z for each row of the |psi|^2 ``weights``.
+
+    ``weights`` holds one distribution per row on the basis states of S^z
+    ``sz``, along its last axis; a 1-d array is one row.  Each moment is one
+    reduction along that axis, and a row's cumulants are bit-identical to
+    those of the row alone.
+    """
+    # add.reduce is the reduction np.sum calls, without its Python wrapper.
+    mean = np.add.reduce(sz * weights, axis=-1)
+    deviation = sz - mean[..., None]
+    mu2, mu3, mu4, mu5 = (np.add.reduce(weights * deviation**k, axis=-1) for k in range(2, 6))
+    return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
 
 
 def _even_ground(n_sites: int, lam: float, gamma: float) -> _EvenGround:
@@ -568,43 +582,101 @@ def _even_ground(n_sites: int, lam: float, gamma: float) -> _EvenGround:
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _solve_even_ground(n_sites, lam, gamma) -> _EvenGround:
-    """Read the even ground state from the k = 0 block, or from the sector's solve.
-
-    The k = 0 block is solved by the call ``_solve_sector`` makes on it.  If
-    every other block holds no level at or below that block's second level
-    (``_levels_above``), the sector's two lowest levels are the block's two
-    lowest, bit for bit, and so is its ground vector; otherwise the sector
-    is solved whole.
-    """
-    layout = _translation_layout(n_sites, +1)
-    zero, *others = layout.blocks
-    h = _block_hamiltonian(zero, lam, gamma)
-    vals, vecs = _lowest_eigh(h, min(LOOP_LEVELS, zero.reps.size))
-    sz = zero.sz
-    if not _levels_above(others, lam, gamma, float(vals[1]), _norm_bound(n_sites, lam, gamma)):
+    """Read the even ground state from the k = 0 block (``_k0_ground``), or
+    from the sector's solve where that block's reading is not certified."""
+    read = _k0_ground(n_sites, lam, gamma)
+    if read is None:
         vals, vecs, _, sz = _solve_sector(n_sites, lam, gamma, +1)
+    else:
+        (vals, vecs), sz = read, _translation_layout(n_sites, +1).blocks[0].sz
     weights = np.abs(vecs[:, 0]) ** 2
     weights.setflags(write=False)
     return _EvenGround(float(vals[0]), float(vals[1]), weights, sz)
+
+
+def _k0_ground(n_sites: int, lam: float, gamma: float):
+    """The k = 0 block's lowest (levels, vectors), or None if they may not be the sector's.
+
+    The block is solved by the call ``_solve_sector`` makes on it.  If every
+    other block holds no level at or below the block's second level
+    (``_levels_above``), the sector's two lowest levels are the block's two
+    lowest, bit for bit, and so is its ground vector; otherwise this returns
+    None.
+    """
+    zero, *others = _translation_layout(n_sites, +1).blocks
+    h = _block_hamiltonian(zero, lam, gamma)
+    vals, vecs = _lowest_eigh(h, min(LOOP_LEVELS, zero.reps.size))
+    if _levels_above(others, lam, gamma, float(vals[1]), _norm_bound(n_sites, lam, gamma)):
+        return vals, vecs
+    return None
 
 
 def _levels_above(blocks, lam: float, gamma: float, tau: float, scale: float) -> bool:
     """True only if every level ``eigh`` computes for ``blocks`` lies above ``tau``.
 
     Each block is tested by the Cholesky certificate of
-    ``_holds_no_level_below``, whose proof needs at least 3 rows; a block of
-    1 or 2 rows is solved instead.  So at N >= 6 no block but k = 0 is
-    solved.  ``scale`` bounds the norm of every block.
+    ``_holds_no_level_below``, whose proof needs at least 3 rows.  A block
+    of 1 row is its own level: for order 1, ?syevr and ?heevr return the
+    real part of the entry.  A block of 2 rows is solved.  So at N >= 6 no
+    block but k = 0 is solved.  ``scale`` bounds the norm of every block.
     """
     for block in blocks:
         h = _block_hamiltonian(block, lam, gamma)
         if block.reps.size >= 3:
             above = _holds_no_level_below(h, tau, scale)
+        elif block.reps.size == 1:
+            above = h[0, 0].real > tau
         else:
             above = eigh(h)[0][0] > tau
         if not above:
             return False
     return True
+
+
+def _even_ground_rows(lam, gamma, n_sites: int, steps: int):
+    """(phi_g wrapped, E_0, kappa_1, kappa_3, kappa_5) of the even ground state at
+    each point of the 1-d arrays ``lam`` and ``gamma``, from the oracle.
+
+    The oracle's counterpart of ``observables._ground_state_rows``.  Each
+    value equals, bit for bit, ``discrete_loop_phase(p, "ground", steps).
+    wrapped``, ``ed_ground_energy(p)`` and ``sz_cumulants(p)``'s kappa_1,
+    kappa_3 and kappa_5 at that point.  Each point takes its own
+    ``_k0_ground`` step; the certified ground states' |psi|^2 weights are
+    stacked, so each cumulant is one reduction over all of them, and
+    exp(i delta S^z / 2) is formed once.  A point whose certificate fails,
+    or whose ground level is degenerate within DEGENERACY_TOL, is read by
+    those per-point readers.  The site cap is checked before any solve, and
+    DiscretizationError is raised at the first point, in order, where the
+    per-point readers raise it.  Nothing is memoized.
+    """
+    check_sites(n_sites)
+    _require_count("steps", steps, 8)
+    sz = _translation_layout(n_sites, +1).blocks[0].sz
+    points = list(zip(lam.tolist(), gamma.tolist()))
+    reads = [_k0_ground(n_sites, *point) for point in points]
+    rows = {}  # point index -> its row of the stack
+    for i, read in enumerate(reads):
+        if read is not None and read[0][1] - read[0][0] >= DEGENERACY_TOL:
+            rows[i] = len(rows)
+    vectors = np.empty((len(rows), sz.size))
+    for i, row in rows.items():
+        vectors[row] = reads[i][1][:, 0]
+    weights = np.abs(vectors) ** 2
+    kappa = _cumulant_rows(weights, sz)
+    kick = _step_kick(sz, steps)
+    out = np.empty((5, len(points)))
+    for i, (read, point) in enumerate(zip(reads, points)):
+        if i in rows:
+            row = rows[i]
+            chi = _step_overlap(weights[row], kick, steps)
+            out[:, i] = (_loop_angle(chi, steps, n_sites, False), read[0][0],
+                         kappa[0][row], kappa[2][row], kappa[4][row])
+        else:
+            p = XYParams(lam=point[0], gamma=point[1], n_sites=n_sites)
+            phase = discrete_loop_phase(p, "ground", steps).wrapped
+            _, _, k3, _, k5 = sz_cumulants(p)
+            out[:, i] = (phase, ed_ground_energy(p), magnetization_ed(p), k3, k5)
+    return tuple(out)
 
 
 def ed_ground_energy(params: XYParams) -> float:
@@ -691,21 +763,35 @@ def _loop_parity(level, steps) -> int:
     return +1 if level == "ground" else -1
 
 
-def _step_overlap(weights: np.ndarray, sz: np.ndarray, steps: int) -> complex:
+def _step_kick(sz: np.ndarray, steps: int) -> np.ndarray:
+    """U(delta) = exp(i delta S^z / 2), delta = pi / ``steps``, on basis states of S^z ``sz``."""
+    delta = math.pi / steps
+    return np.exp(0.5j * delta * sz)
+
+
+def _step_overlap(weights: np.ndarray, kick: np.ndarray, steps: int) -> complex:
     """chi = <psi(0)|U(delta)|psi(0)>, delta = pi / ``steps``, from the |psi|^2
-    ``weights`` on basis states of S^z ``sz``.
+    ``weights`` and ``kick`` = ``_step_kick`` on the same basis states.
 
     Raises DiscretizationError when consecutive loop states overlap by
     |chi| < 0.5.
     """
-    delta = math.pi / steps
-    chi = complex(np.dot(weights, np.exp(0.5j * delta * sz)))
+    chi = complex(np.dot(weights, kick))
     if abs(chi) < 0.5:
         raise DiscretizationError(
             f"overlap {abs(chi):.3e} below 0.5 between consecutive loop states "
-            f"(step {delta:.6f}); refine the loop grid"
+            f"(step {math.pi / steps:.6f}); refine the loop grid"
         )
     return chi
+
+
+def _loop_angle(chi: complex, steps: int, n_sites: int, excited: bool) -> float:
+    """The loop phase m arg chi - pi N / 2 (+ pi if ``excited``), wrapped to (-pi, pi].
+
+    The closing constant is the sign (-1)^(N/2 + excited): N is even.
+    """
+    flips = (n_sites // 2 + excited) % 2
+    return wrap_angle(steps * cmath.phase(chi) + math.pi * flips)
 
 
 def _loop_start(params, level, steps) -> _LoopStart:
@@ -725,7 +811,7 @@ def _loop_start(params, level, steps) -> _LoopStart:
 
     chi = None
     if np.count_nonzero(cluster) == 1:
-        chi = _step_overlap(np.abs(vecs[:, 0]) ** 2, sz, steps)
+        chi = _step_overlap(np.abs(vecs[:, 0]) ** 2, _step_kick(sz, steps), steps)
     return _LoopStart(vals, vecs, sz, cluster, gap, chi)
 
 
@@ -770,8 +856,7 @@ def loop_states(params: XYParams, level: str, steps: int) -> LoopTrace:
             stacklevel=2,
         )
         basis = vecs[:, cluster]
-        step = np.exp(0.5j * offsets[1] * sz)  # U(delta)
-        kick = basis.conj().T @ (step.conj()[:, None] * basis)
+        kick = basis.conj().T @ (_step_kick(sz, m).conj()[:, None] * basis)
         coeffs = np.zeros((m, basis.shape[1]), dtype=complex)
         coeffs[0, 0] = 1.0
         for j in range(1, m):
@@ -814,16 +899,15 @@ def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult
     if _loop_parity(level, steps) == +1:
         ground = _even_ground(params.n_sites, params.lam, params.gamma)
         degenerate = ground.splitting < DEGENERACY_TOL
-        chi = None if degenerate else _step_overlap(ground.weights, ground.sz, steps)
+        chi = None if degenerate else _step_overlap(
+            ground.weights, _step_kick(ground.sz, steps), steps
+        )
     else:
         chi = _loop_start(params, level, steps).chi
     if chi is None:
         trace = loop_states(params, level, steps)
         return PhaseResult.from_value(pancharatnam_phase(trace.vectors))
-    # The closing constant is the sign (-1)^(N/2 + odd): N is even.
-    flips = (params.n_sites // 2 + (level == "excited")) % 2
-    angle = steps * cmath.phase(chi) + math.pi * flips
-    return PhaseResult.from_value(wrap_angle(angle))
+    return PhaseResult.from_value(_loop_angle(chi, steps, params.n_sites, level == "excited"))
 
 
 def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> PhaseResult:

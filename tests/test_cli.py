@@ -12,7 +12,6 @@ import pytest
 
 from xyberry import (
     CriticalPointError,
-    PhaseResult,
     XYParams,
     circular_distance,
     classify_criticality,
@@ -949,6 +948,19 @@ class TestLatticeMapCommand:
             assert captured.out == ""
 
 
+def _change_oracle_row(monkeypatch, index, change):
+    """Make verify's oracle pass read ``change(row)`` for its row ``index``:
+    0 the loop phase, 1 the energy, 2 the magnetization, 3 kappa_3, 4 kappa_5."""
+    rows = cli._even_ground_rows
+
+    def changed(*args):
+        read = list(rows(*args))
+        read[index] = change(read[index])
+        return tuple(read)
+
+    monkeypatch.setattr(cli, "_even_ground_rows", changed)
+
+
 class TestVerifyCommand:
     def test_small_verify_passes_and_is_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "v1.json"
@@ -981,7 +993,7 @@ class TestVerifyCommand:
     def test_cap_is_checked_before_the_first_point(self, n, monkeypatch, capsys):
         monkeypatch.delenv("XYBERRY_MAX_N", raising=False)
         calls = []
-        monkeypatch.setattr(cli, "discrete_loop_phase", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "_even_ground_rows", lambda *args: calls.append(args))
         assert main(["verify", "--n", n, "--draws", "1", "--steps", "8"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1000,7 +1012,7 @@ class TestVerifyCommand:
         assert set(payload["per_n"]) == {"12"}
 
     def test_nan_discrepancy_fails_the_run(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "magnetization_ed", lambda params: math.nan)
+        _change_oracle_row(monkeypatch, 2, lambda row: np.full_like(row, math.nan))
         assert main(["verify", "--n", "4", "--steps", "100", "--draws", "2"]) == 1
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
@@ -1032,8 +1044,7 @@ class TestVerifyCommand:
             assert [at["lambda"], at["gamma"]] in payload["points"]
 
     def test_location_reported_above_the_rounding_floor(self, monkeypatch, capsys):
-        ed_energy = cli.ed_ground_energy
-        monkeypatch.setattr(cli, "ed_ground_energy", lambda xp: ed_energy(xp) + 1e-10)
+        _change_oracle_row(monkeypatch, 1, lambda row: row + 1e-10)
         assert main(["verify", "--n", "4", "--steps", "100", "--draws", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         at = payload["max_discrepancy_at"]["energy"]
@@ -1043,13 +1054,7 @@ class TestVerifyCommand:
     def test_identity_row_catches_what_the_phase_row_cannot(self, monkeypatch, capsys):
         # A 1e-9 rad error in the oracle loop phase passes the closed-form
         # phase row (tolerance 1e-3) but not the derived kappa_3 bound.
-        loop_phase = cli.discrete_loop_phase
-
-        def shifted(*args, **kwargs):
-            r = loop_phase(*args, **kwargs)
-            return PhaseResult.from_value(r.value + 1e-9)
-
-        monkeypatch.setattr(cli, "discrete_loop_phase", shifted)
+        _change_oracle_row(monkeypatch, 0, lambda row: row + 1e-9)
         assert main(["verify", "--n", "4,6", "--steps", "2000", "--draws", "3"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_discrepancy"]["phase"] < cli.VERIFY_PHASE_TOL
@@ -1093,7 +1098,7 @@ class TestVerifyCommand:
             return phase, np.full_like(energy, 1e-9), magnetization
 
         monkeypatch.setattr(cli, "_ground_state_rows", energies_at_1e_9)
-        monkeypatch.setattr(cli, "ed_ground_energy", lambda xp: 0.0)
+        _change_oracle_row(monkeypatch, 1, np.zeros_like)
         assert main(["verify", "--n", "4,6", "--steps", "100", "--draws", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["per_n"]["4"]["energy"] == payload["per_n"]["6"]["energy"] == 1e-9

@@ -25,7 +25,7 @@ from xyberry import (
     spin_half_phase,
     wrap_angle,
 )
-from xyberry import oracle
+from xyberry import cli, oracle
 from xyberry.cli import (
     VERIFY_ENERGY_TOL,
     VERIFY_MAGNETIZATION_TOL,
@@ -37,6 +37,7 @@ from xyberry.oracle import (
     total_sz_diagonal,
 )
 
+import verify_reference
 from oracle_reference import solve_every_block, translation_layout_dense
 
 
@@ -262,7 +263,15 @@ class TestSectorSpectrum:
             hits[0] + 1, hits[1] + 1, hits[2] + 2
         ]
         monkeypatch.setenv("XYBERRY_MAX_N", "4")
-        for read in (ed_ground_energy, magnetization_ed, oracle.sz_cumulants):
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve before the site cap")
+
+        def verify_pass(p):
+            return oracle._even_ground_rows(np.array([p.lam]), np.array([p.gamma]), p.n_sites, 16)
+
+        monkeypatch.setattr(oracle, "eigh", no_solve)
+        for read in (ed_ground_energy, magnetization_ed, oracle.sz_cumulants, verify_pass):
             with pytest.raises(ResourceLimitError):
                 read(p)
         for level in ("ground", "excited"):
@@ -594,6 +603,25 @@ class TestBlockSkipping:
         assert oracle._potrf(h.dtype)(h + 5.0 * np.eye(24), lower=True)[1] == 0
         assert not oracle._holds_no_level_below(h, -5.0, 10.0)
 
+    def test_one_row_block_is_its_own_level(self):
+        # _levels_above reads a block of 1 row from its entry: for order 1,
+        # ?syevr and ?heevr return the real part of A(1,1).
+        rng = np.random.default_rng(33)
+        blocks = [block for n in (4, 6, 8, 10) for parity in (+1, -1)
+                  for block in oracle._translation_layout(n, parity).blocks
+                  if block.reps.size == 1]
+        assert blocks  # the even k = pi/2 block at N = 4
+        for lam, gamma in draw_noncritical_points(rng, 400):
+            for block in blocks:
+                h = oracle._block_hamiltonian(block, lam, gamma)
+                assert eigh(h)[0][0] == h[0, 0].real, (lam, gamma)
+        for dtype in (float, complex):
+            for exponent in range(-300, 301, 20):
+                h = np.array([[rng.normal() * 10.0**exponent]], dtype=dtype)
+                if dtype is complex:
+                    h += 1j * rng.normal()  # ?heevr reads the real part alone
+                assert eigh(h)[0][0] == h[0, 0].real, (dtype, exponent)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_field_still_raises(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -656,7 +684,8 @@ class TestEvenGroundReader:
         monkeypatch.setattr(oracle, "eigh", counting)
         monkeypatch.setattr(oracle, "_solve_sector", no_sector_solve)
         zero = oracle._translation_layout(n, +1).blocks[0]
-        for lam, gamma in draw_noncritical_points(np.random.default_rng(2610 + n), 4):
+        points = draw_noncritical_points(np.random.default_rng(2610 + n), 4)
+        for lam, gamma in points:
             p = params(lam, gamma, n)
             dims.clear()
             ed_ground_energy(p)
@@ -664,6 +693,49 @@ class TestEvenGroundReader:
             oracle.sz_cumulants(p)
             discrete_loop_phase(p, "ground", 2000)
             assert dims == [zero.reps.size], (lam, gamma)
+        # The whole verify pass at one N, oracle and closed forms, solves
+        # each point's k = 0 block once and nothing else.
+        dims.clear()
+        cli._verify_points(points, [n], 2000)
+        assert dims == [zero.reps.size] * len(points)
+
+    def test_verify_pass_matches_the_per_point_reference(self):
+        # The fallback points, whose k = 0 reading is not certified at N = 8
+        # and 10 respectively, sit among seeded draws; their rows must land
+        # in their own slots.
+        draws = draw_noncritical_points(np.random.default_rng(2620), 6)
+        fallback = [(lam, gamma) for _, lam, gamma in _FALLBACK_POINTS]
+        points = draws[:2] + fallback[:1] + draws[2:5] + fallback[1:] + draws[5:]
+        for n, lam, gamma in _FALLBACK_POINTS:
+            assert oracle._k0_ground(n, lam, gamma) is None
+        for steps in (8, 2000):
+            got = cli._verify_points(points, [8, 10], steps)
+            assert got == verify_reference.verify_points(points, [8, 10], steps), steps
+
+    @pytest.mark.parametrize("floor", [0.9, 0.95])
+    def test_discretization_error_at_the_same_point(self, floor, monkeypatch):
+        # No draw at N <= 10 overlaps by less than 0.5 at 8 steps (the least
+        # |chi| is about 0.78), so a stricter floor stands in for a coarser
+        # loop; both sides must raise the per-point reader's error first.
+        # The first point to fail is the second fallback point at 0.9 and
+        # the second draw at 0.95.
+        overlap = oracle._step_overlap
+
+        def stricter(weights, kick, steps):
+            chi = overlap(weights, kick, steps)
+            if abs(chi) < floor:
+                raise DiscretizationError(f"overlap {abs(chi)!r} below {floor}")
+            return chi
+
+        monkeypatch.setattr(oracle, "_step_overlap", stricter)
+        draws = draw_noncritical_points(np.random.default_rng(2621), 8)
+        points = draws[:3] + [(lam, gamma) for _, lam, gamma in _FALLBACK_POINTS] + draws[3:]
+        errors = []
+        for verify in (cli._verify_points, verify_reference.verify_points):
+            with pytest.raises(DiscretizationError) as raised:
+                verify(points, [8, 10], 8)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("n, lam, gamma", _FALLBACK_POINTS)
     def test_fallback_equals_the_sector_solve(self, n, lam, gamma, monkeypatch):

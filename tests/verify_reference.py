@@ -1,10 +1,13 @@
 """The per-point reference for ``verify``, which only tests read.
 
-``cli._verify_points`` classifies the draws once and takes the closed forms
-of all of them at one N from one array pass (``observables._ground_state_rows``).
-``verify_points`` is the loop it replaced: every point reads ``ground_phase``,
-``ground_energy`` and ``magnetization_analytic`` on its own.  Both must give
-the same pairs, so ``verify`` writes the same summary, byte for byte.
+At one N, ``cli._verify_points`` takes the closed forms of all the draws from
+one array pass (``observables._ground_state_rows``) and the oracle's readings
+of all of them from one pass (``oracle._even_ground_rows``).  ``verify_points``
+is the loop both passes replaced: every point reads ``ground_phase``,
+``ground_energy`` and ``magnetization_analytic``, and the oracle's
+``discrete_loop_phase``, ``magnetization_ed``, ``ed_ground_energy`` and,
+through ``phase_magnetization_identity``, ``sz_cumulants``, on its own.  Both
+must give the same pairs, so ``verify`` writes the same summary, byte for byte.
 """
 
 from xyberry.cli import VERIFY_THRESHOLDS
