@@ -31,37 +31,31 @@ Six structural facts are exploited throughout:
   about 1/N of its 2^(N-1) states.  H(0) is real and T a real
   permutation, so H(-k) = conj H(k): only m = 0 .. N/2 are solved, k = 0
   and pi as real blocks, and each level of a complex block stands for a
-  +-k pair whose -k vector is the conjugate.  The lowest LOOP_LEVELS
-  levels are expanded back to parity-block coordinates, so the vectors are
-  complex.  The orbits and each block's sparsity pattern are built once
-  per (N, parity) and cached; a point only scales three coefficient
-  arrays by (lam, gamma, 1) and solves the N/2 + 1 small blocks in m
-  order.  Once LOOP_LEVELS levels are known, a block of more than 16 rows
-  is first tested by a Cholesky factorization of H_k - (tau + delta) I,
-  tau the LOOP_LEVELS-th lowest level so far: by Sylvester's law of
-  inertia it succeeds only if every level of H_k lies above tau + delta,
-  and then the block holds none of the lowest levels and is not solved
-  (about half the blocks at N = 10).  The margin delta covers rounding in
-  the factorization and in the eigensolve, so the levels kept and their
-  bits are those of solving every block.  Everything here works on spin
-  states, never on the fermion momentum grid of the closed forms.
-* The even sector's ground state and the level above it sit, at all but a
-  few points, in the k = 0 block: the paired-mode vacuum and its lowest
-  pair excitation (k0, -k0) carry no momentum.  So the energy, the
-  magnetization, the S^z cumulants and the ground loop phase of a point
-  come from ONE solve-and-certify step (``_k0_ground``), which solves the
-  k = 0 block alone and shows that every other block's levels lie above
-  that block's second level: by the Cholesky certificate, by the entry of
-  a block of 1 row, or by a solve for a block of 2 rows, too small for the
-  certificate's proof.  The two lowest levels are then bit-identical to
-  the sector's, and since S^z is constant on an orbit the ground state's
-  S^z distribution takes one weight |c_r|^2 per orbit, with no expansion
-  to parity-block coordinates.  The per-point readers share one memoized
-  reading of that step (``_even_ground``); ``verify`` reads all its draws
-  at one N in one pass (``_even_ground_rows``), which reduces the stacked
-  weights once per cumulant.  Where a block fails its check, the point
-  takes the sector's solve.  That solve also serves ``loop_states``, the
-  odd sector and a ground level degenerate within DEGENERACY_TOL.
+  +-k pair whose -k vector is the conjugate.  The orbits and each block's
+  sparsity pattern are built once per (N, parity) and cached; a point only
+  scales three coefficient arrays by (lam, gamma, 1).  One loop
+  (``_sector_levels``) solves the blocks in m order and keeps the lowest
+  ``keep`` levels.  Once that many are known, a block of 3 rows or more is
+  first tested by a Cholesky factorization of H_k - (tau + delta) I, tau
+  the keep-th lowest level so far: by Sylvester's law of inertia it
+  succeeds only if every level of H_k lies above tau + delta, and then the
+  block is not solved.  The margin delta covers rounding in the
+  factorization and in the eigensolve, so the levels kept and their bits
+  are those of solving every block.  Everything here works on spin states,
+  never on the fermion momentum grid of the closed forms.
+* The loop serves every reading.  ``loop_states`` keeps LOOP_LEVELS levels,
+  expanded to complex parity-block vectors.  Every other reading keeps two:
+  the energy, magnetization and S^z cumulants of the even ground state and
+  the non-degenerate loop phase of either sector come from one memoized
+  reading per point and parity (``_lowest_level``).  The even ground state
+  and the level above it sit, at all but a few points such as lam = 0, in
+  the k = 0 block (the paired-mode vacuum and its lowest pair excitation
+  carry no momentum), so from N = 6 on that reading solves one block.
+  Since S^z is constant on an orbit, the lower level's S^z distribution
+  takes one weight |c_r|^2 per orbit, with no expansion to parity-block
+  coordinates.  ``verify`` reads all its draws at one N in one pass
+  (``_even_ground_rows``), which reduces their stacked weights once per
+  cumulant.
 * So the overlap product has a closed form.  Over the m = steps segments
   of the one circuit phi: 0 -> pi every overlap but the closing one is the
   characteristic function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at
@@ -78,7 +72,7 @@ LAPACK driver scipy.linalg.eigh picks by default (?syevr for real blocks,
 ?heevr for complex ones) with the same arguments, so its eigenpairs are
 bit-identical to scipy's, and it keeps the driver's workspace sizes per
 (dtype, dim) instead of querying them on every call.  The blocks are small
-(dim 1-8 at N = 6), and on them scipy's per-call work costs more than
+(dim 4-8 at N = 6), and on them scipy's per-call work costs more than
 LAPACK itself.
 
 Dense matrices are capped at N = 10 sites by default; the environment
@@ -87,12 +81,14 @@ variable XYBERRY_MAX_N overrides the cap.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -136,18 +132,15 @@ DEGENERACY_TOL = 1e-8
 # degenerate cluster and the nearest level above it.
 LOOP_LEVELS = 6
 
-# Blocks of at most this many rows are solved whole (see ``_lowest_eigh``),
-# and ``_solve_sector`` never tests them by the Cholesky certificate of
-# ``_holds_no_level_below``.
+# Blocks of at most this many rows are solved whole (see ``_lowest_eigh``).
 _SMALL_BLOCK_ROWS = 16
 
-# Entries in each of the two memoized solves.  ``_even_ground`` keeps a
-# point's two lowest even levels and its ground state's S^z weights, about
-# 1 KB at N = 10, for the per-point readers (loop phase, energy,
-# magnetization, S^z cumulants); ``verify``'s pass over rows does not
-# keep its readings.  ``_sector_spectrum`` keeps a parity
-# block's LOOP_LEVELS expanded vectors, about 50 KB each at N = 10, for
-# ``loop_states``, the odd sector and the reader's fallback.
+# Entries in each of the two memoized solves.  ``_lowest_level`` keeps a
+# parity block's two lowest levels and the lower one's S^z weights, about
+# 1 KB at N = 10, for the energy, magnetization, S^z cumulants and
+# non-degenerate loop phases; ``verify``'s pass does not keep its readings.
+# ``_sector_spectrum`` keeps a parity block's LOOP_LEVELS expanded vectors,
+# about 50 KB each at N = 10, for ``loop_states``.
 SPECTRUM_CACHE_SIZE = 32
 
 
@@ -209,22 +202,27 @@ def eigh(a, subset_by_index=None):
 def _lowest_eigh(mat: np.ndarray, count: int):
     """Lowest ``count`` eigenpairs, ascending, from ``eigh``'s ?syevr/?heevr call.
 
-    The pairs are bit-identical to scipy.linalg.eigh's.  The subset driver
-    occasionally reports an internal error on small matrices with tightly
-    clustered eigenvalues; fall back to the full decomposition in that
-    case.  It is used outright for half the levels or more, and on blocks
-    of at most ``_SMALL_BLOCK_ROWS`` = 16 rows, which the Cholesky
-    certificate of ``_solve_sector`` skips too.  There the subset saves at
-    most about 30 us per block, and moving the threshold would change the
+    The pairs are bit-identical to scipy.linalg.eigh's.  A matrix of 1 row
+    is its own pair, read without LAPACK: for order 1, ?syevr and ?heevr
+    return the real part of the entry and the unit vector.  The subset
+    driver occasionally reports an internal error on small matrices with
+    tightly clustered eigenvalues; fall back to the full decomposition in
+    that case.  It is used outright for half the levels or more, and on
+    matrices of at most ``_SMALL_BLOCK_ROWS`` = 16 rows, where the subset
+    saves at most about 30 us, and moving the threshold would change the
     last bits of the levels that the artifacts are pinned to.
     """
     dim = mat.shape[0]
+    if dim == 1 and math.isfinite(abs(mat.item())):  # ``eigh`` rejects a non-finite entry
+        return mat.real[0].copy(), np.ones((1, 1), mat.dtype)
     if count < dim // 2 and dim > _SMALL_BLOCK_ROWS:
         try:
             return eigh(mat, subset_by_index=[0, count - 1])
         except LinAlgError:
             pass
     vals, vecs = eigh(mat)
+    if count >= dim:
+        return vals, vecs
     return vals[:count].copy(), vecs[:, :count].copy()  # no view pins the full set
 
 
@@ -239,11 +237,14 @@ def _potrf(dtype: np.dtype):
 def _holds_no_level_below(h: np.ndarray, tau: float, scale: float) -> bool:
     """True only if every level ``eigh`` computes for ``h`` lies above ``tau``.
 
-    ``h`` is a finite real symmetric or complex Hermitian matrix of order n
-    with ||h||_2 <= ``scale``.  The test is a Cholesky factorization
-    (?potrf) of A = h - s I, s = fl(tau + delta), on a copy; by Sylvester's
-    law of inertia it exists only if every eigenvalue of h exceeds s.  The
-    margin is delta = 8 n^2 u (scale + |tau|), u = 2^-53, and it covers
+    ``h`` is a finite real symmetric or complex Hermitian matrix of order
+    n >= 3 with ||h||_2 <= ``scale``; a block of 1 or 2 rows is too small
+    for the proof below, and ``_sector_levels`` solves it instead (a block
+    of 1 row from its entry, see ``_lowest_eigh``).  The test is a Cholesky
+    factorization (?potrf) of A = h - s I, s = fl(tau + delta), on a copy;
+    by Sylvester's law of inertia it exists only if every eigenvalue of h
+    exceeds s.  The margin is delta = 8 n^2 u (scale + |tau|), u = 2^-53,
+    and it covers
     every rounding between that test and the levels ``eigh`` would return:
 
     * the shift: s >= tau + delta - u |tau + delta|, and subtracting s on
@@ -475,11 +476,14 @@ def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
     return _solve_sector(n_sites, lam, gamma, parity)
 
 
-def _block_hamiltonian(block: _MomentumBlock, lam: float, gamma: float) -> np.ndarray:
-    """H(0) on the momentum states of ``block``, as a dense matrix."""
+def _block_hamiltonian(block: _MomentumBlock, weights: np.ndarray) -> np.ndarray:
+    """H(0) on the momentum states of ``block``, as a dense matrix.
+
+    ``weights`` = (-lam, -gamma, -1) scales the block's three coefficient rows.
+    """
     dim = block.reps.size
     h = np.zeros((dim, dim), dtype=block.coef.dtype)
-    h.flat[block.pos] = np.array([-lam, -gamma, -1.0]) @ block.coef
+    h.flat[block.pos] = weights @ block.coef
     return h
 
 
@@ -491,53 +495,69 @@ def _norm_bound(n_sites: int, lam: float, gamma: float) -> float:
     return n_sites * (abs(lam) + abs(gamma) + 1.0)
 
 
-@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _solve_sector(n_sites, lam, gamma, parity):
+def _sector_levels(n_sites: int, lam: float, gamma: float, parity: int, keep: int) -> list:
+    """The lowest min(``keep``, dim) levels of a parity block, ascending, each as
+    (level, block, vector, conjugate).
+
+    The vector is in the momentum coordinates of ``block``, and stands for
+    its conjugate if ``conjugate`` (the -k member of a +-k pair).  The
+    blocks are solved in m order, each by the same call whatever ``keep``
+    is, so a level's bits do not depend on it.  Once ``keep`` levels are
+    known, a block of 3 rows or more is first tested by
+    ``_holds_no_level_below`` against the keep-th lowest level so far, and
+    not solved if it holds none at or below it; the levels kept and their
+    bits are then those of solving every block.
+    """
     layout = _translation_layout(n_sites, parity)
     count = min(LOOP_LEVELS, layout.states.size)
     scale = _norm_bound(n_sites, lam, gamma)
-    values, levels = [], []  # levels: (block, eigenvectors, column, conjugate)
+    weights = np.array([-lam, -gamma, -1.0])
+    kept = []  # the lowest levels so far, ascending: (level, block, vectors, column, conjugate)
     for block in layout.blocks:
         dim = block.reps.size
-        h = _block_hamiltonian(block, lam, gamma)
-        if dim > _SMALL_BLOCK_ROWS and len(levels) >= count:
-            # A block with no level at or below the count-th lowest so far
-            # (a +-k level counted twice) adds nothing to the stable argsort.
-            tau = float(np.partition(np.concatenate(values), count - 1)[count - 1])
-            if _holds_no_level_below(h, tau, scale):
-                continue
+        h = _block_hamiltonian(block, weights)
+        if dim >= 3 and len(kept) == keep and _holds_no_level_below(h, kept[-1][0], scale):
+            continue
         # H is real and T a real permutation, so H(-k) = conj H(k): each level
         # of a complex block is also a level of -k, with the conjugate
         # vector, and half the count suffices there.
-        pair = np.iscomplexobj(h)
+        pair = h.dtype.kind == "c"
         vals, vecs = _lowest_eigh(h, min(-(-count // 2) if pair else count, dim))
         for conj in (False, True) if pair else (False,):
-            values.append(vals)
-            levels.extend((block, vecs, j, conj) for j in range(vals.size))
-    values = np.concatenate(values)
-    order = np.argsort(values, kind="stable")[:count]
-    vectors = np.empty((layout.states.size, count), dtype=complex)
+            for j, level in enumerate(vals.tolist()):
+                if len(kept) == keep and level >= kept[-1][0]:
+                    break  # the block's later levels lie higher still
+                # After its ties: tied levels keep the order in which they were found.
+                bisect.insort(kept, (level, block, vecs, j, conj), key=itemgetter(0))
+                del kept[keep:]
+    return [(level, block, vecs[:, j], conj) for level, block, vecs, j, conj in kept]
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _solve_sector(n_sites, lam, gamma, parity):
+    layout = _translation_layout(n_sites, parity)
+    levels = _sector_levels(n_sites, lam, gamma, parity, LOOP_LEVELS)
+    vectors = np.empty((layout.states.size, len(levels)), dtype=complex)
     coeffs = np.zeros(layout.n_reps, dtype=complex)
-    for col, i in enumerate(order):
-        block, vecs, j, conj = levels[i]
+    for col, (_, block, vector, conj) in enumerate(levels):
         coeffs[:] = 0.0  # a representative incompatible with k expands to 0
-        coeffs[block.reps] = vecs[:, j]
+        coeffs[block.reps] = vector
         vec = coeffs[layout.state_rep] * block.expand
         vectors[:, col] = vec.conj() if conj else vec
-    spectrum = (values[order], vectors, layout.states, layout.sz)
+    spectrum = (np.array([level[0] for level in levels]), vectors, layout.states, layout.sz)
     for array in spectrum[:2]:
         array.setflags(write=False)
     return spectrum
 
 
 @dataclass(frozen=True, eq=False)
-class _EvenGround:
-    """The even sector's two lowest levels and the S^z distribution of its ground state.
+class _LowestLevel:
+    """A parity block's two lowest levels and the S^z distribution of the lower one.
 
-    ``weights`` are the ground state's |psi|^2 on basis states whose S^z is
-    ``sz``: one weight |c_r|^2 per translation orbit when the state is read
-    from the k = 0 block, one per parity-block state when it comes from the
-    whole sector's solve.  The arrays are read-only.
+    ``weights`` are its state's |psi|^2 on the basis states of S^z ``sz``,
+    one weight |c_r|^2 per translation orbit of its momentum block: S^z is
+    constant on an orbit, so the vector is never expanded to parity-block
+    coordinates.  The arrays are read-only.
     """
 
     energy: float
@@ -547,7 +567,7 @@ class _EvenGround:
 
     @property
     def splitting(self) -> float:
-        """E_1 - E_0; below DEGENERACY_TOL the ground level is degenerate."""
+        """E_1 - E_0; below DEGENERACY_TOL the lower level is degenerate."""
         return self.next_level - self.energy
 
     @functools.cached_property
@@ -571,66 +591,22 @@ def _cumulant_rows(weights: np.ndarray, sz: np.ndarray) -> tuple:
     return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
 
 
-def _even_ground(n_sites: int, lam: float, gamma: float) -> _EvenGround:
-    """The memoized even-ground reading at (N, lam, gamma).
+def _lowest_level(n_sites: int, lam: float, gamma: float, parity: int) -> _LowestLevel:
+    """The memoized lowest-level reading at (N, lam, gamma, parity).
 
     The site cap is checked before the cache lookup, so lowering it binds.
     """
     check_sites(n_sites)
-    return _solve_even_ground(n_sites, lam, gamma)
+    return _solve_lowest(n_sites, lam, gamma, parity)
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _solve_even_ground(n_sites, lam, gamma) -> _EvenGround:
-    """Read the even ground state from the k = 0 block (``_k0_ground``), or
-    from the sector's solve where that block's reading is not certified."""
-    read = _k0_ground(n_sites, lam, gamma)
-    if read is None:
-        vals, vecs, _, sz = _solve_sector(n_sites, lam, gamma, +1)
-    else:
-        (vals, vecs), sz = read, _translation_layout(n_sites, +1).blocks[0].sz
-    weights = np.abs(vecs[:, 0]) ** 2
+def _solve_lowest(n_sites, lam, gamma, parity) -> _LowestLevel:
+    """Read the two lowest levels of ``_sector_levels``, and the lower one's weights."""
+    (energy, block, vector, _), (next_level, *_) = _sector_levels(n_sites, lam, gamma, parity, 2)
+    weights = np.abs(vector) ** 2
     weights.setflags(write=False)
-    return _EvenGround(float(vals[0]), float(vals[1]), weights, sz)
-
-
-def _k0_ground(n_sites: int, lam: float, gamma: float):
-    """The k = 0 block's lowest (levels, vectors), or None if they may not be the sector's.
-
-    The block is solved by the call ``_solve_sector`` makes on it.  If every
-    other block holds no level at or below the block's second level
-    (``_levels_above``), the sector's two lowest levels are the block's two
-    lowest, bit for bit, and so is its ground vector; otherwise this returns
-    None.
-    """
-    zero, *others = _translation_layout(n_sites, +1).blocks
-    h = _block_hamiltonian(zero, lam, gamma)
-    vals, vecs = _lowest_eigh(h, min(LOOP_LEVELS, zero.reps.size))
-    if _levels_above(others, lam, gamma, float(vals[1]), _norm_bound(n_sites, lam, gamma)):
-        return vals, vecs
-    return None
-
-
-def _levels_above(blocks, lam: float, gamma: float, tau: float, scale: float) -> bool:
-    """True only if every level ``eigh`` computes for ``blocks`` lies above ``tau``.
-
-    Each block is tested by the Cholesky certificate of
-    ``_holds_no_level_below``, whose proof needs at least 3 rows.  A block
-    of 1 row is its own level: for order 1, ?syevr and ?heevr return the
-    real part of the entry.  A block of 2 rows is solved.  So at N >= 6 no
-    block but k = 0 is solved.  ``scale`` bounds the norm of every block.
-    """
-    for block in blocks:
-        h = _block_hamiltonian(block, lam, gamma)
-        if block.reps.size >= 3:
-            above = _holds_no_level_below(h, tau, scale)
-        elif block.reps.size == 1:
-            above = h[0, 0].real > tau
-        else:
-            above = eigh(h)[0][0] > tau
-        if not above:
-            return False
-    return True
+    return _LowestLevel(energy, next_level, weights, block.sz)
 
 
 def _even_ground_rows(lam, gamma, n_sites: int, steps: int):
@@ -640,48 +616,44 @@ def _even_ground_rows(lam, gamma, n_sites: int, steps: int):
     The oracle's counterpart of ``observables._ground_state_rows``.  Each
     value equals, bit for bit, ``discrete_loop_phase(p, "ground", steps).
     wrapped``, ``ed_ground_energy(p)`` and ``sz_cumulants(p)``'s kappa_1,
-    kappa_3 and kappa_5 at that point.  Each point takes its own
-    ``_k0_ground`` step; the certified ground states' |psi|^2 weights are
-    stacked, so each cumulant is one reduction over all of them, and
-    exp(i delta S^z / 2) is formed once.  A point whose certificate fails,
-    or whose ground level is degenerate within DEGENERACY_TOL, is read by
-    those per-point readers.  The site cap is checked before any solve, and
+    kappa_3 and kappa_5 at that point.  Each point is read by the loop
+    ``_solve_lowest`` reads, not memoized; the ground states' |psi|^2
+    weights are stacked per momentum block, so each cumulant is one
+    reduction over all of them, and exp(i delta S^z / 2) is formed once per
+    block.  A ground level degenerate within DEGENERACY_TOL takes
+    ``loop_states``.  The site cap is checked before any solve, and
     DiscretizationError is raised at the first point, in order, where the
-    per-point readers raise it.  Nothing is memoized.
+    per-point readers raise it.
     """
     check_sites(n_sites)
     _require_count("steps", steps, 8)
-    sz = _translation_layout(n_sites, +1).blocks[0].sz
     points = list(zip(lam.tolist(), gamma.tolist()))
-    reads = [_k0_ground(n_sites, *point) for point in points]
-    rows = {}  # point index -> its row of the stack
-    for i, read in enumerate(reads):
-        if read is not None and read[0][1] - read[0][0] >= DEGENERACY_TOL:
-            rows[i] = len(rows)
-    vectors = np.empty((len(rows), sz.size))
-    for i, row in rows.items():
-        vectors[row] = reads[i][1][:, 0]
-    weights = np.abs(vectors) ** 2
-    kappa = _cumulant_rows(weights, sz)
-    kick = _step_kick(sz, steps)
+    grounds = [_sector_levels(n_sites, *point, +1, 2) for point in points]
+    blocks = {}  # id of a momentum block -> the points whose ground state lies in it
+    for i, ((_, block, _, _), _) in enumerate(grounds):
+        blocks.setdefault(id(block), []).append(i)
     out = np.empty((5, len(points)))
-    for i, (read, point) in enumerate(zip(reads, points)):
-        if i in rows:
-            row = rows[i]
-            chi = _step_overlap(weights[row], kick, steps)
-            out[:, i] = (_loop_angle(chi, steps, n_sites, False), read[0][0],
-                         kappa[0][row], kappa[2][row], kappa[4][row])
+    overlaps = {}  # point -> its ground state's weights and the kick on its block
+    for rows in blocks.values():
+        sz = grounds[rows[0]][0][1].sz
+        weights = np.abs([grounds[i][0][2] for i in rows]) ** 2
+        kappa = _cumulant_rows(weights, sz)
+        out[1:, rows] = [grounds[i][0][0] for i in rows], kappa[0], kappa[2], kappa[4]
+        kick = _step_kick(sz, steps)
+        overlaps.update((i, (row, kick)) for i, row in zip(rows, weights))
+    for i, ((energy, *_), (next_level, *_)) in enumerate(grounds):
+        if next_level - energy < DEGENERACY_TOL:
+            p = XYParams(lam=points[i][0], gamma=points[i][1], n_sites=n_sites)
+            out[0, i] = wrap_angle(pancharatnam_phase(loop_states(p, "ground", steps).vectors))
         else:
-            p = XYParams(lam=point[0], gamma=point[1], n_sites=n_sites)
-            phase = discrete_loop_phase(p, "ground", steps).wrapped
-            _, _, k3, _, k5 = sz_cumulants(p)
-            out[:, i] = (phase, ed_ground_energy(p), magnetization_ed(p), k3, k5)
+            chi = _step_overlap(*overlaps[i], steps)
+            out[0, i] = _loop_angle(chi, steps, n_sites, False)
     return tuple(out)
 
 
 def ed_ground_energy(params: XYParams) -> float:
     """Energy of the even-sector ground state (the paired-mode vacuum)."""
-    return _even_ground(params.n_sites, params.lam, params.gamma).energy
+    return _lowest_level(params.n_sites, params.lam, params.gamma, +1).energy
 
 
 def magnetization_ed(params: XYParams) -> float:
@@ -690,7 +662,7 @@ def magnetization_ed(params: XYParams) -> float:
     Warns if that level is degenerate within its sector, in which case the
     expectation value is basis dependent.
     """
-    ground = _even_ground(params.n_sites, params.lam, params.gamma)
+    ground = _lowest_level(params.n_sites, params.lam, params.gamma, +1)
     if ground.splitting < DEGENERACY_TOL:
         warnings.warn(
             f"even-sector ground state degenerate (splitting {ground.splitting:.3e})",
@@ -707,12 +679,12 @@ def sz_cumulants(params: XYParams) -> tuple:
     set the discrete loop phase: kappa_1 = <S^z> its limit, kappa_3 its
     leading discretization error and kappa_5 the next term.
     """
-    return _even_ground(params.n_sites, params.lam, params.gamma).cumulants
+    return _lowest_level(params.n_sites, params.lam, params.gamma, +1).cumulants
 
 
 @dataclass
 class LoopTrace:
-    """Tracked eigenvectors along a closed loop (block coordinates).
+    """Tracked eigenvectors along a closed loop (parity-block coordinates).
 
     ``vectors`` holds one row per loop point.  The loop is an isospectral
     family, so the level's ``energy`` and its ``gap`` to the next level
@@ -742,17 +714,6 @@ def pancharatnam_phase(vectors) -> float:
             f"orthogonal consecutive states at segment {orthogonal[0]}"
         )
     return float(np.angle(np.prod(overlaps / sizes)))
-
-
-class _LoopStart(NamedTuple):
-    """A tracked level's checked start: its block spectrum, gap and step overlap."""
-
-    vals: np.ndarray
-    vecs: np.ndarray
-    sz: np.ndarray
-    cluster: np.ndarray  # mask of the tracked level's degenerate cluster
-    gap: float
-    chi: Optional[complex]  # <psi(0)|U(delta)|psi(0)>; None for a degenerate cluster
 
 
 def _loop_parity(level, steps) -> int:
@@ -794,27 +755,6 @@ def _loop_angle(chi: complex, steps: int, n_sites: int, excited: bool) -> float:
     return wrap_angle(steps * cmath.phase(chi) + math.pi * flips)
 
 
-def _loop_start(params, level, steps) -> _LoopStart:
-    """Validate a loop request and run the checks every loop readout shares.
-
-    Raises ValueError on a bad ``level`` or ``steps`` and, for a
-    non-degenerate level, DiscretizationError from ``_step_overlap``.  A
-    degenerate cluster's projection checks each of its steps itself.
-    """
-    parity = _loop_parity(level, steps)
-    vals, vecs, _, sz = _sector_spectrum(params.n_sites, params.lam, params.gamma, parity)
-
-    # Every level outside the cluster lies at least DEGENERACY_TOL above vals[0].
-    cluster = vals - vals[0] < DEGENERACY_TOL
-    rest = vals[~cluster]
-    gap = float(rest[0] - vals[0]) if rest.size else math.inf
-
-    chi = None
-    if np.count_nonzero(cluster) == 1:
-        chi = _step_overlap(np.abs(vecs[:, 0]) ** 2, _step_kick(sz, steps), steps)
-    return _LoopStart(vals, vecs, sz, cluster, gap, chi)
-
-
 def loop_states(params: XYParams, level: str, steps: int) -> LoopTrace:
     """Transport one level of H(phi) around the closed circuit phi: 0 -> pi.
 
@@ -839,13 +779,21 @@ def loop_states(params: XYParams, level: str, steps: int) -> LoopTrace:
     kick is a multiple of the identity and the phase does not depend on the
     basis the pair comes in.
     """
-    start = _loop_start(params, level, steps)
-    vals, vecs, sz, cluster, m = start.vals, start.vecs, start.sz, start.cluster, steps
+    m = steps
+    vals, vecs, _, sz = _sector_spectrum(
+        params.n_sites, params.lam, params.gamma, _loop_parity(level, steps)
+    )
+    # Every level outside the cluster lies at least DEGENERACY_TOL above vals[0].
+    cluster = vals - vals[0] < DEGENERACY_TOL
+    rest = vals[~cluster]
+    gap = float(rest[0] - vals[0]) if rest.size else math.inf
+    kick = _step_kick(sz, m)
     phi0 = params.phi
     offsets = np.pi * np.arange(m) / m
     rotations = np.exp(0.5j * np.outer(phi0 + offsets, sz))  # row j: U(phi_j)
-    degenerate = start.chi is None
+    degenerate = bool(np.count_nonzero(cluster) > 1)
     if not degenerate:
+        _step_overlap(np.abs(vecs[:, 0]) ** 2, kick, m)  # DiscretizationError below 0.5
         vectors = rotations * vecs[:, 0]
     else:
         warnings.warn(
@@ -856,7 +804,7 @@ def loop_states(params: XYParams, level: str, steps: int) -> LoopTrace:
             stacklevel=2,
         )
         basis = vecs[:, cluster]
-        kick = basis.conj().T @ (_step_kick(sz, m).conj()[:, None] * basis)
+        kick = basis.conj().T @ (kick.conj()[:, None] * basis)
         coeffs = np.zeros((m, basis.shape[1]), dtype=complex)
         coeffs[0, 0] = 1.0
         for j in range(1, m):
@@ -870,7 +818,7 @@ def loop_states(params: XYParams, level: str, steps: int) -> LoopTrace:
                 )
             coeffs[j] = a / norm
         vectors = rotations * (coeffs @ basis.T)
-    return LoopTrace(vectors, float(vals[0]), start.gap, degenerate)
+    return LoopTrace(vectors, float(vals[0]), gap, degenerate)
 
 
 def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult:
@@ -885,9 +833,8 @@ def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult
         phase = m arg chi - pi N / 2 (+ pi if odd)
 
     (mod 2 pi, signed as in ``pancharatnam_phase``), one sum over the
-    level's |psi|^2 weights with no loop vectors: the ground level's come
-    from the even-ground reader (one per k = 0 orbit), the excited level's
-    from the odd sector's solve.  Its m -> infinity limit is
+    level's |psi|^2 weights with no loop vectors, read by ``_lowest_level``
+    (one per orbit of the level's momentum block).  Its m -> infinity limit is
     pi (N + <S^z>) / 2; the cumulant expansion of ln chi puts the
     discretization error at -pi^3 kappa_3 / (48 m^2)
     (``observables.phase_magnetization_identity``).  A level degenerate
@@ -896,18 +843,13 @@ def discrete_loop_phase(params: XYParams, level: str, steps: int) -> PhaseResult
     phase only up to whole turns, so ``value`` and ``wrapped`` coincide
     here; compare against closed forms with a circular distance.
     """
-    if _loop_parity(level, steps) == +1:
-        ground = _even_ground(params.n_sites, params.lam, params.gamma)
-        degenerate = ground.splitting < DEGENERACY_TOL
-        chi = None if degenerate else _step_overlap(
-            ground.weights, _step_kick(ground.sz, steps), steps
-        )
-    else:
-        chi = _loop_start(params, level, steps).chi
-    if chi is None:
+    parity = _loop_parity(level, steps)
+    lowest = _lowest_level(params.n_sites, params.lam, params.gamma, parity)
+    if lowest.splitting < DEGENERACY_TOL:
         trace = loop_states(params, level, steps)
         return PhaseResult.from_value(pancharatnam_phase(trace.vectors))
-    return PhaseResult.from_value(_loop_angle(chi, steps, params.n_sites, level == "excited"))
+    chi = _step_overlap(lowest.weights, _step_kick(lowest.sz, steps), steps)
+    return PhaseResult.from_value(_loop_angle(chi, steps, params.n_sites, parity < 0))
 
 
 def spin_half_loop_phase(theta: float, steps: int, branch: str = "lower") -> PhaseResult:

@@ -1,9 +1,10 @@
 """References for the oracle's momentum blocks, which only tests read.
 
-``oracle._solve_sector`` leaves out the momentum blocks that a Cholesky
-certificate shows hold none of the lowest levels.  ``solve_every_block`` is
-the solve it replaced, which diagonalizes every block; skipping must leave
-every level and vector bit for bit as this solve has them.
+``oracle._sector_levels`` leaves out the momentum blocks that a Cholesky
+certificate shows hold none of the lowest levels.  ``solve_every_block``
+solves every block, by the oracle's own ``_lowest_eigh``, and returns what
+``oracle._solve_sector`` returns; skipping must leave every level and vector
+bit for bit as this solve has them.
 
 ``oracle._translation_layout`` merges each block's (target, source) entries
 sparsely.  ``translation_layout_dense`` is the builder it replaced, which

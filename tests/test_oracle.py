@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ class TestSectorSpectrum:
         energy = ed_ground_energy(p)
         for level in ("ground", "excited"):
             loop_states(p, level, 16)
-        readers = (oracle._solve_even_ground, oracle._solve_sector, oracle._parse_max_sites)
+        readers = (oracle._solve_lowest, oracle._solve_sector, oracle._parse_max_sites)
         hits = [reader.cache_info().hits for reader in readers]
         assert ed_ground_energy(p) == energy
         loop_states(p, "ground", 16)
@@ -286,10 +287,10 @@ class TestSectorSpectrum:
         p = params(float(np.cos(np.pi / 4)), 0.0, 4)
         with pytest.warns(DegenerateLevelWarning):
             first = magnetization_ed(p)
-        hits = oracle._solve_even_ground.cache_info().hits
+        hits = oracle._solve_lowest.cache_info().hits
         with pytest.warns(DegenerateLevelWarning):
             assert magnetization_ed(p) == first
-        assert oracle._solve_even_ground.cache_info().hits == hits + 1
+        assert oracle._solve_lowest.cache_info().hits == hits + 1
 
     def test_returned_arrays_cannot_write_the_cache(self):
         p = params(0.5, 0.5, 4)
@@ -309,12 +310,17 @@ class TestSectorSpectrum:
         assert magnetization_ed(p) == magnetization
 
 
-def _read_even_ground_from(monkeypatch, spectrum, p):
-    """Make the even-ground reader take ``spectrum`` as the sector's solve at ``p``."""
-    monkeypatch.setattr(oracle, "_levels_above", lambda *args: False)
-    monkeypatch.setattr(oracle, "_solve_sector", lambda *args: spectrum)
-    ground = oracle._solve_even_ground.__wrapped__(p.n_sites, p.lam, p.gamma)
-    monkeypatch.setattr(oracle, "_even_ground", lambda *args: ground)
+def _read_lowest_from(monkeypatch, spectrum):
+    """Make the lowest-level readings take the levels and vectors of ``spectrum``
+    (in parity-block coordinates) as those of the one solve loop, uncached."""
+    vals, vecs, _, sz = spectrum
+    block = SimpleNamespace(sz=sz)  # the one field a reading takes from a block
+
+    def levels(n, lam, gamma, parity, keep):
+        return [(vals[j], block, vecs[:, j], False) for j in range(min(keep, vals.size))]
+
+    monkeypatch.setattr(oracle, "_sector_levels", levels)
+    monkeypatch.setattr(oracle, "_lowest_level", oracle._solve_lowest.__wrapped__)
 
 
 def _momentum_points(rng):
@@ -374,17 +380,27 @@ class TestMomentumBlocks:
         phases = []
         for spectrum in ((dense_vals[1:6], dense_vecs[:, 1:6], states, sz), pair):
             monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
+            _read_lowest_from(monkeypatch, spectrum)
             with pytest.warns(DegenerateLevelWarning):
                 assert loop_states(p, "excited", steps).degenerate
             with pytest.warns(DegenerateLevelWarning):
                 phases.append(discrete_loop_phase(p, "excited", steps).wrapped)
         assert circular_distance(*phases) <= 1e-10
-        # Readouts of one complex vector of the pair weigh it by |psi|^2.
+        # Readouts of one complex vector of the pair weigh it by |psi|^2,
+        # in parity-block coordinates and in those of its momentum block.
         want = np.vdot(vecs[:, 1], sz * vecs[:, 1]).real
-        _read_even_ground_from(monkeypatch, pair, p)
         with pytest.warns(DegenerateLevelWarning):
             assert magnetization_ed(p) == pytest.approx(want, abs=1e-12)
         assert oracle.sz_cumulants(p)[0] == pytest.approx(want, abs=1e-12)
+        monkeypatch.undo()
+        levels = oracle._sector_levels(n, lam, gamma, -1, 3)
+        # The pair is one vector of a complex block, read plain and conjugated.
+        assert [level[3] for level in levels[1:]] == [False, True]
+        assert np.iscomplexobj(levels[1][2]) and np.array_equal(levels[1][2], levels[2][2])
+        monkeypatch.setattr(oracle, "_sector_levels", lambda *args: levels[1:])
+        lowest = oracle._solve_lowest.__wrapped__(n, lam, gamma, -1)
+        assert lowest.splitting == 0.0 and lowest.sz.size < sz.size
+        assert lowest.cumulants[0] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("parity", [+1, -1])
@@ -496,22 +512,43 @@ class TestEigensolveBinding:
 
     def test_one_call_per_block_and_per_loop_step(self, monkeypatch):
         # The benchmark's eigensolve span wraps ``oracle.eigh``; this keeps
-        # every eigensolve going through that one name.
-        dims = []
-        binding = oracle.eigh
+        # every eigensolve going through that one name: one call per block
+        # that the certificate does not show to lie above the kept levels.
+        events = []
+        binding, certify = oracle.eigh, oracle._holds_no_level_below
 
         def counting(a, *args, **kwargs):
-            dims.append(np.shape(a)[0])
+            events.append(("eigh", np.shape(a)[0]))
             return binding(a, *args, **kwargs)
 
+        def testing(h, *args):
+            events.append(("test", h.shape[0], certify(h, *args)))
+            return events[-1][2]
+
         monkeypatch.setattr(oracle, "eigh", counting)
+        monkeypatch.setattr(oracle, "_holds_no_level_below", testing)
         oracle._solve_sector.__wrapped__(6, 0.7, 0.4, +1)
         blocks = oracle._translation_layout(6, +1).blocks
         assert len(blocks) == 4
-        assert dims == [block.reps.size for block in blocks]
-        dims.clear()
+        it = iter(events)
+        for block in blocks:
+            event = next(it)
+            if event[0] == "test":
+                assert event[1] == block.reps.size
+                if event[2]:
+                    continue
+                event = next(it)
+            assert event == ("eigh", block.reps.size)
+        assert next(it, None) is None
+        assert ("test", 4, True) in events  # a certified block is not solved
+        # A block of 1 row is read from its entry, with no eigensolve.
+        events.clear()
+        oracle._solve_sector.__wrapped__(4, 0.7, 0.4, +1)
+        assert [b.reps.size for b in oracle._translation_layout(4, +1).blocks] == [4, 1, 2]
+        assert events == [("eigh", 4), ("eigh", 2)]
+        events.clear()
         spin_half_loop_phase(1.0, 24)
-        assert dims == [2] * 24
+        assert events == [("eigh", 2)] * 24
 
 
 def _with_levels(rng, levels, dtype):
@@ -540,8 +577,11 @@ class TestBlockSkipping:
         certify, solve = oracle._holds_no_level_below, oracle._lowest_eigh
         calls = {"certified": 0, "solved": 0}
 
-        def counting_certify(*args):
-            certified = certify(*args)
+        tested = set()
+
+        def counting_certify(h, *args):
+            tested.add(h.shape[0])
+            certified = certify(h, *args)
             calls["certified"] += certified
             return certified
 
@@ -575,8 +615,11 @@ class TestBlockSkipping:
             # A certified block is never solved, and every other block is.
             assert certified + solved == len(oracle._translation_layout(n, parity).blocks), case
             skipped[n] += certified
-        assert skipped[4] == skipped[6] == 0  # no block there has more than 16 rows
-        assert skipped[10] > 0 and skipped[12] > 0
+        # Only a block of 3 rows or more is ever tested, and small ones are
+        # left out too: at N = 6 no block has more than 8 rows.  At N = 4 the
+        # only such block is the even k = 0 block, solved first.
+        assert min(tested) >= 3
+        assert skipped[4] == 0 and skipped[6] > 0 and skipped[10] > 0 and skipped[12] > 0
         vals, vecs, _, _ = oracle._sector_spectrum(*_SPLIT_PAIR)
         assert vals[4] < vals[5] and _is_complex(vecs[:, 5])
 
@@ -604,8 +647,8 @@ class TestBlockSkipping:
         assert not oracle._holds_no_level_below(h, -5.0, 10.0)
 
     def test_one_row_block_is_its_own_level(self):
-        # _levels_above reads a block of 1 row from its entry: for order 1,
-        # ?syevr and ?heevr return the real part of A(1,1).
+        # _lowest_eigh reads a block of 1 row from its entry: for order 1,
+        # ?syevr and ?heevr return the real part of A(1,1) and the unit vector.
         rng = np.random.default_rng(33)
         blocks = [block for n in (4, 6, 8, 10) for parity in (+1, -1)
                   for block in oracle._translation_layout(n, parity).blocks
@@ -613,7 +656,7 @@ class TestBlockSkipping:
         assert blocks  # the even k = pi/2 block at N = 4
         for lam, gamma in draw_noncritical_points(rng, 400):
             for block in blocks:
-                h = oracle._block_hamiltonian(block, lam, gamma)
+                h = oracle._block_hamiltonian(block, np.array([-lam, -gamma, -1.0]))
                 assert eigh(h)[0][0] == h[0, 0].real, (lam, gamma)
         for dtype in (float, complex):
             for exponent in range(-300, 301, 20):
@@ -621,6 +664,11 @@ class TestBlockSkipping:
                 if dtype is complex:
                     h += 1j * rng.normal()  # ?heevr reads the real part alone
                 assert eigh(h)[0][0] == h[0, 0].real, (dtype, exponent)
+                for got, want in zip(oracle._lowest_eigh(h, 1), eigh(h)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), exponent
+        # A non-finite entry is not read: eigh rejects it.
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle._lowest_eigh(np.array([[np.inf]]), 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_field_still_raises(self):
@@ -635,13 +683,27 @@ def _moments(weights, sz):
     return [mean, mu2, mu3, mu4 - 3.0 * mu2**2, mu5 - 10.0 * mu3 * mu2]
 
 
-# Points where a level of some other block lies at or below the k = 0
-# block's second level, so the even-ground reader solves the whole sector.
-_FALLBACK_POINTS = ((8, 0.0, 0.5), (10, 0.0, 1.0))
+# Points where a level of another block lies at or below the k = 0 block's
+# second level, so the even reading solves that block too.
+_TIE_POINTS = ((8, 0.0, 0.5), (10, 0.0, 1.0))
+
+# lam = 0 at every N: there the same holds for gamma >= 1 (at N = 4 and 8
+# for every gamma).
+_LAMBDA_ZERO_POINTS = tuple((n, 0.0, gamma) for n in (4, 6, 8, 10) for gamma in (1.0, 1.3))
+
+
+def _ties_the_k0_second_level(n, lam, gamma):
+    """True if a block other than k = 0 has a level at or below (to rounding)
+    the k = 0 block's second level, each block diagonalized in full."""
+    weights = np.array([-lam, -gamma, -1.0])
+    zero, *others = oracle._translation_layout(n, +1).blocks
+    second = np.linalg.eigvalsh(oracle._block_hamiltonian(zero, weights))[1]
+    lowest = min(np.linalg.eigvalsh(oracle._block_hamiltonian(b, weights))[0] for b in others)
+    return lowest <= second + 1e-12
 
 
 class TestEvenGroundReader:
-    """The k = 0 even-ground reader against the every-block solve."""
+    """The lowest-level reading against the every-block solve."""
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_matches_every_block_solve(self, n):
@@ -650,7 +712,7 @@ class TestEvenGroundReader:
             (lam, float(rng.uniform(0.1, 1.5))) for lam in (1.0, -1.0, 1.0, -1.0)
         ]
         for lam, gamma in points:
-            ground = oracle._solve_even_ground.__wrapped__(n, lam, gamma)
+            ground = oracle._solve_lowest.__wrapped__(n, lam, gamma, +1)
             vals, vecs, _, sz = solve_every_block(n, lam, gamma, +1)
             where = (n, lam, gamma)
             assert (ground.energy, ground.next_level) == (vals[0], vals[1]), where
@@ -665,6 +727,48 @@ class TestEvenGroundReader:
             ).blocks[0].sz.shape, where
             for array in (ground.weights, ground.sz):
                 assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_tie_points_match_every_block_solve(self, n):
+        # Where another block reaches the k = 0 block's second level, that
+        # block is solved in the same loop: E_0 and E_1 keep the every-block
+        # solve's bits, and the cumulants of the one-per-orbit weights match
+        # the sector vector's.
+        points = [(lam, gamma) for m, lam, gamma in _TIE_POINTS + _LAMBDA_ZERO_POINTS if m == n]
+        assert points
+        for lam, gamma in points:
+            where = (n, lam, gamma)
+            assert _ties_the_k0_second_level(n, lam, gamma), where
+            ground = oracle._solve_lowest.__wrapped__(n, lam, gamma, +1)
+            vals, vecs, _, sz = solve_every_block(n, lam, gamma, +1)
+            assert (ground.energy, ground.next_level) == (vals[0], vals[1]), where
+            assert ground.splitting >= oracle.DEGENERACY_TOL, where
+            want = _moments(np.abs(vecs[:, 0]) ** 2, sz)
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(np.subtract(ground.cumulants, want)) <= 1e-12 * scale), where
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_odd_reading_matches_the_sector_solve(self, n):
+        # The excited loop phase reads the odd sector's two lowest levels
+        # from the same loop with keep = 2: they and the degeneracy decision
+        # must be those of the LOOP_LEVELS solve that loop_states tracks.
+        # On gamma = 0 the odd levels cross at the mode cosines cos(2 pi m / N).
+        rng = np.random.default_rng(2630 + n)
+        points = list(_EDGE_POINTS) + draw_noncritical_points(rng, 6) + [
+            (lam, gamma) for m, lam, gamma in _TIE_POINTS + _LAMBDA_ZERO_POINTS if m == n
+        ] + [(math.cos(2.0 * math.pi * m / n), 0.0) for m in range(1, n // 2)]
+        decisions = set()
+        for lam, gamma in points:
+            where = (n, lam, gamma)
+            lowest = oracle._solve_lowest.__wrapped__(n, lam, gamma, -1)
+            vals = oracle._sector_spectrum(n, lam, gamma, -1)[0]
+            assert (lowest.energy, lowest.next_level) == (vals[0], vals[1]), where
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateLevelWarning)
+                degenerate = loop_states(params(lam, gamma, n), "excited", 64).degenerate
+            assert (lowest.splitting < oracle.DEGENERACY_TOL) is degenerate, where
+            decisions.add(degenerate)
+        assert decisions == {False, True}
 
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_one_eigensolve_per_point(self, n, monkeypatch):
@@ -699,15 +803,22 @@ class TestEvenGroundReader:
         cli._verify_points(points, [n], 2000)
         assert dims == [zero.reps.size] * len(points)
 
-    def test_verify_pass_matches_the_per_point_reference(self):
-        # The fallback points, whose k = 0 reading is not certified at N = 8
+    def test_verify_pass_matches_the_per_point_reference(self, monkeypatch):
+        # The tie points, where the reading solves a second block at N = 8
         # and 10 respectively, sit among seeded draws; their rows must land
         # in their own slots.
         draws = draw_noncritical_points(np.random.default_rng(2620), 6)
-        fallback = [(lam, gamma) for _, lam, gamma in _FALLBACK_POINTS]
-        points = draws[:2] + fallback[:1] + draws[2:5] + fallback[1:] + draws[5:]
-        for n, lam, gamma in _FALLBACK_POINTS:
-            assert oracle._k0_ground(n, lam, gamma) is None
+        ties = [(lam, gamma) for _, lam, gamma in _TIE_POINTS]
+        points = draws[:2] + ties[:1] + draws[2:5] + ties[1:] + draws[5:]
+        solved = []
+        binding = oracle.eigh
+        monkeypatch.setattr(oracle, "eigh", lambda a, **kw: solved.append(a) or binding(a, **kw))
+        for n, lam, gamma in _TIE_POINTS:
+            assert _ties_the_k0_second_level(n, lam, gamma)
+            solved.clear()
+            oracle._solve_lowest.__wrapped__(n, lam, gamma, +1)
+            assert len(solved) > 1, (n, lam, gamma)
+        monkeypatch.undo()
         for steps in (8, 2000):
             got = cli._verify_points(points, [8, 10], steps)
             assert got == verify_reference.verify_points(points, [8, 10], steps), steps
@@ -717,8 +828,8 @@ class TestEvenGroundReader:
         # No draw at N <= 10 overlaps by less than 0.5 at 8 steps (the least
         # |chi| is about 0.78), so a stricter floor stands in for a coarser
         # loop; both sides must raise the per-point reader's error first.
-        # The first point to fail is the second fallback point at 0.9 and
-        # the second draw at 0.95.
+        # The first point to fail is the second tie point at 0.9 and the
+        # second draw at 0.95.
         overlap = oracle._step_overlap
 
         def stricter(weights, kick, steps):
@@ -729,7 +840,7 @@ class TestEvenGroundReader:
 
         monkeypatch.setattr(oracle, "_step_overlap", stricter)
         draws = draw_noncritical_points(np.random.default_rng(2621), 8)
-        points = draws[:3] + [(lam, gamma) for _, lam, gamma in _FALLBACK_POINTS] + draws[3:]
+        points = draws[:3] + [(lam, gamma) for _, lam, gamma in _TIE_POINTS] + draws[3:]
         errors = []
         for verify in (cli._verify_points, verify_reference.verify_points):
             with pytest.raises(DiscretizationError) as raised:
@@ -737,8 +848,8 @@ class TestEvenGroundReader:
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
 
-    @pytest.mark.parametrize("n, lam, gamma", _FALLBACK_POINTS)
-    def test_fallback_equals_the_sector_solve(self, n, lam, gamma, monkeypatch):
+    @pytest.mark.parametrize("n, lam, gamma", _TIE_POINTS)
+    def test_tie_point_reads_without_the_sector_solve(self, n, lam, gamma, monkeypatch):
         calls = []
         solve = oracle._solve_sector
 
@@ -747,15 +858,19 @@ class TestEvenGroundReader:
             return solve(*args)
 
         monkeypatch.setattr(oracle, "_solve_sector", spy)
-        ground = oracle._solve_even_ground.__wrapped__(n, lam, gamma)
-        assert calls == [(n, lam, gamma, +1)]
-        vals, vecs, _, sz = solve.__wrapped__(n, lam, gamma, +1)
+        ground = oracle._solve_lowest.__wrapped__(n, lam, gamma, +1)
+        assert calls == []
+        vals, vecs, _, _ = solve.__wrapped__(n, lam, gamma, +1)
         assert (ground.energy, ground.next_level) == (vals[0], vals[1])
-        assert np.array_equal(ground.weights, np.abs(vecs[:, 0]) ** 2)
-        assert np.array_equal(ground.sz, sz)
-        # The cumulants are formed as sz_cumulants formed them from the vector.
-        weights = np.abs(vecs[:, 0]) ** 2
-        assert ground.cumulants[0] == float(np.sum(sz * weights))
+        # The weights are the sector vector's |psi|^2 summed over each orbit
+        # of the k = 0 block, where the ground state lies.
+        layout = oracle._translation_layout(n, +1)
+        zero = layout.blocks[0]
+        assert ground.sz is zero.sz
+        per_orbit = np.bincount(layout.state_rep, np.abs(vecs[:, 0]) ** 2, layout.n_reps)
+        assert np.max(np.abs(ground.weights - per_orbit[zero.reps])) <= 1e-15
+        # The cumulants are formed as sz_cumulants forms them from the weights.
+        assert ground.cumulants[0] == float(np.sum(zero.sz * ground.weights))
 
 
 class TestLowestStates:
@@ -1017,7 +1132,7 @@ class TestCharacteristicFunctionPath:
         spectrum = (np.array([0.0, 1.0]), vecs, states, sz)
         monkeypatch.setattr(oracle, "_sector_spectrum", lambda *args: spectrum)
         p = params(0.5, 0.5, n)
-        _read_even_ground_from(monkeypatch, spectrum, p)
+        _read_lowest_from(monkeypatch, spectrum)
         steps = 8
         a = self._outcome(lambda: loop_states(p, "ground", steps))
         b = self._outcome(lambda: discrete_loop_phase(p, "ground", steps))

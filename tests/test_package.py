@@ -146,6 +146,28 @@ def _package_reads() -> frozenset:
     return frozenset(reads)
 
 
+def _private_definitions() -> dict:
+    """(module file, name) of each private function and class at a module's top
+    level, mapped to the names read anywhere else in the package's code."""
+    definitions, reads = [], []  # reads: (name, the top-level definition it sits in)
+    for path in sorted(Path(xyberry.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                owner = (path.name, statement.name)
+                if statement.name.startswith("_") and not statement.name.startswith("__"):
+                    definitions.append(owner)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.append((node.id, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.append((node.attr, owner))
+    return {
+        definition: {name for name, owner in reads if owner != definition}
+        for definition in definitions
+    }
+
+
 def _raised_names() -> set:
     """Names the package's code raises, or passes to ``warnings.warn`` as the category."""
     named = set()
@@ -194,3 +216,13 @@ def test_every_public_name_has_a_reader(module):
         if name not in reads and not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert not unread, f"read only by the tests: {unread}"
+
+
+def test_every_private_helper_has_a_reader():
+    # A private function or class that no other package code reads is left
+    # behind: dead code, or code that only the tests still call.
+    unread = [
+        f"{module}:{name}" for (module, name), reads in _private_definitions().items()
+        if name not in reads
+    ]
+    assert not unread, f"read by no other package code: {unread}"
