@@ -31,7 +31,7 @@ from .model import DEFAULT_CRITICAL_TOL, _require_count, classify_criticality
 from .observables import _ground_state_rows, _identity_terms
 from .oracle import _even_ground_rows, check_sites
 from .phases import (
-    circular_distance,
+    _wrap_angles,
     phase_surface,
     relative_phase_thermo_arrays,
     write_phase_surface_csv,
@@ -376,49 +376,52 @@ def _run_grid(cfg: RunConfig, compute, write) -> int:
 
 def draw_noncritical_points(rng, draws: int):
     """Seeded rejection sampling of lam in [-2,2], gamma in [0.1,1.5], at least
-    ``NONCRITICAL_MARGIN`` from every critical manifold."""
+    ``NONCRITICAL_MARGIN`` from every critical manifold.
+
+    Each batch draws as many (lam, gamma) pairs as are still needed, lam then
+    gamma, each as ``rng.uniform(low, high)`` forms it from one
+    ``rng.random()`` double u, low + (high - low) u; so the points and the
+    state ``rng`` is left in are those of drawing one pair at a time until
+    ``draws`` are accepted.  Each candidate is classified on its own: for the
+    one-point batches of a caller that draws one point at a time,
+    ``classify_criticality_arrays`` would cost several times the scalar body.
+    """
     points = []
     while len(points) < draws:
-        lam = rng.uniform(-2.0, 2.0)
-        gamma = rng.uniform(0.1, 1.5)
-        if classify_criticality(lam, gamma).distance > NONCRITICAL_MARGIN:
-            points.append((float(lam), float(gamma)))
+        for u, v in rng.random((draws - len(points), 2)).tolist():
+            lam, gamma = -2.0 + (2.0 - -2.0) * u, 0.1 + (1.5 - 0.1) * v
+            if classify_criticality(lam, gamma).distance > NONCRITICAL_MARGIN:
+                points.append((lam, gamma))
     return points
 
 
-def _worst(found) -> tuple:
-    """The worst of ``found``'s (discrepancy, point) pairs: NaN is worst, and on ties
-    the first point."""
-    return max(found, key=lambda pair: (math.isnan(pair[0]), pair[0]))
+def _worst(rows: np.ndarray) -> int:
+    """The flat index of the worst discrepancy in ``rows``: NaN is worst, and on
+    ties the first in row-major order (``np.argmax`` takes the first NaN, else
+    the first maximum)."""
+    return int(np.argmax(rows))
 
 
 def _verify_points(points, n_sites, steps) -> dict:
-    """verify's (discrepancy, point) pairs per row, over every N of ``n_sites`` in
-    turn and the ``points`` in order.
+    """verify's discrepancy rows: for each row key, an array of one row per N of
+    ``n_sites``, in turn, and one column per point of ``points``, in order.
 
     At one N, the closed forms of all the points come from one
-    ``_ground_state_rows`` pass, and the oracle's readings from one
-    ``oracle._even_ground_rows`` pass.  The points come from
+    ``_ground_state_rows`` pass, the oracle's readings from one
+    ``oracle._even_ground_rows`` pass, and each discrepancy row from one
+    array operation, bit for bit the per-point value.  The points come from
     ``draw_noncritical_points``, so none is near criticality.
     """
     lams, gammas = np.array(points).T
-    found = {key: [] for key in VERIFY_THRESHOLDS}
-    for n in n_sites:
-        closed_forms = zip(*(row.tolist() for row in _ground_state_rows(lams, gammas, n)))
-        oracle_rows = zip(*(row.tolist() for row in _even_ground_rows(lams, gammas, n, steps)))
-        for (lam, gamma), (phase, energy, closed_magnetization), read in zip(
-            points, closed_forms, oracle_rows
-        ):
-            discrete, ed_energy, magnetization, k3, k5 = read
-            predicted, bound = _identity_terms(n, steps, magnetization, k3, k5)
-            at = {"lambda": lam, "gamma": gamma, "n": n}
-            for key, value in {
-                "phase": circular_distance(discrete, phase),
-                "energy": abs(energy - ed_energy),
-                "magnetization": abs(closed_magnetization - magnetization),
-                "identity": circular_distance(discrete, predicted) / bound,
-            }.items():
-                found[key].append((value, at))
+    found = {key: np.empty((len(n_sites), len(points))) for key in VERIFY_THRESHOLDS}
+    for row, n in enumerate(n_sites):
+        phase, energy, magnetization = _ground_state_rows(lams, gammas, n)
+        discrete, ed_energy, ed_magnetization, k3, k5 = _even_ground_rows(lams, gammas, n, steps)
+        predicted, bound = _identity_terms(n, steps, ed_magnetization, k3, k5)
+        found["phase"][row] = np.abs(_wrap_angles(discrete - phase))
+        found["energy"][row] = np.abs(energy - ed_energy)
+        found["magnetization"][row] = np.abs(magnetization - ed_magnetization)
+        found["identity"][row] = np.abs(_wrap_angles(discrete - predicted)) / bound
     return found
 
 
@@ -429,22 +432,26 @@ def _run_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     points = draw_noncritical_points(rng, p["draws"])
     found = _verify_points(points, p["n_sites"], p["steps"])
-    worst = {key: _worst(pairs) for key, pairs in found.items()}
-    failed = [k for k, tol in VERIFY_THRESHOLDS.items() if not worst[k][0] < tol]
+    worst, at = {}, {}
+    for key, rows in found.items():
+        row, column = divmod(_worst(rows), len(points))
+        worst[key] = float(rows[row, column])
+        lam, gamma = points[column]
+        at[key] = {"lambda": lam, "gamma": gamma, "n": p["n_sites"][row]}
+    failed = [k for k, tol in VERIFY_THRESHOLDS.items() if not worst[k] < tol]
     summary = {
         "seed": cfg.seed,
         "steps": p["steps"],
         "draws": p["draws"],
         "points": [list(pt) for pt in points],
         "per_n": {
-            str(n): {key: _worst(pair for pair in pairs if pair[1]["n"] == n)[0]
-                     for key, pairs in found.items()}
-            for n in p["n_sites"]
+            str(n): {key: float(rows[row, _worst(rows[row])]) for key, rows in found.items()}
+            for row, n in enumerate(p["n_sites"])
         },
-        "max_discrepancy": {key: value for key, (value, _) in worst.items()},
+        "max_discrepancy": worst,
         "max_discrepancy_at": {
             key: None if key in ("energy", "magnetization") and value < VERIFY_LOCATION_FLOOR
-            else at for key, (value, at) in worst.items()
+            else at[key] for key, value in worst.items()
         },
         "thresholds": VERIFY_THRESHOLDS,
         "pass": not failed,

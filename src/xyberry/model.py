@@ -56,8 +56,10 @@ DEFAULT_CRITICAL_TOL = 1e-9
 
 # Elements per block of every block-wise pass over a grid: points x momenta
 # in _mode_tiles and in the fallback of ``scaling.finite_min_gap_arrays``, rows
-# x columns in the CSV writer (``tables.write_csv``).  2**14 values, 128 KiB
-# per float64 or object array, which bounds the memory of each at any grid size.
+# x columns in the CSV writer (``tables.write_csv``), points x dim^2 in each
+# stack of momentum-block matrices of ``oracle._sector_levels``.  2**14
+# values, 128 KiB per float64 or object array (256 KiB complex), which bounds
+# the memory of each at any grid size or draw count.
 MODE_BLOCK_ELEMENTS = 2**14
 
 

@@ -34,14 +34,17 @@ Six structural facts are exploited throughout:
   +-k pair whose -k vector is the conjugate.  The orbits and each block's
   sparsity pattern are built once per (N, parity) and cached; a point only
   scales three coefficient arrays by (lam, gamma, 1).  One loop
-  (``_sector_levels``) solves the blocks in m order and keeps the lowest
-  ``keep`` levels.  Once that many are known, a block of 3 rows or more is
-  first tested by a Cholesky factorization of H_k - (tau + delta) I, tau
-  the keep-th lowest level so far: by Sylvester's law of inertia it
-  succeeds only if every level of H_k lies above tau + delta, and then the
-  block is not solved.  The margin delta covers rounding in the
-  factorization and in the eigensolve, so the levels kept and their bits
-  are those of solving every block.  Everything here works on spin states,
+  (``_sector_levels``) reads a stack of points: it runs over the blocks in
+  m order, assembles each block for a stack of points with one product of
+  their (points, 3) weights and the coefficients, and then, point by point,
+  keeps the lowest ``keep`` levels.  Once a point has that many, each later
+  block is first tested against tau, its keep-th lowest level so far: a
+  block of 1 row by its entry, a larger one by a Cholesky factorization of
+  H_k - (tau + delta) I, which by Sylvester's law of inertia succeeds only
+  if every level of H_k lies above tau + delta; then the block is not
+  solved there.  The margin delta covers rounding in the factorization and
+  in the eigensolve, so the levels kept and their bits are those of solving
+  every block, one point at a time.  Everything here works on spin states,
   never on the fermion momentum grid of the closed forms.
 * The loop serves every reading.  ``loop_states`` keeps LOOP_LEVELS levels,
   expanded to complex parity-block vectors.  Every other reading keeps two:
@@ -50,12 +53,12 @@ Six structural facts are exploited throughout:
   reading per point and parity (``_lowest_level``).  The even ground state
   and the level above it sit, at all but a few points such as lam = 0, in
   the k = 0 block (the paired-mode vacuum and its lowest pair excitation
-  carry no momentum), so from N = 6 on that reading solves one block.
-  Since S^z is constant on an orbit, the lower level's S^z distribution
-  takes one weight |c_r|^2 per orbit, with no expansion to parity-block
-  coordinates.  ``verify`` reads all its draws at one N in one pass
-  (``_even_ground_rows``), which reduces their stacked weights once per
-  cumulant.
+  carry no momentum), so that reading solves one block, the other blocks
+  being certified.  Since S^z is constant on an orbit, the lower level's
+  S^z distribution takes one weight |c_r|^2 per orbit, with no expansion to
+  parity-block coordinates.  ``verify`` reads all its draws at one N in one
+  pass (``_even_ground_rows``): one call of the loop for the whole stack,
+  and one reduction of their stacked weights per cumulant.
 * So the overlap product has a closed form.  Over the m = steps segments
   of the one circuit phi: 0 -> pi every overlap but the closing one is the
   characteristic function chi(delta) = <psi|exp(i delta S^z / 2)|psi> at
@@ -94,6 +97,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from . import model
 from .errors import DegenerateLevelWarning, DiscretizationError, ResourceLimitError
 from .model import XYParams, _require_count
 from .phases import PhaseResult, _require_polar_angle, wrap_angle
@@ -204,10 +208,11 @@ def _lowest_eigh(mat: np.ndarray, count: int):
 
     The pairs are bit-identical to scipy.linalg.eigh's.  A matrix of 1 row
     is its own pair, read without LAPACK: for order 1, ?syevr and ?heevr
-    return the real part of the entry and the unit vector.  The subset
-    driver occasionally reports an internal error on small matrices with
-    tightly clustered eigenvalues; fall back to the full decomposition in
-    that case.  It is used outright for half the levels or more, and on
+    return the real part of the entry and the unit vector (so
+    ``_holds_no_level_below`` certifies such a matrix by its entry).  The
+    subset driver occasionally reports an internal error on small matrices
+    with tightly clustered eigenvalues; fall back to the full decomposition
+    in that case.  It is used outright for half the levels or more, and on
     matrices of at most ``_SMALL_BLOCK_ROWS`` = 16 rows, where the subset
     saves at most about 30 us, and moving the threshold would change the
     last bits of the levels that the artifacts are pinned to.
@@ -237,15 +242,15 @@ def _potrf(dtype: np.dtype):
 def _holds_no_level_below(h: np.ndarray, tau: float, scale: float) -> bool:
     """True only if every level ``eigh`` computes for ``h`` lies above ``tau``.
 
-    ``h`` is a finite real symmetric or complex Hermitian matrix of order
-    n >= 3 with ||h||_2 <= ``scale``; a block of 1 or 2 rows is too small
-    for the proof below, and ``_sector_levels`` solves it instead (a block
-    of 1 row from its entry, see ``_lowest_eigh``).  The test is a Cholesky
-    factorization (?potrf) of A = h - s I, s = fl(tau + delta), on a copy;
-    by Sylvester's law of inertia it exists only if every eigenvalue of h
-    exceeds s.  The margin is delta = 8 n^2 u (scale + |tau|), u = 2^-53,
-    and it covers
-    every rounding between that test and the levels ``eigh`` would return:
+    ``h`` is a finite real symmetric or complex Hermitian matrix with
+    ||h||_2 <= ``scale``.  A matrix of order 1 is its own level (see
+    ``_lowest_eigh``), so it is certified exactly when its entry lies above
+    ``tau``, with no factorization.  From order n = 2 on, the test is a
+    Cholesky factorization (?potrf) of A = h - s I, s = fl(tau + delta), on
+    a copy; by Sylvester's law of inertia it exists only if every
+    eigenvalue of h exceeds s.  The margin is delta = 8 n^2 u (scale +
+    |tau|), u = 2^-53, and it covers every rounding between that test and
+    the levels ``eigh`` would return:
 
     * the shift: s >= tau + delta - u |tau + delta|, and subtracting s on
       the diagonal perturbs A by a diagonal D with ||D||_2 <= u (scale + |s|);
@@ -255,21 +260,24 @@ def _holds_no_level_below(h: np.ndarray, tau: float, scale: float) -> bool:
       Stability of Numerical Algorithms, 2nd ed., Thm 10.5); complex
       arithmetic at most doubles g (ibid., section 3.6).  Since
       ||E||_2 <= 2g ||R||_F^2 and ||R||_F^2 = tr(A + E) <= n (scale + |s|)
-      / (1 - 2g), ||E||_2 <= 3 n^2 u (scale + |s|) for n >= 3.  A + E =
-      R^* R is positive definite, so by Weyl lambda_min(h) > s - ||E||_2 -
-      ||D||_2;
+      / (1 - 2g), ||E||_2 <= 2 n (n + 1) u (scale + |s|) (1 + O(n u)), and
+      2 n (n + 1) <= 3 n^2 for n >= 2.  A + E = R^* R is positive definite,
+      so by Weyl lambda_min(h) > s - ||E||_2 - ||D||_2;
     * the eigensolve: ?syevr/?heevr are backward stable, so each computed
       level is within p(n) u ||h||_2 of an exact one (LAPACK Users' Guide,
       section 4.7.1); the Householder tridiagonalization bounds p(n) by a
       small multiple of n^2 (Higham, section 19.3), taken here as 3 n^2.
 
     With |s| <= |tau| + 2 delta these add to at most (6 n^2 + 2) u (scale +
-    |tau|) (1 + 16 n^2 u), which is below delta for 3 <= n <= 10^5, so each
-    computed level of h exceeds tau.  A non-finite ``h`` is never
-    certified: LAPACK can factor a matrix that holds an infinity, and
-    ``eigh`` must be left to reject it.
+    |tau|) (1 + 16 n^2 u), which is below delta for 2 <= n <= 10^5 (at
+    n = 2, 26 u against 32 u), so each computed level of h exceeds tau.  A
+    non-finite ``h`` is never certified: LAPACK can factor a matrix that
+    holds an infinity, and ``eigh`` must be left to reject it.
     """
     dim = h.shape[0]
+    if dim == 1:
+        entry = h.item()
+        return math.isfinite(abs(entry)) and entry.real > tau
     if not np.isfinite(h).all():
         return False
     delta = 8.0 * dim * dim * 2.0**-53 * (scale + abs(tau))
@@ -477,14 +485,21 @@ def _sector_spectrum(n_sites: int, lam: float, gamma: float, parity: int):
 
 
 def _block_hamiltonian(block: _MomentumBlock, weights: np.ndarray) -> np.ndarray:
-    """H(0) on the momentum states of ``block``, as a dense matrix.
+    """H(0) on the momentum states of ``block``, as dense matrices.
 
-    ``weights`` = (-lam, -gamma, -1) scales the block's three coefficient rows.
+    ``weights`` = (-lam, -gamma, -1) scales the block's three coefficient
+    rows; an array of shape (..., 3) gives one matrix per row, of shape
+    (..., dim, dim), all from one product with the coefficients.  Adding 0.0
+    turns the -0.0 a stacked product can leave in a zero entry into the +0.0
+    that the one-point product gives, so each matrix has the same bits
+    whatever the stack holds.
     """
     dim = block.reps.size
-    h = np.zeros((dim, dim), dtype=block.coef.dtype)
-    h.flat[block.pos] = weights @ block.coef
-    return h
+    entries = weights @ block.coef
+    entries += 0.0
+    h = np.zeros(entries.shape[:-1] + (dim * dim,), dtype=entries.dtype)
+    h[..., block.pos] = entries
+    return h.reshape(entries.shape[:-1] + (dim, dim))
 
 
 def _norm_bound(n_sites: int, lam: float, gamma: float) -> float:
@@ -495,48 +510,62 @@ def _norm_bound(n_sites: int, lam: float, gamma: float) -> float:
     return n_sites * (abs(lam) + abs(gamma) + 1.0)
 
 
-def _sector_levels(n_sites: int, lam: float, gamma: float, parity: int, keep: int) -> list:
-    """The lowest min(``keep``, dim) levels of a parity block, ascending, each as
-    (level, block, vector, conjugate).
+def _sector_levels(n_sites: int, lam, gamma, parity: int, keep: int) -> list:
+    """At each point of the 1-d arrays ``lam`` and ``gamma``, the lowest
+    min(``keep``, dim) levels of a parity block, ascending, each as
+    (level, block, vector, conjugate): one list per point.
 
     The vector is in the momentum coordinates of ``block``, and stands for
-    its conjugate if ``conjugate`` (the -k member of a +-k pair).  The
-    blocks are solved in m order, each by the same call whatever ``keep``
-    is, so a level's bits do not depend on it.  Once ``keep`` levels are
-    known, a block of 3 rows or more is first tested by
+    its conjugate if ``conjugate`` (the -k member of a +-k pair).  The loop
+    runs over the blocks in m order, and within a block over the points:
+    one ``_block_hamiltonian`` product assembles the block for a stack of
+    points, at most ``model.MODE_BLOCK_ELEMENTS`` entries (one point at
+    least), and each point's matrix has the bits of its own one-point
+    product.  Each block is solved by the same call whatever ``keep`` is,
+    so a level's bits depend neither on it nor on the other points.  Once
+    ``keep`` levels of a point are known, its matrix is first tested by
     ``_holds_no_level_below`` against the keep-th lowest level so far, and
-    not solved if it holds none at or below it; the levels kept and their
-    bits are then those of solving every block.
+    the block is not solved there if it holds none at or below it.  The
+    levels kept and their bits are then those of solving every block.
     """
     layout = _translation_layout(n_sites, parity)
     count = min(LOOP_LEVELS, layout.states.size)
-    scale = _norm_bound(n_sites, lam, gamma)
-    weights = np.array([-lam, -gamma, -1.0])
-    kept = []  # the lowest levels so far, ascending: (level, block, vectors, column, conjugate)
+    lam, gamma = np.asarray(lam, dtype=float).tolist(), np.asarray(gamma, dtype=float).tolist()
+    weights = np.array([(-lam_i, -gamma_i, -1.0) for lam_i, gamma_i in zip(lam, gamma)])
+    scales = [_norm_bound(n_sites, *point) for point in zip(lam, gamma)]
+    points = [[] for _ in scales]  # per point, its lowest levels so far, ascending
     for block in layout.blocks:
         dim = block.reps.size
-        h = _block_hamiltonian(block, weights)
-        if dim >= 3 and len(kept) == keep and _holds_no_level_below(h, kept[-1][0], scale):
-            continue
         # H is real and T a real permutation, so H(-k) = conj H(k): each level
         # of a complex block is also a level of -k, with the conjugate
         # vector, and half the count suffices there.
-        pair = h.dtype.kind == "c"
-        vals, vecs = _lowest_eigh(h, min(-(-count // 2) if pair else count, dim))
-        for conj in (False, True) if pair else (False,):
-            for j, level in enumerate(vals.tolist()):
-                if len(kept) == keep and level >= kept[-1][0]:
-                    break  # the block's later levels lie higher still
-                # After its ties: tied levels keep the order in which they were found.
-                bisect.insort(kept, (level, block, vecs, j, conj), key=itemgetter(0))
-                del kept[keep:]
-    return [(level, block, vecs[:, j], conj) for level, block, vecs, j, conj in kept]
+        pair = block.coef.dtype.kind == "c"
+        solve = min(-(-count // 2) if pair else count, dim)
+        step = max(1, model.MODE_BLOCK_ELEMENTS // (dim * dim))
+        for start in range(0, len(points), step):
+            chunk = slice(start, start + step)
+            stack = _block_hamiltonian(block, weights[chunk])
+            for kept, scale, h in zip(points[chunk], scales[chunk], stack):
+                if len(kept) == keep and _holds_no_level_below(h, kept[-1][0], scale):
+                    continue
+                vals, vecs = _lowest_eigh(h, solve)
+                for conj in (False, True) if pair else (False,):
+                    for j, level in enumerate(vals.tolist()):
+                        if len(kept) == keep and level >= kept[-1][0]:
+                            break  # the block's later levels lie higher still
+                        # After its ties: tied levels keep the order in which they were found.
+                        bisect.insort(kept, (level, block, vecs, j, conj), key=itemgetter(0))
+                        del kept[keep:]
+    return [
+        [(level, block, vecs[:, j], conj) for level, block, vecs, j, conj in kept]
+        for kept in points
+    ]
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _solve_sector(n_sites, lam, gamma, parity):
     layout = _translation_layout(n_sites, parity)
-    levels = _sector_levels(n_sites, lam, gamma, parity, LOOP_LEVELS)
+    levels, = _sector_levels(n_sites, (lam,), (gamma,), parity, LOOP_LEVELS)
     vectors = np.empty((layout.states.size, len(levels)), dtype=complex)
     coeffs = np.zeros(layout.n_reps, dtype=complex)
     for col, (_, block, vector, conj) in enumerate(levels):
@@ -571,9 +600,21 @@ class _LowestLevel:
         return self.next_level - self.energy
 
     @functools.cached_property
+    def magnetization(self) -> float:
+        """kappa_1 = <S^z>, bit for bit ``cumulants[0]``, with no higher moment formed."""
+        return float(_sz_means(self.weights, self.sz))
+
+    @functools.cached_property
     def cumulants(self) -> tuple:
         """(kappa_1, ..., kappa_5) of S^z, formed once per reading (see ``sz_cumulants``)."""
         return tuple(map(float, _cumulant_rows(self.weights, self.sz)))
+
+
+def _sz_means(weights: np.ndarray, sz: np.ndarray):
+    """<S^z> of each row of the |psi|^2 ``weights`` on basis states of S^z ``sz``,
+    along the last axis."""
+    # add.reduce is the reduction np.sum calls, without its Python wrapper.
+    return np.add.reduce(sz * weights, axis=-1)
 
 
 def _cumulant_rows(weights: np.ndarray, sz: np.ndarray) -> tuple:
@@ -584,8 +625,7 @@ def _cumulant_rows(weights: np.ndarray, sz: np.ndarray) -> tuple:
     reduction along that axis, and a row's cumulants are bit-identical to
     those of the row alone.
     """
-    # add.reduce is the reduction np.sum calls, without its Python wrapper.
-    mean = np.add.reduce(sz * weights, axis=-1)
+    mean = _sz_means(weights, sz)
     deviation = sz - mean[..., None]
     mu2, mu3, mu4, mu5 = (np.add.reduce(weights * deviation**k, axis=-1) for k in range(2, 6))
     return mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2, mu5 - 10.0 * mu3 * mu2
@@ -603,7 +643,8 @@ def _lowest_level(n_sites: int, lam: float, gamma: float, parity: int) -> _Lowes
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _solve_lowest(n_sites, lam, gamma, parity) -> _LowestLevel:
     """Read the two lowest levels of ``_sector_levels``, and the lower one's weights."""
-    (energy, block, vector, _), (next_level, *_) = _sector_levels(n_sites, lam, gamma, parity, 2)
+    levels, = _sector_levels(n_sites, (lam,), (gamma,), parity, 2)
+    (energy, block, vector, _), (next_level, *_) = levels
     weights = np.abs(vector) ** 2
     weights.setflags(write=False)
     return _LowestLevel(energy, next_level, weights, block.sz)
@@ -616,34 +657,39 @@ def _even_ground_rows(lam, gamma, n_sites: int, steps: int):
     The oracle's counterpart of ``observables._ground_state_rows``.  Each
     value equals, bit for bit, ``discrete_loop_phase(p, "ground", steps).
     wrapped``, ``ed_ground_energy(p)`` and ``sz_cumulants(p)``'s kappa_1,
-    kappa_3 and kappa_5 at that point.  Each point is read by the loop
-    ``_solve_lowest`` reads, not memoized; the ground states' |psi|^2
-    weights are stacked per momentum block, so each cumulant is one
-    reduction over all of them, and exp(i delta S^z / 2) is formed once per
-    block.  A ground level degenerate within DEGENERACY_TOL takes
-    ``loop_states``.  The site cap is checked before any solve, and
-    DiscretizationError is raised at the first point, in order, where the
-    per-point readers raise it.
+    kappa_3 and kappa_5 at that point.  All the points are read by one call
+    of the loop ``_solve_lowest`` reads for one point, not memoized; the
+    ground states' |psi|^2 weights are stacked per momentum block, so each
+    cumulant is one reduction over all of them, and exp(i delta S^z / 2) is
+    formed once per block.  chi = <psi|exp(i delta S^z / 2)|psi> and its
+    argument stay one ``np.dot`` and one ``cmath.phase`` per row: a stacked
+    product (weights @ kick) sums in another order than ``np.dot`` and
+    differs from it in the last bits of most rows, and an ``np.angle`` over
+    the stack differs from ``cmath.phase`` in some, and the loop phase
+    multiplies that argument by m.  A ground level degenerate within
+    DEGENERACY_TOL takes ``loop_states``.  The site cap is checked before
+    any solve, and DiscretizationError is raised at the first point, in
+    order, where the per-point readers raise it.
     """
     check_sites(n_sites)
     _require_count("steps", steps, 8)
-    points = list(zip(lam.tolist(), gamma.tolist()))
-    grounds = [_sector_levels(n_sites, *point, +1, 2) for point in points]
+    grounds = _sector_levels(n_sites, lam, gamma, +1, 2)
+    out = np.empty((5, len(grounds)))
+    out[1] = [ground[0] for ground, _ in grounds]
     blocks = {}  # id of a momentum block -> the points whose ground state lies in it
     for i, ((_, block, _, _), _) in enumerate(grounds):
         blocks.setdefault(id(block), []).append(i)
-    out = np.empty((5, len(points)))
-    overlaps = {}  # point -> its ground state's weights and the kick on its block
+    overlaps = [None] * len(grounds)  # per point, its ground state's weights and the kick
     for rows in blocks.values():
         sz = grounds[rows[0]][0][1].sz
-        weights = np.abs([grounds[i][0][2] for i in rows]) ** 2
-        kappa = _cumulant_rows(weights, sz)
-        out[1:, rows] = [grounds[i][0][0] for i in rows], kappa[0], kappa[2], kappa[4]
+        weights = np.abs(np.array([grounds[i][0][2] for i in rows])) ** 2
+        out[2:, rows] = _cumulant_rows(weights, sz)[::2]
         kick = _step_kick(sz, steps)
-        overlaps.update((i, (row, kick)) for i, row in zip(rows, weights))
-    for i, ((energy, *_), (next_level, *_)) in enumerate(grounds):
-        if next_level - energy < DEGENERACY_TOL:
-            p = XYParams(lam=points[i][0], gamma=points[i][1], n_sites=n_sites)
+        for i, row in zip(rows, weights):
+            overlaps[i] = row, kick
+    for i, (ground, second) in enumerate(grounds):
+        if second[0] - ground[0] < DEGENERACY_TOL:
+            p = XYParams(lam=float(lam[i]), gamma=float(gamma[i]), n_sites=n_sites)
             out[0, i] = wrap_angle(pancharatnam_phase(loop_states(p, "ground", steps).vectors))
         else:
             chi = _step_overlap(*overlaps[i], steps)
@@ -669,7 +715,7 @@ def magnetization_ed(params: XYParams) -> float:
             DegenerateLevelWarning,
             stacklevel=2,
         )
-    return ground.cumulants[0]
+    return ground.magnetization
 
 
 def sz_cumulants(params: XYParams) -> tuple:

@@ -948,6 +948,48 @@ class TestLatticeMapCommand:
             assert captured.out == ""
 
 
+def _draw_one_pair_at_a_time(rng, draws):
+    """``cli.draw_noncritical_points`` as one scalar draw of lam, then gamma, per
+    candidate; returns the points and the number of candidates drawn."""
+    points, candidates = [], 0
+    while len(points) < draws:
+        lam, gamma = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 1.5)
+        candidates += 1
+        if classify_criticality(lam, gamma).distance > cli.NONCRITICAL_MARGIN:
+            points.append((float(lam), float(gamma)))
+    return points, candidates
+
+
+class TestNoncriticalDraws:
+    @pytest.mark.parametrize("draws", [1, 2, 10, 37])
+    def test_batches_match_one_pair_at_a_time(self, draws):
+        # The batches draw the same doubles in the same order, so the points
+        # and the generator state they leave equal the scalar sampler's.
+        rejected = 0
+        for seed in range(100):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = cli.draw_noncritical_points(got_rng, draws)
+            want, candidates = _draw_one_pair_at_a_time(want_rng, draws)
+            assert got == want, seed
+            assert all(type(value) is float for point in got for value in point)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+            rejected += candidates > draws
+        assert rejected > 0  # some seeds reject a draw, so a second batch runs
+
+    def test_one_generator_across_calls(self):
+        # A caller may draw one point at a time from one generator, as the
+        # benchmark's dense-observables jobs do; each call leaves it where the
+        # scalar sampler would, so the next call draws the same point.
+        got_rng, want_rng = np.random.default_rng(29), np.random.default_rng(29)
+        candidates = 0
+        for _ in range(200):
+            want, drawn = _draw_one_pair_at_a_time(want_rng, 1)
+            assert cli.draw_noncritical_points(got_rng, 1) == want
+            candidates += drawn
+        assert candidates > 200
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def _change_oracle_row(monkeypatch, index, change):
     """Make verify's oracle pass read ``change(row)`` for its row ``index``:
     0 the loop phase, 1 the energy, 2 the magnetization, 3 kappa_3, 4 kappa_5."""

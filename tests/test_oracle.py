@@ -26,7 +26,7 @@ from xyberry import (
     spin_half_phase,
     wrap_angle,
 )
-from xyberry import cli, oracle
+from xyberry import cli, model, oracle
 from xyberry.cli import (
     VERIFY_ENERGY_TOL,
     VERIFY_MAGNETIZATION_TOL,
@@ -317,7 +317,8 @@ def _read_lowest_from(monkeypatch, spectrum):
     block = SimpleNamespace(sz=sz)  # the one field a reading takes from a block
 
     def levels(n, lam, gamma, parity, keep):
-        return [(vals[j], block, vecs[:, j], False) for j in range(min(keep, vals.size))]
+        one = [(vals[j], block, vecs[:, j], False) for j in range(min(keep, vals.size))]
+        return [one for _ in lam]
 
     monkeypatch.setattr(oracle, "_sector_levels", levels)
     monkeypatch.setattr(oracle, "_lowest_level", oracle._solve_lowest.__wrapped__)
@@ -393,11 +394,11 @@ class TestMomentumBlocks:
             assert magnetization_ed(p) == pytest.approx(want, abs=1e-12)
         assert oracle.sz_cumulants(p)[0] == pytest.approx(want, abs=1e-12)
         monkeypatch.undo()
-        levels = oracle._sector_levels(n, lam, gamma, -1, 3)
+        levels, = oracle._sector_levels(n, (lam,), (gamma,), -1, 3)
         # The pair is one vector of a complex block, read plain and conjugated.
         assert [level[3] for level in levels[1:]] == [False, True]
         assert np.iscomplexobj(levels[1][2]) and np.array_equal(levels[1][2], levels[2][2])
-        monkeypatch.setattr(oracle, "_sector_levels", lambda *args: levels[1:])
+        monkeypatch.setattr(oracle, "_sector_levels", lambda *args: [levels[1:]])
         lowest = oracle._solve_lowest.__wrapped__(n, lam, gamma, -1)
         assert lowest.splitting == 0.0 and lowest.sz.size < sz.size
         assert lowest.cumulants[0] == pytest.approx(want, abs=1e-12)
@@ -541,11 +542,20 @@ class TestEigensolveBinding:
             assert event == ("eigh", block.reps.size)
         assert next(it, None) is None
         assert ("test", 4, True) in events  # a certified block is not solved
-        # A block of 1 row is read from its entry, with no eigensolve.
+        assert [b.reps.size for b in oracle._translation_layout(4, +1).blocks] == [4, 1, 2]
+        # Six levels: the 1-row block, read from its entry with no eigensolve,
+        # fills them with its +-k pair, and the 2-row block is tested.
         events.clear()
         oracle._solve_sector.__wrapped__(4, 0.7, 0.4, +1)
-        assert [b.reps.size for b in oracle._translation_layout(4, +1).blocks] == [4, 1, 2]
-        assert events == [("eigh", 4), ("eigh", 2)]
+        assert events == [("eigh", 4), ("test", 2, False), ("eigh", 2)]
+        # Two levels: the k = 0 block holds both, and the 1-row block (by its
+        # entry) and the 2-row block (by a factorization) are left out.
+        events.clear()
+        oracle._solve_lowest.__wrapped__(4, 0.7, 0.4, +1)
+        assert events == [("eigh", 4), ("test", 1, True), ("test", 2, True)]
+        events.clear()
+        oracle._solve_lowest.__wrapped__(4, 0.7, 0.4, -1)
+        assert events == [("eigh", 2), ("test", 2, False), ("eigh", 2), ("test", 2, True)]
         events.clear()
         spin_half_loop_phase(1.0, 24)
         assert events == [("eigh", 2)] * 24
@@ -615,11 +625,12 @@ class TestBlockSkipping:
             # A certified block is never solved, and every other block is.
             assert certified + solved == len(oracle._translation_layout(n, parity).blocks), case
             skipped[n] += certified
-        # Only a block of 3 rows or more is ever tested, and small ones are
-        # left out too: at N = 6 no block has more than 8 rows.  At N = 4 the
-        # only such block is the even k = 0 block, solved first.
-        assert min(tested) >= 3
-        assert skipped[4] == 0 and skipped[6] > 0 and skipped[10] > 0 and skipped[12] > 0
+        # Blocks of every size are tested once six levels are known, and small
+        # ones are left out too: at N = 6 no block has more than 8 rows, and
+        # at N = 4 none has more than 4.  A block of 1 row (the even k = pi/2
+        # block at N = 4) comes before six levels are known, and is solved.
+        assert min(tested) == 2
+        assert all(skipped[n] > 0 for n in skipped), skipped
         vals, vecs, _, _ = oracle._sector_spectrum(*_SPLIT_PAIR)
         assert vals[4] < vals[5] and _is_complex(vecs[:, 5])
 
@@ -646,7 +657,7 @@ class TestBlockSkipping:
         assert oracle._potrf(h.dtype)(h + 5.0 * np.eye(24), lower=True)[1] == 0
         assert not oracle._holds_no_level_below(h, -5.0, 10.0)
 
-    def test_one_row_block_is_its_own_level(self):
+    def test_one_row_block_is_its_own_level(self, monkeypatch):
         # _lowest_eigh reads a block of 1 row from its entry: for order 1,
         # ?syevr and ?heevr return the real part of A(1,1) and the unit vector.
         rng = np.random.default_rng(33)
@@ -669,6 +680,16 @@ class TestBlockSkipping:
         # A non-finite entry is not read: eigh rejects it.
         with pytest.raises(ValueError, match="infs or NaNs"):
             oracle._lowest_eigh(np.array([[np.inf]]), 1)
+        # So its certificate is its entry above tau, and a non-finite entry
+        # is never certified, with no factorization.
+        monkeypatch.setattr(oracle, "_potrf", None)
+        for entry, tau, certified in (
+            (2.0, 1.0, True), (2.0, 2.0, False), (2.0 + 5j, 1.0, True), (2.0 + 5j, 2.0, False),
+            (np.inf, 1.0, False), (np.nan, 1.0, False), (-np.inf, 1.0, False),
+            (2.0 + np.inf * 1j, 1.0, False),
+        ):
+            h = np.array([[entry]])
+            assert oracle._holds_no_level_below(h, tau, 3.0) is certified, (entry, tau)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_field_still_raises(self):
@@ -702,6 +723,98 @@ def _ties_the_k0_second_level(n, lam, gamma):
     return lowest <= second + 1e-12
 
 
+def _assert_same_levels(got, want, where):
+    """Two readings of ``_sector_levels`` at one point hold the same levels,
+    blocks, vectors and conjugation flags, bit for bit."""
+    assert len(got) == len(want), where
+    for (level, block, vector, conj), (level_w, block_w, vector_w, conj_w) in zip(got, want):
+        assert level == level_w and block is block_w and conj is conj_w, where
+        assert vector.dtype == vector_w.dtype and vector.tobytes() == vector_w.tobytes(), where
+
+
+def _stack_points(n, rng):
+    """Seeded draws, free draws, the tie and lam = 0 points at N = ``n``, the
+    edge points, and points on lam = +-1 and on gamma = 0."""
+    free = [tuple(rng.uniform((-2.0, -1.5), (2.0, 1.5)).tolist()) for _ in range(3)]
+    ties = [(lam, gamma) for m, lam, gamma in _TIE_POINTS + _LAMBDA_ZERO_POINTS if m == n]
+    edges = [(1.0, 0.4), (-1.0, 0.9), (0.5, 0.0), (-1.3, 0.0), (0.0, -0.7)]
+    return draw_noncritical_points(rng, 5) + free + ties + list(_EDGE_POINTS) + edges
+
+
+class TestStackedLoop:
+    """``_sector_levels`` over a stack of points against one point at a time."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_stack_reads_each_point_as_alone(self, n):
+        points = _stack_points(n, np.random.default_rng(2900 + n))
+        lams, gammas = np.array(points).T
+        for parity in (+1, -1):
+            for keep in (2, 3, oracle.LOOP_LEVELS):
+                stacked = oracle._sector_levels(n, lams, gammas, parity, keep)
+                assert len(stacked) == len(points)
+                for (lam, gamma), levels in zip(points, stacked):
+                    alone, = oracle._sector_levels(n, (lam,), (gamma,), parity, keep)
+                    _assert_same_levels(levels, alone, (n, parity, keep, lam, gamma))
+
+    def test_stacked_assembly_has_the_one_point_bits(self):
+        # A stacked product can leave -0.0 where the one-point product gives
+        # +0.0 (on lam = 0 and gamma = 0); each matrix must have the bits of
+        # its own product.
+        rng = np.random.default_rng(2910)
+        points = [(0.0, 0.5), (0.7, 0.0), (0.0, 0.0), (1.0, 1.0)]
+        points += [tuple(rng.uniform((-2.0, -1.5), (2.0, 1.5)).tolist()) for _ in range(6)]
+        weights = -np.array([(lam, gamma, 1.0) for lam, gamma in points])
+        for n in (2, 4, 6, 8, 10):
+            for parity in (+1, -1):
+                for block in oracle._translation_layout(n, parity).blocks:
+                    stack = oracle._block_hamiltonian(block, weights)
+                    for row, h in zip(weights, stack):
+                        alone = oracle._block_hamiltonian(block, row)
+                        assert h.dtype == alone.dtype and h.tobytes() == alone.tobytes()
+                        for part in (h.real, h.imag):
+                            assert not np.signbit(part[part == 0]).any(), (n, parity)
+
+    @pytest.mark.parametrize("limit", [1, 40, 300, 5000])
+    def test_stacks_hold_at_most_the_block_elements(self, limit, monkeypatch):
+        # Each stack holds at most MODE_BLOCK_ELEMENTS entries, one point at
+        # least, and the readings do not depend on where the chunks fall.
+        rng = np.random.default_rng(2920)
+        points = _stack_points(8, rng) + draw_noncritical_points(rng, 9)
+        lams, gammas = np.array(points).T
+        want = {
+            (n, parity, keep): oracle._sector_levels(n, lams, gammas, parity, keep)
+            for n in (4, 8) for parity in (+1, -1) for keep in (2, oracle.LOOP_LEVELS)
+        }
+        rows = [oracle._even_ground_rows(lams, gammas, n, 2000) for n in (4, 8)]
+        stacks = []
+        assemble = oracle._block_hamiltonian
+
+        def recording(block, weights):
+            stack = assemble(block, weights)
+            stacks.append(stack.shape)
+            return stack
+
+        monkeypatch.setattr(model, "MODE_BLOCK_ELEMENTS", limit)
+        monkeypatch.setattr(oracle, "_block_hamiltonian", recording)
+        for (n, parity, keep), levels in want.items():
+            stacks.clear()
+            got = oracle._sector_levels(n, lams, gammas, parity, keep)
+            for point, got_levels, want_levels in zip(points, got, levels):
+                _assert_same_levels(got_levels, want_levels, (limit, n, parity, keep, point))
+            # Per block in m order, the points in chunks of as many as fit.
+            expected = []
+            for block in oracle._translation_layout(n, parity).blocks:
+                dim = block.reps.size
+                step = max(1, limit // (dim * dim))
+                expected += [(min(step, len(points) - start), dim, dim)
+                             for start in range(0, len(points), step)]
+            assert stacks == expected, (limit, n, parity)
+            assert all(size * dim * dim <= limit or size == 1 for size, dim, _ in stacks)
+        for n, want_rows in zip((4, 8), rows):
+            got_rows = oracle._even_ground_rows(lams, gammas, n, 2000)
+            assert [row.tobytes() for row in got_rows] == [row.tobytes() for row in want_rows]
+
+
 class TestEvenGroundReader:
     """The lowest-level reading against the every-block solve."""
 
@@ -727,6 +840,9 @@ class TestEvenGroundReader:
             ).blocks[0].sz.shape, where
             for array in (ground.weights, ground.sz):
                 assert not array.flags.writeable
+            # magnetization_ed's reading forms kappa_1 alone, with the same bits.
+            fresh = oracle._solve_lowest.__wrapped__(n, lam, gamma, +1)
+            assert fresh.magnetization == ground.cumulants[0], where
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_tie_points_match_every_block_solve(self, n):
@@ -770,11 +886,11 @@ class TestEvenGroundReader:
             decisions.add(degenerate)
         assert decisions == {False, True}
 
-    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_one_eigensolve_per_point(self, n, monkeypatch):
         # Every even-sector read of a verify point comes from one solve of
-        # the k = 0 block; from N = 6 on every other block has 3 rows or
-        # more, and the certificate shows it holds no lower level.
+        # the k = 0 block; every other block, of 1 row (by its entry) or
+        # more (by a factorization), is shown to hold no lower level.
         dims = []
         binding = oracle.eigh
 
@@ -821,7 +937,11 @@ class TestEvenGroundReader:
         monkeypatch.undo()
         for steps in (8, 2000):
             got = cli._verify_points(points, [8, 10], steps)
-            assert got == verify_reference.verify_points(points, [8, 10], steps), steps
+            want = verify_reference.verify_points(points, [8, 10], steps)
+            assert list(got) == list(want)
+            for key, rows in got.items():
+                assert rows.shape == want[key].shape == (2, len(points)), (steps, key)
+                assert rows.tobytes() == want[key].tobytes(), (steps, key)
 
     @pytest.mark.parametrize("floor", [0.9, 0.95])
     def test_discretization_error_at_the_same_point(self, floor, monkeypatch):
